@@ -27,7 +27,7 @@ import numpy as np
 
 from .finitediff import first_derivative, second_derivative
 from .perturbations import Perturbation
-from .quadrature import _NODES as _GK_NODES, _WGFULL as _GK_WG, _WK as _GK_WK
+from .quadrature import soliton_integrals
 from .soliton import CoreParams, profile_with_derivatives
 
 
@@ -135,13 +135,6 @@ def evolve_background(
     return BackgroundTrajectory(Z=np.linspace(0.0, Z_span, steps + 1), u_inf=u, delta_phi_inf=delta_phi_inf)
 
 
-# Composite Kronrod grid for sech^2-localized densities, in units of 1/B.
-# Fine panels across the core, geometric in the exponential tail; the
-# truncation at |T| = 40/B leaves less than 1e-27 of the mass outside.
-_PANEL_EDGES = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.5, 8.0, 10.0, 14.0, 20.0, 28.0, 40.0])
-_PANEL_EDGES = np.concatenate((-_PANEL_EDGES[:0:-1], _PANEL_EDGES))
-
-
 def _evaluate_forcing(pert: Perturbation, u0, u0_T, u0_TT):
     try:
         return np.asarray(pert.point_eval(u0, u0_T, u0_TT))
@@ -150,34 +143,25 @@ def _evaluate_forcing(pert: Perturbation, u0, u0_T, u0_TT):
         return np.asarray(flat).reshape(u0.shape)
 
 
-def _forcing_integrals(pert: Perturbation, params: CoreParams, tol: float = 1e-12) -> tuple[float, float]:
+def _forcing_integrals(pert: Perturbation, params: CoreParams) -> tuple[float, float]:
     """(Re int F[u0] u0_T* dT,  Im int (F[u_inf]u_inf - F[u0]u0*) dT).
 
-    Composite Gauss-Kronrod quadrature over the analytic profile on
-    |T| <= 40/B; the embedded Gauss rule provides an error estimate that is
-    checked against ``tol``.  The global soliton phase drops out for
-    phase-symmetric forcings, so sigma0 = 0 is used.
+    Both densities share one evaluation of F on the analytic profile at the
+    nodes of the fixed soliton-density rule.  The global soliton phase drops
+    out for phase-symmetric forcings, so sigma0 = 0 is used.
     """
     base = replace(params, sigma0=0.0)
     f_bg = pert.on_background(params.u_inf) * params.u_inf
-    edges = _PANEL_EDGES / params.B
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * np.diff(edges)
-    T = (mid[:, None] + half[:, None] * _GK_NODES).ravel()
-    u0, u0_T, u0_TT = profile_with_derivatives(base, T)
-    F = _evaluate_forcing(pert, u0, u0_T, u0_TT)
-    dens_i = np.real(F * np.conj(u0_T)).reshape(-1, _GK_NODES.size)
-    dens_e = np.imag(f_bg - F * np.conj(u0)).reshape(-1, _GK_NODES.size)
-    m_i = float(np.sum(half * (dens_i @ _GK_WK)))
-    m_e = float(np.sum(half * (dens_e @ _GK_WK)))
-    err = np.sum(half * np.abs(dens_i @ (_GK_WK - _GK_WG)))
-    err += np.sum(half * np.abs(dens_e @ (_GK_WK - _GK_WG)))
-    if err > max(100.0 * tol, 1e-9 * max(abs(m_i), abs(m_e), 1.0)):
-        raise RuntimeError(f"forcing quadrature error estimate {err:.2e} too large")
-    return m_i, m_e
+
+    def densities(T):
+        u0, u0_T, u0_TT = profile_with_derivatives(base, T)
+        F = _evaluate_forcing(pert, u0, u0_T, u0_TT)
+        return np.real(F * np.conj(u0_T)), np.imag(f_bg - F * np.conj(u0))
+
+    return tuple(soliton_integrals(densities, params.B))
 
 
-def grey_parameter_rhs(pert: Perturbation, params: CoreParams, tol: float = 1e-12) -> ShelfParams:
+def grey_parameter_rhs(pert: Perturbation, params: CoreParams) -> ShelfParams:
     """One evaluation of the boxed parameter cascade at the given state.
 
     Solved strictly top to bottom; raises ShallowSolitonError when
@@ -191,7 +175,7 @@ def grey_parameter_rhs(pert: Perturbation, params: CoreParams, tol: float = 1e-1
         raise ShallowSolitonError(f"u_inf - A = {u - A:.3e}: shallow-soliton breakdown")
     f_bg = pert.on_background(u)
     u_rate = f_bg.imag
-    m_i, m_e = _forcing_integrals(pert, params, tol=tol)
+    m_i, m_e = _forcing_integrals(pert, params)
     A_rate = m_i / (2.0 * B)
     B_rate = (u * u_rate - A * A_rate) / B
     dphi0_rate = (2.0 * A * B_rate - 2.0 * B * A_rate) / u**2

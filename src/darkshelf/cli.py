@@ -62,6 +62,8 @@ def main(argv=None) -> int:
             print(report.table())
             print(f"report: {path}")
             return EXIT_OK if report.passed else EXIT_COMPARE_FAILED
+        if args.command == "emit" and args.kinds:
+            cfg["outputs"] = args.kinds  # validated with the config, before the run
         exp = harness.validate(cfg)
         if args.command == "predict":
             traj = harness.predict(exp)

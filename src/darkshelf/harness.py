@@ -23,14 +23,14 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from . import asymptotics, boundary_layer, simulator
 from .perturbations import BUILTINS, Perturbation
-from .soliton import CoreParams
+from .soliton import CoreParams, grey_profile
 
 FMT = "{:.17g}"
 
@@ -77,9 +77,6 @@ class ComparisonRow:
 class ComparisonReport:
     rows: list[ComparisonRow] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
-
-    def add(self, *args, **kwargs):
-        self.rows.append(ComparisonRow(*args, **kwargs))
 
     @property
     def passed(self) -> bool:
@@ -185,19 +182,34 @@ class Experiment:
     raw: dict
 
 
+def _perturbation(cfg: dict) -> Perturbation | None:
+    pert_cfg = cfg.get("perturbation")
+    if pert_cfg is None:
+        return None
+    label = pert_cfg.get("label")
+    if label not in BUILTINS:
+        raise ConfigError(f"perturbation.label: unknown {label!r} (have {sorted(BUILTINS)})")
+    strengths = {k: float(v) for k, v in pert_cfg.items() if k != "label"}
+    try:
+        return BUILTINS[label](**strengths)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"perturbation: {exc}") from exc
+
+
+def _names(cfg: dict, key: str, known, default) -> tuple[str, ...]:
+    names = cfg.get(key)
+    if names is None:
+        return tuple(default)
+    if isinstance(names, (list, tuple)) and all(isinstance(n, str) and n in known for n in names):
+        return tuple(names)
+    raise ConfigError(f"{key}: expected a list drawn from {sorted(set(known))}, got {names!r}")
+
+
 def validate(cfg: dict) -> Experiment:
     eps = _field(cfg, "epsilon", float)
-    pert_cfg = cfg.get("perturbation")
-    pert = None
-    if pert_cfg is not None:
-        label = pert_cfg.get("label")
-        if label not in BUILTINS:
-            raise ConfigError(f"perturbation.label: unknown {label!r} (have {sorted(BUILTINS)})")
-        strengths = {k: float(v) for k, v in pert_cfg.items() if k != "label"}
-        try:
-            pert = BUILTINS[label](**strengths)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"perturbation: {exc}") from exc
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise ConfigError(f"epsilon: must be finite and non-negative, got {eps}")
+    pert = _perturbation(cfg)
     if eps != 0.0 and pert is None:
         raise ConfigError("perturbation: required when epsilon != 0")
     u_inf = _field(cfg, "soliton.u_inf", float)
@@ -221,11 +233,8 @@ def validate(cfg: dict) -> Experiment:
         raise ConfigError(
             f"grid.half_width: {grid.half_width} < 3*u_inf*z_max = {3 * u_inf * z_max}"
         )
-    observables = tuple(
-        cfg["observables"] if "observables" in cfg and cfg["observables"] is not None
-        else default_observables(params)
-    )
-    outputs = tuple(cfg.get("outputs") or ("report",))
+    core = "black" if params.is_black else "grey"
+    defaults = dict.fromkeys(o.name for o in OBSERVABLES if core in o.default_for)
     return Experiment(
         params=params,
         perturbation=pert,
@@ -233,16 +242,10 @@ def validate(cfg: dict) -> Experiment:
         grid=grid,
         z_max=z_max,
         snapshot_dz=snapshot_dz,
-        observables=observables,
-        outputs=outputs,
+        observables=_names(cfg, "observables", {o.name for o in OBSERVABLES}, defaults),
+        outputs=_names(cfg, "outputs", OUTPUT_KINDS, ("report",)) or ("report",),
         raw=cfg,
     )
-
-
-def default_observables(params: CoreParams) -> list[str]:
-    if params.is_black:
-        return ["shelf", "black_balance", "sigma0", "edges", "t0", "layer"]
-    return ["shelf", "a_constancy"]
 
 
 def auto_grid(params: CoreParams, z_max: float) -> dict:
@@ -289,19 +292,32 @@ def simulate(exp: Experiment, traj: asymptotics.ParameterTrajectory | None = Non
         background = simulator.SimBackground.constant(exp.params.u_inf)
     else:
         background = simulator.SimBackground.from_perturbation(
-            exp.perturbation, exp.epsilon, exp.params.u_inf
+            exp.perturbation, exp.epsilon, exp.params.u_inf, exp.z_max
         )
-    cfg = simulator.SimConfig(epsilon=exp.epsilon, perturbation=exp.perturbation)
-    dz, _, _ = cfg.resolve(exp.grid, exp.z_max)
-    stride = max(1, round(exp.snapshot_dz / dz))
-    cfg = simulator.SimConfig(
-        epsilon=exp.epsilon, perturbation=exp.perturbation, output_stride=stride
-    )
+    cfg = simulator.SimConfig(exp.epsilon, exp.perturbation, exp.snapshot_dz)
     initial = simulator.initial_state(exp.params, exp.grid)
     snapshots = simulator.run(
         cfg, exp.grid, initial, background, exp.z_max, shift_fn=traj.comoving_shift
     )
     return snapshots, background, traj
+
+
+@dataclass(frozen=True)
+class Artifacts:
+    """One simulated experiment: what the observables measure and the CSVs plot."""
+
+    exp: Experiment
+    snapshots: list[simulator.FieldState]
+    background: simulator.SimBackground
+    traj: asymptotics.ParameterTrajectory
+
+    @property
+    def final(self) -> simulator.FieldState:
+        return self.snapshots[-1]
+
+    @property
+    def shelf0(self) -> asymptotics.ShelfParams:
+        return self.traj.shelf[0]
 
 
 def _edges_at(traj: asymptotics.ParameterTrajectory, zeta: float) -> tuple[float, float]:
@@ -314,153 +330,178 @@ def _snapshot_at(snapshots, z: float):
     return snapshots[int(np.argmin([abs(s.z - z) for s in snapshots]))]
 
 
-def compare(exp: Experiment) -> tuple[ComparisonReport, dict]:
-    """Full validation: simulate, measure, grade against the asymptotics.
+def compare(exp: Experiment) -> tuple[ComparisonReport, Artifacts]:
+    """Simulate, then grade each applicable observable in ``exp.observables``.
 
-    Returns the report plus an artifact dict {snapshots, traj, background}
-    for emission.
+    A measurement that raises MeasurementError or ValueError leaves its
+    declared rows failed (measured NaN) with one note.
     """
-    snapshots, background, traj = simulate(exp)
+    art = Artifacts(exp, *simulate(exp))
     report = ComparisonReport()
-    params = exp.params
-    eps = exp.epsilon
-    sh0 = traj.shelf[0]
-    final = snapshots[-1]
-    artifacts = {"snapshots": snapshots, "traj": traj, "background": background, "exp": exp}
-
-    if "fidelity" in exp.observables:
-        from .soliton import grey_profile
-
-        exact = grey_profile(params, exp.grid.t - traj.comoving_shift(final.z))
-        dev = float(np.max(np.abs(final.samples - exact)))
-        report.add("fidelity_max_pointwise_dev", 0.0, dev, 1e-6, relative=False)
-        q = [simulator.conserved_quantities(s, exp.grid, background.u_inf_fn(s.z)) for s in snapshots]
-        for name in "HEI":
-            series = np.array([getattr(c, name) for c in q])
-            drift = float(np.max(np.abs(series - series[0]))) / max(1.0, abs(series[0]))
-            report.add(f"conservation_drift_{name}", 0.0, drift, 1e-6, relative=False)
-        zs = np.array([s.z for s in snapshots])
-        rser = np.array([c.R for c in q])
-        iser = np.array([c.I for c in q])
-        dR = np.gradient(rser, zs)
-        report.add(
-            "dRdz_plus_I_residual", 0.0, float(np.max(np.abs(dR + iser))), 1e-5, relative=False
-        )
-
-    def guarded(block, fallback_rows):
-        """Measurement failures become failed rows rather than crashes."""
+    for obs in OBSERVABLES:
+        if obs.name not in exp.observables or (obs.perturbed_only and exp.epsilon == 0.0):
+            continue
+        declared = obs.rows(art)
         try:
-            block()
+            measured = obs.measure(art)
         except (simulator.MeasurementError, ValueError) as exc:
-            for name, predicted, tol, rel in fallback_rows:
-                report.add(name, predicted, float("nan"), tol, relative=rel)
-            report.notes.append(f"{fallback_rows[0][0]}: {exc}")
-
-    if "shelf" in exp.observables and eps != 0.0:
-        for side, q1_pred in ((+1, sh0.q1_plus), (-1, sh0.q1_minus)):
-            tag = "plus" if side > 0 else "minus"
-
-            def block(side=side, q1_pred=q1_pred, tag=tag):
-                z_m = min(measurement_distance(params, eps, q1_pred, side), exp.z_max)
-                snap = _snapshot_at(snapshots, z_m)
-                margin = shelf_margin(params, eps, q1_pred)
-                m = simulator.measure_shelf(
-                    snap, exp.grid, _edges_at(traj, snap.z), eps, params.u_inf, params.B,
-                    core_margin=margin, sides=(tag,),
-                )
-                got = m.q1_plus if side > 0 else m.q1_minus
-                report.add(f"eps_q1_{tag}", eps * q1_pred, eps * got, 0.10)
-
-            guarded(block, [(f"eps_q1_{tag}", eps * q1_pred, 0.10, True)])
-
-    if "black_balance" in exp.observables and eps != 0.0:
-
-        def block():
-            m = simulator.measure_shelf(
-                final, exp.grid, _edges_at(traj, final.z), eps, params.u_inf, params.B
-            )
-            # Signed convention: the left-side magnitude correction flips sign.
-            signed_diff = eps * (m.q1_plus + m.q1_minus)
-            report.add("eps_q1_diff_signed", eps * 2.0 * sh0.q1_plus, signed_diff, 0.10)
-            report.add("phi1t_sum", 0.0, m.phi1t_plus + m.phi1t_minus, 0.005, relative=False)
-
-        guarded(block, [("eps_q1_diff_signed", eps * 2.0 * sh0.q1_plus, 0.10, True),
-                        ("phi1t_sum", 0.0, 0.005, False)])
-
-    if "sigma0" in exp.observables and eps != 0.0:
-
-        def block():
-            probe = -2.0 / params.B
-            sel = [s for s in snapshots if 10.0 <= s.z <= exp.z_max]
-            rate = simulator.measure_sigma0_rate(sel, exp.grid, probe, eps)
-            report.add("sigma0_rate", sh0.sigma0_rate, rate, 0.05)
-
-        guarded(block, [("sigma0_rate", sh0.sigma0_rate, 0.05, True)])
-
-    if "edges" in exp.observables and eps != 0.0:
-
-        def block():
-            tr = simulator.track_edges(
-                snapshots, exp.grid, eps * sh0.q1_plus, eps * sh0.q1_minus,
-                z_window=(10.0, exp.z_max),
-            )
-            report.add("edge_speed_right", params.u_inf - params.A, tr["speed_right"], 0.05)
-            report.add("edge_speed_left", -(params.u_inf + params.A), tr["speed_left"], 0.05)
-            artifacts["edges"] = tr
-
-        guarded(block, [("edge_speed_right", params.u_inf - params.A, 0.05, True),
-                        ("edge_speed_left", -(params.u_inf + params.A), 0.05, True)])
-
-    if "t0" in exp.observables:
-        p0, _ = simulator.measure_core_minimum(snapshots[0], exp.grid)
-        p1, _ = simulator.measure_core_minimum(final, exp.grid)
-        drift = (p1 - traj.comoving_shift(final.z)) - (p0 - traj.comoving_shift(0.0))
-        report.add("t0_drift", 0.0, abs(drift), 0.1, relative=False)
-
-    if "a_constancy" in exp.observables and eps != 0.0:
-
-        def block():
-            z_m = min(measurement_distance(params, eps, sh0.q1_plus, +1), exp.z_max)
-            zs = np.array([s.z for s in snapshots])
-            pos = np.array([simulator.measure_core_minimum(s, exp.grid)[0] for s in snapshots])
-            vels = []
-            for lo, hi in [(z_m - 10.0, z_m - 5.0), (z_m - 5.0, z_m)]:
-                m = (zs >= lo) & (zs <= hi)
-                if m.sum() < 4:
-                    raise simulator.MeasurementError("too few snapshots for a velocity fit")
-                vels.append(float(np.polyfit(zs[m], pos[m], 1)[0]))
-            scale = params.A if abs(params.A) > 0.05 * params.u_inf else params.u_inf
-            report.add("A_velocity_constancy", 0.0, abs(vels[1] - vels[0]) / scale, 0.02,
-                       relative=False)
-
-        guarded(block, [("A_velocity_constancy", 0.0, 0.02, False)])
-
-    if "layer" in exp.observables and eps != 0.0:
-
-        def block():
-            dev = _layer_deviation(exp, traj, final)
-            report.add("layer_max_deviation", 0.0, dev, 0.2 * abs(eps), relative=False)
-
-        guarded(block, [("layer_max_deviation", 0.0, 0.2 * abs(eps), False)])
-
-    return report.sorted(), artifacts
+            report.rows += declared
+            report.notes.append(f"{declared[0].name}: {exc}")
+            continue
+        report.rows += [replace(r, measured=m) for r, m in zip(declared, measured, strict=True)]
+    return report.sorted(), art
 
 
-def _layer_deviation(exp: Experiment, traj, snap) -> float:
-    """Max |sim - (u_inf + eps w)| over the right-edge layer window |xi| <= 5."""
-    params = exp.params
-    sh0 = traj.shelf[0]
-    s_l, s_r = _edges_at(traj, snap.z)
-    layer = boundary_layer.LayerProfile.at_edge("right", params.u_inf, sh0.q1_plus)
-    width = 5.0 * snap.z ** (1.0 / 3.0) / abs(layer.a)
-    x = np.linspace(-width, width, 257)
-    T = exp.grid.t - snap.frame.accumulated_shift
+# -- Observables -------------------------------------------------------------
+# Measurements look simulator functions up on the module at call time, so a
+# wrapper installed there (a profiler, a test double) sees every call.
+
+
+@dataclass(frozen=True)
+class Observable:
+    """One graded observable: ``rows`` declares its rows with measured = NaN
+    (also the failure fallback), ``measure`` returns one value per row.  It
+    applies to unperturbed runs only if not ``perturbed_only``;
+    ``default_for`` names the core kinds ("black", "grey") graded by default."""
+
+    name: str
+    rows: Callable[[Artifacts], list[ComparisonRow]]
+    measure: Callable[[Artifacts], Sequence[float]]
+    perturbed_only: bool = True
+    default_for: tuple[str, ...] = ("black",)
+
+
+def _row(name: str, predicted: float, tolerance: float, relative: bool = True) -> ComparisonRow:
+    return ComparisonRow(name, predicted, float("nan"), tolerance, relative)
+
+
+def _measure_fidelity(art: Artifacts) -> list[float]:
+    exp, snapshots, final = art.exp, art.snapshots, art.final
+    exact = grey_profile(exp.params, exp.grid.t - art.traj.comoving_shift(final.z))
+    dev = float(np.max(np.abs(final.samples - exact)))
+    q = [simulator.conserved_quantities(s, exp.grid, art.background.u_inf_fn(s.z)) for s in snapshots]
+    drifts = []
+    for name in "HEI":
+        series = np.array([getattr(c, name) for c in q])
+        drifts.append(float(np.max(np.abs(series - series[0]))) / max(1.0, abs(series[0])))
+    dR = np.gradient(np.array([c.R for c in q]), np.array([s.z for s in snapshots]))
+    return [dev, *drifts, float(np.max(np.abs(dR + np.array([c.I for c in q]))))]
+
+
+def _measure_shelf(art: Artifacts, snap, **kwargs) -> simulator.ShelfMeasurement:
+    exp = art.exp
+    return simulator.measure_shelf(
+        snap, exp.grid, _edges_at(art.traj, snap.z), exp.epsilon,
+        art.background.u_inf_fn(snap.z), exp.params.B, **kwargs,
+    )
+
+
+def _shelf_side(tag: str, side: int) -> Observable:
+    """The plateau on one side, at its own measurement distance."""
+    key = f"q1_{tag}"
+
+    def measure(art):
+        params, eps, q1 = art.exp.params, art.exp.epsilon, getattr(art.shelf0, key)
+        z_m = min(measurement_distance(params, eps, q1, side), art.exp.z_max)
+        m = _measure_shelf(art, _snapshot_at(art.snapshots, z_m),
+                           core_margin=shelf_margin(params, eps, q1), sides=(tag,))
+        return [eps * getattr(m, key)]
+
+    return Observable("shelf", lambda a: [_row(f"eps_{key}", a.exp.epsilon * getattr(a.shelf0, key), 0.10)],
+                      measure, default_for=("black", "grey"))
+
+
+def _measure_black_balance(art: Artifacts) -> list[float]:
+    # Signed convention: the left-side magnitude correction flips sign.
+    m = _measure_shelf(art, art.final)
+    return [art.exp.epsilon * (m.q1_plus + m.q1_minus), m.phi1t_plus + m.phi1t_minus]
+
+
+def _measure_sigma0(art: Artifacts) -> list[float]:
+    exp = art.exp
+    sel = [s for s in art.snapshots if 10.0 <= s.z <= exp.z_max]
+    return [simulator.measure_sigma0_rate(sel, exp.grid, -2.0 / exp.params.B, exp.epsilon)]
+
+
+def _measure_edges(art: Artifacts) -> list[float]:
+    exp, sh0 = art.exp, art.shelf0
+    tr = simulator.track_edges(
+        art.snapshots, exp.grid, exp.epsilon * sh0.q1_plus, exp.epsilon * sh0.q1_minus,
+        z_window=(10.0, exp.z_max),
+    )
+    return [tr["speed_right"], tr["speed_left"]]
+
+
+def _measure_t0(art: Artifacts) -> list[float]:
+    p0, _ = simulator.measure_core_minimum(art.snapshots[0], art.exp.grid)
+    p1, _ = simulator.measure_core_minimum(art.final, art.exp.grid)
+    shift = art.traj.comoving_shift
+    return [abs((p1 - shift(art.final.z)) - (p0 - shift(0.0)))]
+
+
+def _measure_a_constancy(art: Artifacts) -> list[float]:
+    """Dip velocities fitted over the two halves of the decade before z_m must agree."""
+    exp, params = art.exp, art.exp.params
+    z_m = min(measurement_distance(params, exp.epsilon, art.shelf0.q1_plus, +1), exp.z_max)
+    zs = np.array([s.z for s in art.snapshots])
+    pos = np.array([simulator.measure_core_minimum(s, exp.grid)[0] for s in art.snapshots])
+    vels = []
+    for lo, hi in [(z_m - 10.0, z_m - 5.0), (z_m - 5.0, z_m)]:
+        m = (zs >= lo) & (zs <= hi)
+        if m.sum() < 4:
+            raise simulator.MeasurementError("too few snapshots for a velocity fit")
+        vels.append(float(np.polyfit(zs[m], pos[m], 1)[0]))
+    scale = params.A if abs(params.A) > 0.05 * params.u_inf else params.u_inf
+    return [abs(vels[1] - vels[0]) / scale]
+
+
+def _layer_window(art: Artifacts, widths: float, points: int):
+    """(x, simulated |u|, predicted u_inf + eps w) across the right-edge layer
+    of the final snapshot, for |x| up to ``widths`` similarity widths."""
+    params, snap = art.exp.params, art.final
+    s_l, s_r = _edges_at(art.traj, snap.z)
+    layer = boundary_layer.LayerProfile.at_edge("right", params.u_inf, art.shelf0.q1_plus)
+    width = widths * snap.z ** (1.0 / 3.0) / abs(layer.a)
+    x = np.linspace(-width, width, points)
+    T = art.exp.grid.t - snap.frame.accumulated_shift
     sim = np.interp(x + s_r, T, np.abs(snap.samples))
-    pred = params.u_inf + exp.epsilon * boundary_layer.shelf_magnitude_profile(layer, snap.z, x)
-    return float(np.max(np.abs(sim - pred)))
+    pred = params.u_inf + art.exp.epsilon * boundary_layer.shelf_magnitude_profile(layer, snap.z, x)
+    return x, sim, pred
+
+
+def _measure_layer(art: Artifacts) -> list[float]:
+    _, sim, pred = _layer_window(art, 5.0, 257)
+    return [float(np.max(np.abs(sim - pred)))]
+
+
+OBSERVABLES: tuple[Observable, ...] = (
+    Observable("fidelity", lambda a: [
+        _row("fidelity_max_pointwise_dev", 0.0, 1e-6, False),
+        *(_row(f"conservation_drift_{n}", 0.0, 1e-6, False) for n in "HEI"),
+        _row("dRdz_plus_I_residual", 0.0, 1e-5, False),
+    ], _measure_fidelity, perturbed_only=False, default_for=()),
+    _shelf_side("plus", +1),
+    _shelf_side("minus", -1),
+    Observable("black_balance", lambda a: [
+        _row("eps_q1_diff_signed", a.exp.epsilon * 2.0 * a.shelf0.q1_plus, 0.10),
+        _row("phi1t_sum", 0.0, 0.005, False),
+    ], _measure_black_balance),
+    Observable("sigma0", lambda a: [_row("sigma0_rate", a.shelf0.sigma0_rate, 0.05)], _measure_sigma0),
+    Observable("edges", lambda a: [
+        _row("edge_speed_right", a.exp.params.u_inf - a.exp.params.A, 0.05),
+        _row("edge_speed_left", -(a.exp.params.u_inf + a.exp.params.A), 0.05),
+    ], _measure_edges),
+    Observable("t0", lambda a: [_row("t0_drift", 0.0, 0.1, False)], _measure_t0, perturbed_only=False),
+    Observable("a_constancy", lambda a: [_row("A_velocity_constancy", 0.0, 0.02, False)],
+               _measure_a_constancy, default_for=("grey",)),
+    Observable("layer", lambda a: [_row("layer_max_deviation", 0.0, 0.2 * a.exp.epsilon, False)],
+               _measure_layer),
+)
 
 
 # -- Output emission ---------------------------------------------------------
+
+OUTPUT_KINDS = ("report", "profile", "contour", "trajectory", "layer", "snapshots")
 
 
 def _writerows(path: str, header: list[str], rows) -> None:
@@ -470,67 +511,46 @@ def _writerows(path: str, header: list[str], rows) -> None:
             fh.write(",".join(FMT.format(v) for v in row) + "\n")
 
 
-def emit_plotdata(artifacts: dict, kinds, out_dir: str, run_id: str) -> list[str]:
-    """Write CSV plot data; returns the created paths."""
+def emit_plotdata(art: Artifacts, kinds, out_dir: str, run_id: str) -> list[str]:
+    """Write CSV plot data of the given OUTPUT_KINDS; returns the created paths."""
     os.makedirs(out_dir, exist_ok=True)
-    exp: Experiment = artifacts["exp"]
-    traj = artifacts["traj"]
-    snapshots = artifacts["snapshots"]
+    exp, traj = art.exp, art.traj
     written = []
     for kind in kinds:
         if kind == "report":
             continue
         path = os.path.join(out_dir, f"{run_id}_{kind}.csv")
         if kind == "snapshots":
-            for s in snapshots:
-                written.append(simulator.write_snapshot_csv(s, exp.grid, out_dir, run_id))
+            written += [simulator.write_snapshot_csv(s, exp.grid, out_dir, run_id) for s in art.snapshots]
             continue
         if kind == "profile":
-            s = snapshots[-1]
-            pred = _composite_magnitude(exp, traj, s)
+            s = art.final
             rows = zip(exp.grid.t, s.samples.real, s.samples.imag, np.abs(s.samples),
-                       np.unwrap(np.angle(s.samples)), pred)
+                       np.unwrap(np.angle(s.samples)), _composite_magnitude(exp, traj, s))
             _writerows(path, ["t", "re", "im", "abs", "phase", "predicted_abs"], rows)
         elif kind == "contour":
             stride = max(1, exp.grid.n_points // 512)
             t_sub = exp.grid.t[::stride]
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write("z," + ",".join(FMT.format(t) for t in t_sub) + "\n")
-                for s in snapshots:
+                for s in art.snapshots:
                     fh.write(FMT.format(s.z) + "," +
                              ",".join(FMT.format(v) for v in np.abs(s.samples[::stride])) + "\n")
             epath = os.path.join(out_dir, f"{run_id}_contour_edges.csv")
             rows = []
-            for s in snapshots:
+            for s in art.snapshots:
                 s_l, s_r = _edges_at(traj, s.z)
                 shift = traj.comoving_shift(s.z)
                 rows.append((s.z, s_l + shift, s_r + shift))
             _writerows(epath, ["z", "t_edge_left", "t_edge_right"], rows)
             written.append(epath)
         elif kind == "trajectory":
-            rows = []
-            for z, Z, p, sh in zip(traj.z, traj.Z, traj.params, traj.shelf):
-                rows.append((z, Z, p.u_inf, p.A, p.B, p.t0, p.sigma0, p.delta_phi0,
-                             sh.q1_plus, sh.q1_minus, sh.phi1t_plus, sh.phi1t_minus,
-                             sh.sigma0_rate, sh.delta_phi1))
-            _writerows(path, ["z", "Z", "u_inf", "A", "B", "t0", "sigma0", "delta_phi0",
-                              "q1_plus", "q1_minus", "phi1t_plus", "phi1t_minus",
-                              "sigma0_rate", "delta_phi1"], rows)
+            _write_trajectory(traj, path)
         elif kind == "layer":
-            s = snapshots[-1]
-            sh0 = traj.shelf[0]
-            s_l, s_r = _edges_at(traj, s.z)
-            layer = boundary_layer.LayerProfile.at_edge("right", exp.params.u_inf, sh0.q1_plus)
-            width = 8.0 * s.z ** (1.0 / 3.0) / abs(layer.a)
-            x = np.linspace(-width, width, 513)
-            T = exp.grid.t - s.frame.accumulated_shift
-            sim = np.interp(x + s_r, T, np.abs(s.samples))
-            pred = exp.params.u_inf + exp.epsilon * boundary_layer.shelf_magnitude_profile(layer, s.z, x)
-            _writerows(path, ["x", "sim_abs", "predicted_abs"], zip(x, sim, pred))
+            _writerows(path, ["x", "sim_abs", "predicted_abs"], zip(*_layer_window(art, 8.0, 513)))
         else:
             raise ConfigError(f"outputs: unknown kind {kind!r}")
-        if kind != "snapshots":
-            written.append(path)
+        written.append(path)
     return written
 
 
@@ -564,38 +584,42 @@ def write_report(report: ComparisonReport, out_dir: str, run_id: str) -> str:
     return path
 
 
+_CORE_COLUMNS = ("u_inf", "A", "B", "t0", "sigma0", "delta_phi0")
+_SHELF_COLUMNS = ("u_inf_rate", "A_rate", "B_rate", "delta_phi0_rate", "sigma0_rate",
+                  "q1_plus", "q1_minus", "phi1t_plus", "phi1t_minus", "delta_phi1")
+
+
+def _write_trajectory(traj: asymptotics.ParameterTrajectory, path: str) -> None:
+    """The prediction table: z, Z, core parameters, shelf rates and plateaus, edges S_L, S_R."""
+    rows = [(z, Z, *(getattr(p, c) for c in _CORE_COLUMNS), *(getattr(sh, c) for c in _SHELF_COLUMNS),
+             *_edges_at(traj, z)) for z, Z, p, sh in zip(traj.z, traj.Z, traj.params, traj.shelf)]
+    _writerows(path, ["z", "Z", *_CORE_COLUMNS, *_SHELF_COLUMNS, "S_L", "S_R"], rows)
+
+
 def write_prediction_csv(traj, out_dir: str, run_id: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{run_id}_prediction.csv")
-    rows = []
-    for z, Z, p, sh in zip(traj.z, traj.Z, traj.params, traj.shelf):
-        s_l, s_r = _edges_at(traj, z)
-        rows.append((z, Z, p.u_inf, p.A, p.B, p.t0, p.sigma0, p.delta_phi0,
-                     sh.u_inf_rate, sh.A_rate, sh.B_rate, sh.delta_phi0_rate, sh.sigma0_rate,
-                     sh.q1_plus, sh.q1_minus, sh.phi1t_plus, sh.phi1t_minus, sh.delta_phi1,
-                     s_l, s_r))
-    _writerows(path, ["z", "Z", "u_inf", "A", "B", "t0", "sigma0", "delta_phi0",
-                      "u_inf_rate", "A_rate", "B_rate", "delta_phi0_rate", "sigma0_rate",
-                      "q1_plus", "q1_minus", "phi1t_plus", "phi1t_minus", "delta_phi1",
-                      "S_L", "S_R"], rows)
+    _write_trajectory(traj, path)
     return path
 
 
 def sweep_configs(base_cfg: dict, delta_phi0_values) -> list[tuple[str, dict]]:
-    """Per-angle configs with measurement-aware run length and grid."""
+    """Per-angle configs with measurement-aware run length and grid.
+
+    The run length comes from the cascade's plateau predictions q1+- for the
+    configured forcing at each angle.
+    """
+    pert = _perturbation(base_cfg)
     out = []
     for dphi in delta_phi0_values:
         cfg = json.loads(json.dumps(base_cfg))
         cfg["soliton"]["delta_phi0"] = float(dphi)
         params = CoreParams.from_background(cfg["soliton"]["u_inf"], float(dphi))
         eps = float(cfg["epsilon"])
-        gamma = float(cfg["perturbation"].get("gamma", 1.0))
-        alpha = 0.5 * params.delta_phi0
-        q1p = -(2.0 / 3.0) * gamma * (params.u_inf + params.A) * math.sin(alpha)
-        q1m = -(2.0 / 3.0) * gamma * (params.u_inf - params.A) * math.sin(alpha)
+        sh = asymptotics.grey_parameter_rhs(pert, params)
         z_max = max(
-            measurement_distance(params, eps, q1p, +1),
-            measurement_distance(params, eps, q1m, -1),
+            measurement_distance(params, eps, sh.q1_plus, +1),
+            measurement_distance(params, eps, sh.q1_minus, -1),
         )
         cfg["run"]["z_max"] = z_max
         cfg["grid"] = auto_grid(params, z_max)
@@ -620,11 +644,7 @@ def run_sweep(base_cfg: dict, delta_phi0_values, jobs: int = 1) -> ComparisonRep
             results[tag] = _sweep_worker(cfg)
     combined = ComparisonReport()
     for tag in sorted(results):
-        for row in results[tag].rows:
-            combined.rows.append(ComparisonRow(
-                name=f"{tag}.{row.name}", predicted=row.predicted, measured=row.measured,
-                tolerance=row.tolerance, relative=row.relative,
-            ))
+        combined.rows += [replace(row, name=f"{tag}.{row.name}") for row in results[tag].rows]
     return combined.sorted()
 
 

@@ -9,7 +9,7 @@ simulation / asymptotics configuration so one functional serves many eps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -33,11 +33,6 @@ class Perturbation:
     phase_symmetric: bool
     grid_eval: Callable[..., np.ndarray]
     point_eval: PointEval | None = None
-    strengths: dict = field(default_factory=dict)
-    needs_u_tt: bool = False
-
-    def __call__(self, u: np.ndarray, dx: float, u_tt: np.ndarray | None = None) -> np.ndarray:
-        return self.grid_eval(u, dx, u_tt)
 
     def on_background(self, u_inf: float) -> complex:
         """F evaluated on the constant background u = u_inf (real phase)."""
@@ -61,8 +56,6 @@ def dispersive_damping(gamma: float) -> Perturbation:
         phase_symmetric=True,
         grid_eval=on_grid,
         point_eval=lambda u, u_t, u_tt: 1j * gamma * u_tt,
-        strengths={"gamma": gamma},
-        needs_u_tt=True,
     )
 
 
@@ -75,7 +68,6 @@ def linear_damping(Gamma: float) -> Perturbation:
         phase_symmetric=True,
         grid_eval=lambda u, dx, u_tt=None: -1j * Gamma * np.asarray(u),
         point_eval=lambda u, u_t, u_tt: -1j * Gamma * u,
-        strengths={"Gamma": Gamma},
     )
 
 
@@ -93,7 +85,6 @@ def two_photon(gamma3: float) -> Perturbation:
         phase_symmetric=True,
         grid_eval=on_grid,
         point_eval=lambda u, u_t, u_tt: -1j * gamma3 * abs(u) ** 2 * u,
-        strengths={"gamma3": gamma3},
     )
 
 

@@ -1,9 +1,10 @@
 """Direct integration of the background-phase-removed perturbed NLS.
 
 Method of lines: 4th-order central Laplacian (one-sided at the edges),
-classical RK4 in z with a fixed step bounded by dz <= 0.2 dt^2, and Dirichlet
-boundary values pinned to the adiabatically evolving background.  The field
-is not periodic (it carries the soliton phase jump), which rules out spectral
+classical RK4 in z with a fixed step derived from dz <= 0.2 dt^2, snapshots
+every whole number of steps nearest ``snapshot_dz``, and Dirichlet boundary
+values pinned to the adiabatically evolving background.  The field is not
+periodic (it carries the soliton phase jump), which rules out spectral
 wraparound.  The grid is cell-centered and symmetric about t = 0, so the
 discrete odd symmetry of a black soliton is exact.
 """
@@ -11,7 +12,7 @@ discrete odd symmetry of a black soliton is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,7 +46,6 @@ class Grid:
 
     half_width: float
     n_points: int
-    comoving: bool = False
 
     def __post_init__(self):
         if self.n_points < 256:
@@ -75,26 +75,18 @@ class FieldState:
 class SimConfig:
     epsilon: float = 0.0
     perturbation: Perturbation | None = None
-    dz: float | None = None  # default: STABILITY_FACTOR * dt^2
-    output_stride: int | None = None  # default: snapshots every ~0.5 in z
-    boundary: str = "pinned_dirichlet"
+    snapshot_dz: float = 0.5
 
     def __post_init__(self):
-        if self.boundary != "pinned_dirichlet":
-            raise ValueError("only pinned_dirichlet boundaries are supported")
         if self.epsilon != 0.0 and self.perturbation is None:
             raise ValueError("epsilon != 0 requires a perturbation")
 
     def resolve(self, grid: Grid, z_max: float) -> tuple[float, int, int]:
-        """(dz, n_steps, stride) honoring the stability bound dz <= 0.2 dt^2."""
-        limit = STABILITY_FACTOR * grid.dt**2
-        dz = self.dz if self.dz is not None else limit
-        if dz > limit * (1 + 1e-12):
-            raise ValueError(f"dz={dz:.3e} violates dz <= 0.2 dt^2 = {limit:.3e}")
-        n_steps = max(1, math.ceil(z_max / dz))
+        """(dz, n_steps, stride): the fewest equal steps with dz <= 0.2 dt^2,
+        and the whole number of steps closest to ``snapshot_dz``."""
+        n_steps = max(1, math.ceil(z_max / (STABILITY_FACTOR * grid.dt**2)))
         dz = z_max / n_steps
-        stride = self.output_stride if self.output_stride is not None else max(1, round(0.5 / dz))
-        return dz, n_steps, stride
+        return dz, n_steps, max(1, round(self.snapshot_dz / dz))
 
 
 @dataclass(frozen=True)
@@ -113,28 +105,24 @@ class SimBackground:
         return cls(u_inf_fn=lambda z: u_inf, rate_fn=lambda z: 0.0)
 
     @classmethod
-    def from_perturbation(cls, pert: Perturbation, epsilon: float, u_inf0: float) -> "SimBackground":
-        """Background whose magnitude obeys du_inf/dz = eps Im F[u_inf].
+    def from_perturbation(cls, pert: Perturbation, epsilon: float, u_inf0: float,
+                          z_max: float) -> "SimBackground":
+        """Background whose magnitude obeys du_inf/dz = eps Im F[u_inf], eps >= 0.
 
-        Evaluated by stepping the scalar ODE lazily on a cached dense grid.
+        The scalar ODE is stepped once over [0, z_max] and interpolated.
         """
+        if epsilon < 0.0:
+            raise ValueError("epsilon must be non-negative")
         if epsilon == 0.0:
             return cls.constant(u_inf0)
 
         from .asymptotics import evolve_background
 
-        cache: dict[float, object] = {}
-
-        def table(z_max: float):
-            key = 2.0 ** math.ceil(math.log2(max(z_max, 1.0)))
-            if key not in cache:
-                traj = evolve_background(pert, u_inf0, abs(epsilon) * key)
-                cache[key] = (traj.Z / abs(epsilon), traj.u_inf)
-            return cache[key]
+        traj = evolve_background(pert, u_inf0, epsilon * z_max)
+        zs = traj.Z / epsilon
 
         def u_inf_fn(z: float) -> float:
-            zs, us = table(z if z > 0 else 1.0)
-            return float(np.interp(z, zs, us))
+            return float(np.interp(z, zs, traj.u_inf))
 
         def rate_fn(z: float) -> float:
             return epsilon * pert.on_background(u_inf_fn(z)).imag
@@ -147,17 +135,6 @@ def initial_state(params: CoreParams, grid: Grid) -> FieldState:
     return FieldState(z=0.0, samples=grey_profile(params, grid.t - params.t0))
 
 
-def frame_transform_state(state: FieldState, u_inf_history, direction: str) -> FieldState:
-    """FieldState-level wrapper of the U <-> u background-phase transform."""
-    from .soliton import frame_transform
-
-    return FieldState(
-        z=state.z,
-        samples=frame_transform(state.samples, state.z, u_inf_history, direction),
-        frame=state.frame,
-    )
-
-
 def run(
     config: SimConfig,
     grid: Grid,
@@ -166,7 +143,7 @@ def run(
     z_max: float,
     shift_fn: Callable[[float], float] | None = None,
 ) -> list[FieldState]:
-    """Integrate to z_max, returning snapshots every ``output_stride`` steps.
+    """Integrate to z_max, returning snapshots every ``stride`` steps (see resolve).
 
     ``shift_fn`` records the comoving origin (int A dz + t0) in each
     snapshot's frame for later measurement; the PDE itself is stepped in the
@@ -234,9 +211,7 @@ def run(
 
 
 def _frame(shift_fn, z: float) -> Frame:
-    if shift_fn is None:
-        return Frame(kind="lab_t", accumulated_shift=0.0)
-    return Frame(kind="comoving_T", accumulated_shift=float(shift_fn(z)))
+    return Frame() if shift_fn is None else Frame(accumulated_shift=float(shift_fn(z)))
 
 
 # -- Diagnostics ------------------------------------------------------------

@@ -85,7 +85,6 @@ class Frame:
     z = 0 in the lab frame.
     """
 
-    kind: str = "lab_t"  # "lab_t" or "comoving_T"
     accumulated_shift: float = 0.0
 
 

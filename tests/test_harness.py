@@ -4,8 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from darkshelf import cli, harness
+from darkshelf import cli, harness, simulator
 from darkshelf.soliton import CoreParams
+
+
+@pytest.fixture
+def no_simulation(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("simulated a config that should have been rejected")
+
+    monkeypatch.setattr(simulator, "run", fail)
 
 
 class TestConfigs:
@@ -47,6 +55,28 @@ class TestConfigs:
         cfg["grid"]["half_width"] = 20.0
         with pytest.raises(harness.ConfigError, match="half_width"):
             harness.validate(cfg)
+
+    @pytest.mark.parametrize("key, value", [
+        ("observables", ["shelf", "no_such_observable"]),
+        ("outputs", ["report", "no_such_kind"]),
+        ("epsilon", float("nan")),
+        ("epsilon", float("inf")),
+        ("epsilon", -0.05),
+    ])
+    def test_bad_field_rejected_before_simulation(self, key, value, tmp_path, no_simulation):
+        cfg = harness.load_config("grey_dispersive")
+        cfg[key] = value
+        with pytest.raises(harness.ConfigError, match=key):
+            harness.validate(cfg)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg), encoding="utf-8")
+        assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), "compare"]) == 2
+
+    def test_default_observables_from_table(self):
+        black = harness.validate(harness.load_config("black_unperturbed") | {"observables": None})
+        grey = harness.validate(harness.load_config("grey_dispersive") | {"observables": None})
+        assert black.observables == ("shelf", "black_balance", "sigma0", "edges", "t0", "layer")
+        assert grey.observables == ("shelf", "a_constancy")
 
     def test_auto_grid_respects_domain_rule(self):
         params = CoreParams.from_background(1.0, 2 * math.pi / 5)
@@ -118,6 +148,34 @@ class TestDeterminism:
 
 
 class TestCompareDegradation:
+    def test_no_observable_crashes_compare(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise simulator.MeasurementError("patched to fail")
+
+        for name in ("measure_shelf", "measure_sigma0_rate", "track_edges", "measure_core_minimum"):
+            monkeypatch.setattr(simulator, name, fail)
+        cfg = TestDeterminism()._tiny_cfg()
+        cfg["observables"] = sorted({o.name for o in harness.OBSERVABLES})
+        report, _ = harness.compare(harness.validate(cfg))
+        rows = {r.name: r for r in report.rows}
+        # Declared rows of each measurement that calls a patched function
+        # (shelf sides, black_balance, sigma0, edges, t0, a_constancy); each
+        # failed measurement leaves one note.
+        failed = [["eps_q1_plus"], ["eps_q1_minus"], ["eps_q1_diff_signed", "phi1t_sum"],
+                  ["sigma0_rate"], ["edge_speed_right", "edge_speed_left"], ["t0_drift"],
+                  ["A_velocity_constancy"]]
+        for names in failed:
+            assert all(math.isnan(rows[n].measured) and not rows[n].passed for n in names)
+            assert sum(note.startswith(f"{names[0]}: patched") for note in report.notes) == 1
+        assert len(report.notes) == len(failed)
+
+    def test_linear_damping_shelf_rows_finite(self):
+        # The plateau is graded against the decayed background u_inf(z_m), not u_inf(0).
+        report, _ = harness.compare(harness.validate(harness.load_config("grey_linear_damping")))
+        assert {r.name for r in report.rows} == {"eps_q1_plus", "eps_q1_minus"}
+        assert all(math.isfinite(r.measured) for r in report.rows)
+        assert report.notes == []
+
     def test_coarse_grid_flags_rows(self):
         # N = 256 cannot host the plateau windows: rows fail, nothing crashes.
         cfg = {
@@ -143,6 +201,14 @@ class TestSweep:
         shallow = by_tag["dphi1.25664"]
         assert shallow["run"]["z_max"] > deep["run"]["z_max"]
         assert shallow["grid"]["half_width"] >= 3.0 * shallow["run"]["z_max"]
+
+    def test_sweep_configs_linear_damping(self):
+        # Run length from the cascade's q1+- (+0.344/+0.182 at 2pi/5), not the
+        # dispersive closed form.
+        base = harness.load_config("grey_linear_damping")
+        (tag, cfg), = harness.sweep_configs(base, [2 * math.pi / 5])
+        assert cfg["run"]["z_max"] == 75.0
+        assert cfg["grid"] == {"half_width": 242.0, "n_points": 5120}
 
 
 class TestCli:
@@ -198,6 +264,10 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "emit_layer.csv").exists()
         assert (tmp_path / "emit_profile.csv").exists()
+
+    def test_emit_unknown_kind_rejected_before_run(self, tmp_path, no_simulation):
+        assert cli.main(["--config", "grey_dispersive", "--out-dir", str(tmp_path), "emit",
+                         "--kinds", "profile", "histogram"]) == 2
 
     def test_validation_error_in_config_file(self, tmp_path):
         cfg = harness.load_config("grey_dispersive")

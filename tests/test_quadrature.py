@@ -15,20 +15,26 @@ def test_oscillatory_against_scipy():
     assert integrate(f, 0.0, 20.0, tol=1e-12) == pytest.approx(ref, abs=1e-11)
 
 
-@pytest.mark.parametrize("B", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("B", [0.05, 0.3, 0.5, 1.0, 2.0])
 def test_sech2_closed_form(B):
     # int B^2 sech^2(BT) dT = 2B
     val = integrate_soliton_density(lambda T: B**2 / np.cosh(B * T) ** 2, B)
     assert val == pytest.approx(2 * B, rel=1e-10)
 
 
-@pytest.mark.parametrize("B", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("B", [0.05, 0.3, 0.5, 1.0, 2.0])
 def test_profile_gradient_closed_form(B):
     # int |u0_T|^2 dT = int B^4 sech^4 = (4/3) B^3
     val = integrate_soliton_density(lambda T: B**4 / np.cosh(B * T) ** 4, B)
     assert val == pytest.approx((4.0 / 3.0) * B**3, rel=1e-10)
     ref, _ = sci.quad(lambda T: B**4 / np.cosh(B * T) ** 4, -40 / B, 40 / B)
     assert val == pytest.approx(ref, rel=1e-10)
+
+
+def test_soliton_rule_rejects_unresolved_density():
+    # The fixed panels cannot resolve a fast oscillation; the embedded estimate says so.
+    with pytest.raises(QuadratureError):
+        integrate_soliton_density(lambda T: np.cos(40.0 * T) / np.cosh(T) ** 2, 1.0)
 
 
 def test_empty_interval():

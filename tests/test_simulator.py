@@ -14,7 +14,6 @@ from darkshelf.simulator import (
     SimConfig,
     conservation_residuals,
     conserved_quantities,
-    frame_transform_state,
     initial_state,
     measure_core_minimum,
     measure_shelf,
@@ -47,19 +46,16 @@ class TestGridAndConfig:
         # Cell-centered grid is symmetric about t = 0.
         np.testing.assert_allclose(g.t + g.t[::-1], 0.0, atol=1e-12)
 
-    def test_dz_stability_bound(self):
-        g = Grid(half_width=50.0, n_points=1024)
-        cfg = SimConfig(dz=1.0)
-        with pytest.raises(ValueError):
-            cfg.resolve(g, 1.0)
-
     def test_perturbation_required_with_epsilon(self):
         with pytest.raises(ValueError):
             SimConfig(epsilon=0.1)
 
-    def test_boundary_mode(self):
-        with pytest.raises(ValueError):
-            SimConfig(boundary="periodic")
+    def test_snapshot_stride_from_snapshot_dz(self):
+        g = Grid(half_width=50.0, n_points=1024)
+        dz, n_steps, stride = SimConfig().resolve(g, 3.0)
+        assert dz <= 0.2 * g.dt**2 and n_steps * dz == pytest.approx(3.0)
+        assert stride == round(0.5 / dz)
+        assert SimConfig(snapshot_dz=0.1).resolve(g, 3.0)[2] == round(0.1 / dz)
 
     def test_domain_size_guard(self):
         grid = Grid(half_width=20.0, n_points=512)
@@ -81,16 +77,6 @@ class TestUnperturbedFidelity:
         assert pos == pytest.approx(GREY.A * snaps[-1].z, abs=1e-3)
         assert val == pytest.approx(abs(GREY.A), abs=1e-3)
         assert snaps[-1].frame.accumulated_shift == pytest.approx(GREY.A * snaps[-1].z)
-
-
-class TestFrameTransformState:
-    def test_round_trip_and_quarter_turn(self):
-        grid = Grid(half_width=50.0, n_points=512)
-        state = FieldState(z=math.pi / 2, samples=np.ones(512, dtype=complex))
-        up = frame_transform_state(state, 1.0, "u_to_U")
-        np.testing.assert_allclose(up.samples, 1j, atol=1e-12)
-        back = frame_transform_state(up, 1.0, "U_to_u")
-        np.testing.assert_allclose(back.samples, state.samples, atol=1e-12)
 
 
 class TestGridRefinement:
@@ -155,6 +141,19 @@ class TestConservedQuantities:
         grid, cfg, bg, snaps = small_run(BLACK, z_max=1.0)
         with pytest.raises(ValueError):
             conservation_residuals(snaps[:2], grid, cfg, bg)
+
+
+class TestBackground:
+    def test_linear_damping_table_matches_closed_form(self):
+        # du_inf/dz = -eps Gamma u_inf: one table covers [0, z_max].
+        bg = SimBackground.from_perturbation(linear_damping(0.5), 0.05, 1.0, 20.0)
+        for z in (0.0, 0.7, 5.0, 20.0):
+            assert bg.u_inf_fn(z) == pytest.approx(math.exp(-0.025 * z), abs=1e-8)
+            assert bg.rate_fn(z) == pytest.approx(-0.025 * math.exp(-0.025 * z), abs=1e-9)
+
+    def test_negative_epsilon_rejected(self):
+        with pytest.raises(ValueError, match="epsilon"):
+            SimBackground.from_perturbation(linear_damping(0.5), -0.05, 1.0, 20.0)
 
 
 class TestBoundaryHandling:
