@@ -6,7 +6,7 @@ phase plateaus bounded by Airy transition layers moving at +-u_inf), and
 validates the predictions against direct simulation of the perturbed PDE.
 """
 
-from .soliton import ConservedQuantities, CoreParams, Frame, ab_from_background, grey_profile
+from .soliton import ConservedQuantities, CoreParams, ab_from_background, grey_profile
 from .perturbations import Perturbation, check_phase_symmetry, dispersive_damping, linear_damping, two_photon
 from .asymptotics import (
     BlackFirstOrder,
@@ -33,7 +33,7 @@ from .simulator import FieldState, Grid, SimBackground, SimConfig, run
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConservedQuantities", "CoreParams", "Frame", "ab_from_background", "grey_profile",
+    "ConservedQuantities", "CoreParams", "ab_from_background", "grey_profile",
     "Perturbation", "check_phase_symmetry", "dispersive_damping", "linear_damping", "two_photon",
     "BlackFirstOrder", "ParameterTrajectory", "ShelfParams", "black_first_order",
     "evolve_background", "evolve_core_parameters", "grey_parameter_rhs",

@@ -66,10 +66,6 @@ class ShelfParams:
 class BackgroundTrajectory:
     Z: np.ndarray
     u_inf: np.ndarray
-    delta_phi_inf: float
-
-    def at(self, Z: float) -> float:
-        return float(np.interp(Z, self.Z, self.u_inf))
 
 
 @dataclass(frozen=True)
@@ -81,12 +77,6 @@ class ParameterTrajectory:
     Z: np.ndarray
     params: list[CoreParams]
     shelf: list[ShelfParams]
-
-    def u_inf_of_z(self, z):
-        return np.interp(z, self.z, [p.u_inf for p in self.params])
-
-    def A_of_z(self, z):
-        return np.interp(z, self.z, [p.A for p in self.params])
 
     def comoving_shift(self, z):
         """int_0^z A ds + t0(z): lab position of the comoving origin."""
@@ -103,22 +93,12 @@ def background_rate(pert: Perturbation, u_inf: float) -> float:
     return pert.on_background(u_inf).imag
 
 
-def evolve_background(
-    pert: Perturbation,
-    u_inf0: float,
-    Z_span: float,
-    steps: int | None = None,
-    delta_phi_inf: float = math.pi,
-) -> BackgroundTrajectory:
-    """Integrate the background magnitude ODE with fixed-step RK4.
-
-    The phase difference across the line is untouched by phase-symmetric
-    forcings and is carried through as a constant.
-    """
+def evolve_background(pert: Perturbation, u_inf0: float, Z_span: float) -> BackgroundTrajectory:
+    """Integrate the background magnitude ODE with fixed-step RK4 at 2000
+    steps per unit Z (at least 16)."""
     if u_inf0 <= 0:
         raise ValueError("u_inf0 must be positive")
-    if steps is None:
-        steps = max(16, int(2000 * Z_span))
+    steps = max(16, int(2000 * Z_span))
     h = Z_span / steps
     u = np.empty(steps + 1)
     u[0] = u_inf0
@@ -132,15 +112,7 @@ def evolve_background(
         if y_next <= 0 or not np.isfinite(y_next):
             raise BackgroundCollapseError(f"u_inf reached {y_next} at Z={h * (n + 1):.4g}")
         u[n + 1] = y_next
-    return BackgroundTrajectory(Z=np.linspace(0.0, Z_span, steps + 1), u_inf=u, delta_phi_inf=delta_phi_inf)
-
-
-def _evaluate_forcing(pert: Perturbation, u0, u0_T, u0_TT):
-    try:
-        return np.asarray(pert.point_eval(u0, u0_T, u0_TT))
-    except (TypeError, ValueError):
-        flat = [pert.point_eval(a, b, c) for a, b, c in zip(u0.ravel(), u0_T.ravel(), u0_TT.ravel())]
-        return np.asarray(flat).reshape(u0.shape)
+    return BackgroundTrajectory(Z=np.linspace(0.0, Z_span, steps + 1), u_inf=u)
 
 
 def _forcing_integrals(pert: Perturbation, params: CoreParams) -> tuple[float, float]:
@@ -155,7 +127,7 @@ def _forcing_integrals(pert: Perturbation, params: CoreParams) -> tuple[float, f
 
     def densities(T):
         u0, u0_T, u0_TT = profile_with_derivatives(base, T)
-        F = _evaluate_forcing(pert, u0, u0_T, u0_TT)
+        F = pert.point_eval(u0, u0_TT)
         return np.real(F * np.conj(u0_T)), np.imag(f_bg - F * np.conj(u0))
 
     return tuple(soliton_integrals(densities, params.B))

@@ -2,8 +2,8 @@
 
 Subcommands: predict, simulate, compare, sweep, emit.  Exit codes: 0 all
 comparisons pass, 1 comparison failures, 2 validation errors, 3 runtime/IO
-errors.  The engine uses no randomness anywhere; --seedless is reserved to
-document that fact and is rejected if supplied.
+errors (argparse usage errors exit with 2 as well).  The engine uses no
+randomness anywhere.
 """
 
 from __future__ import annotations
@@ -29,16 +29,13 @@ def _parser() -> argparse.ArgumentParser:
                    help=f"preset name or JSON config path (presets: {', '.join(sorted(harness.PRESETS))})")
     p.add_argument("--out-dir", default="out", help="directory for CSV/JSON outputs")
     p.add_argument("--run-id", default=None, help="output file prefix (defaults to the subcommand)")
-    p.add_argument("--seedless", action="store_true",
-                   help="reserved: the engine is deterministic with no RNG; supplying this flag is an error")
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser("predict", help="run the slow-parameter cascade only; emit prediction CSV")
     sub.add_parser("simulate", help="run the PDE; emit snapshot CSVs")
     sub.add_parser("compare", help="simulate, measure and grade against the asymptotics")
-    sw = sub.add_parser("sweep", help="compare across a list of core phase angles")
+    sw = sub.add_parser("sweep", help="compare across a list of core phase angles, in parallel")
     sw.add_argument("--delta-phi0", type=float, nargs="+", required=True,
                     help="core phase changes to sweep (radians)")
-    sw.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     em = sub.add_parser("emit", help="simulate and emit plot data of the requested kinds")
     em.add_argument("--kinds", nargs="+", default=None,
                     help="profile contour trajectory layer snapshots (default: config outputs)")
@@ -47,9 +44,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.seedless:
-        print("error: --seedless is reserved; the engine has no RNG to disable", file=sys.stderr)
-        return EXIT_VALIDATION
     if args.config is None:
         print("error: --config is required (preset name or JSON path)", file=sys.stderr)
         return EXIT_VALIDATION
@@ -57,7 +51,7 @@ def main(argv=None) -> int:
     try:
         cfg = harness.load_config(args.config)
         if args.command == "sweep":
-            report = harness.run_sweep(cfg, args.delta_phi0, jobs=args.jobs)
+            report = harness.run_sweep(cfg, args.delta_phi0)
             path = harness.write_report(report, args.out_dir, run_id)
             print(report.table())
             print(f"report: {path}")

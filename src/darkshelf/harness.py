@@ -24,6 +24,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -179,7 +180,6 @@ class Experiment:
     snapshot_dz: float
     observables: tuple[str, ...]
     outputs: tuple[str, ...]
-    raw: dict
 
 
 def _perturbation(cfg: dict) -> Perturbation | None:
@@ -244,7 +244,6 @@ def validate(cfg: dict) -> Experiment:
         snapshot_dz=snapshot_dz,
         observables=_names(cfg, "observables", {o.name for o in OBSERVABLES}, defaults),
         outputs=_names(cfg, "outputs", OUTPUT_KINDS, ("report",)) or ("report",),
-        raw=cfg,
     )
 
 
@@ -255,11 +254,11 @@ def auto_grid(params: CoreParams, z_max: float) -> dict:
     return {"half_width": float(half), "n_points": int(max(n, 512))}
 
 
-def shelf_margin(params: CoreParams, epsilon: float, q1_side: float, bias: float = 0.05) -> float:
+def shelf_margin(params: CoreParams, epsilon: float, q1_side: float) -> float:
     """Comoving offset beyond which the bare-core tail biases (|u|-u_inf)/eps
-    by less than ``bias`` of the plateau value."""
+    by less than 5% of the plateau value."""
     B, u = params.B, params.u_inf
-    return math.log(40.0 * B * B / (u * abs(epsilon * q1_side) * bias / 0.05)) / (2.0 * B)
+    return math.log(40.0 * B * B / (u * abs(epsilon * q1_side))) / (2.0 * B)
 
 
 def measurement_distance(params: CoreParams, epsilon: float, q1_side: float, side: int) -> float:
@@ -296,9 +295,7 @@ def simulate(exp: Experiment, traj: asymptotics.ParameterTrajectory | None = Non
         )
     cfg = simulator.SimConfig(exp.epsilon, exp.perturbation, exp.snapshot_dz)
     initial = simulator.initial_state(exp.params, exp.grid)
-    snapshots = simulator.run(
-        cfg, exp.grid, initial, background, exp.z_max, shift_fn=traj.comoving_shift
-    )
+    snapshots = simulator.run(cfg, exp.grid, initial, background, exp.z_max)
     return snapshots, background, traj
 
 
@@ -391,7 +388,7 @@ def _measure_fidelity(art: Artifacts) -> list[float]:
 def _measure_shelf(art: Artifacts, snap, **kwargs) -> simulator.ShelfMeasurement:
     exp = art.exp
     return simulator.measure_shelf(
-        snap, exp.grid, _edges_at(art.traj, snap.z), exp.epsilon,
+        snap, exp.grid, art.traj.comoving_shift, _edges_at(art.traj, snap.z), exp.epsilon,
         art.background.u_inf_fn(snap.z), exp.params.B, **kwargs,
     )
 
@@ -420,14 +417,15 @@ def _measure_black_balance(art: Artifacts) -> list[float]:
 def _measure_sigma0(art: Artifacts) -> list[float]:
     exp = art.exp
     sel = [s for s in art.snapshots if 10.0 <= s.z <= exp.z_max]
-    return [simulator.measure_sigma0_rate(sel, exp.grid, -2.0 / exp.params.B, exp.epsilon)]
+    return [simulator.measure_sigma0_rate(sel, exp.grid, art.traj.comoving_shift, -2.0 / exp.params.B,
+                                          exp.epsilon, partial(_edges_at, art.traj))]
 
 
 def _measure_edges(art: Artifacts) -> list[float]:
     exp, sh0 = art.exp, art.shelf0
     tr = simulator.track_edges(
-        art.snapshots, exp.grid, exp.epsilon * sh0.q1_plus, exp.epsilon * sh0.q1_minus,
-        z_window=(10.0, exp.z_max),
+        art.snapshots, exp.grid, art.traj.comoving_shift, exp.epsilon * sh0.q1_plus,
+        exp.epsilon * sh0.q1_minus, z_window=(10.0, exp.z_max),
     )
     return [tr["speed_right"], tr["speed_left"]]
 
@@ -463,7 +461,7 @@ def _layer_window(art: Artifacts, widths: float, points: int):
     layer = boundary_layer.LayerProfile.at_edge("right", params.u_inf, art.shelf0.q1_plus)
     width = widths * snap.z ** (1.0 / 3.0) / abs(layer.a)
     x = np.linspace(-width, width, points)
-    T = art.exp.grid.t - snap.frame.accumulated_shift
+    T = art.exp.grid.t - art.traj.comoving_shift(snap.z)
     sim = np.interp(x + s_r, T, np.abs(snap.samples))
     pred = params.u_inf + art.exp.epsilon * boundary_layer.shelf_magnitude_profile(layer, snap.z, x)
     return x, sim, pred
@@ -526,7 +524,7 @@ def emit_plotdata(art: Artifacts, kinds, out_dir: str, run_id: str) -> list[str]
         if kind == "profile":
             s = art.final
             rows = zip(exp.grid.t, s.samples.real, s.samples.imag, np.abs(s.samples),
-                       np.unwrap(np.angle(s.samples)), _composite_magnitude(exp, traj, s))
+                       np.unwrap(np.angle(s.samples)), _composite_magnitude(art))
             _writerows(path, ["t", "re", "im", "abs", "phase", "predicted_abs"], rows)
         elif kind == "contour":
             stride = max(1, exp.grid.n_points // 512)
@@ -554,11 +552,12 @@ def emit_plotdata(art: Artifacts, kinds, out_dir: str, run_id: str) -> list[str]
     return written
 
 
-def _composite_magnitude(exp: Experiment, traj, snap) -> np.ndarray:
-    """Leading magnitude plus shelf plateaus smoothed by the edge layers."""
+def _composite_magnitude(art: Artifacts) -> np.ndarray:
+    """Leading magnitude plus shelf plateaus smoothed by the edge layers, at the final snapshot."""
+    exp, traj, snap = art.exp, art.traj, art.final
     params = exp.params
     sh = traj.shelf[-1]
-    T = exp.grid.t - snap.frame.accumulated_shift
+    T = exp.grid.t - traj.comoving_shift(snap.z)
     q0 = np.abs(np.asarray(
         params.A + 1j * params.B * np.tanh(params.B * T), dtype=complex
     ))
@@ -628,23 +627,25 @@ def sweep_configs(base_cfg: dict, delta_phi0_values) -> list[tuple[str, dict]]:
     return out
 
 
-def run_sweep(base_cfg: dict, delta_phi0_values, jobs: int = 1) -> ComparisonReport:
-    """Compare across core phase angles; rows prefixed per angle."""
-    items = sweep_configs(base_cfg, delta_phi0_values)
-    results: dict[str, ComparisonReport] = {}
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
+def run_sweep(base_cfg: dict, delta_phi0_values) -> ComparisonReport:
+    """Compare across core phase angles, one worker process per angle up to
+    the CPU count; see merge_sweep."""
+    # Imported here: the pool machinery costs ~1 MB and ~25 ms at startup,
+    # which predict and compare do not need.
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {tag: pool.submit(_sweep_worker, cfg) for tag, cfg in items}
-            for tag, fut in futures.items():
-                results[tag] = fut.result()
-    else:
-        for tag, cfg in items:
-            results[tag] = _sweep_worker(cfg)
+    items = sweep_configs(base_cfg, delta_phi0_values)
+    with ProcessPoolExecutor(max_workers=min(len(items), os.cpu_count() or 1)) as pool:
+        futures = {tag: pool.submit(_sweep_worker, cfg) for tag, cfg in items}
+        return merge_sweep({tag: fut.result() for tag, fut in futures.items()})
+
+
+def merge_sweep(results: dict[str, ComparisonReport]) -> ComparisonReport:
+    """One report from per-angle reports; rows and notes prefixed by the angle tag."""
     combined = ComparisonReport()
     for tag in sorted(results):
         combined.rows += [replace(row, name=f"{tag}.{row.name}") for row in results[tag].rows]
+        combined.notes += [f"{tag}.{note}" for note in results[tag].notes]
     return combined.sorted()
 
 

@@ -1,10 +1,12 @@
 """Forcing functionals F[u] for the perturbed defocusing NLS.
 
-A Perturbation bundles a grid evaluator (sampled fields, finite-difference
-derivatives) with a pointwise evaluator usable inside analytic quadratures,
-plus a claimed phase symmetry F[u e^{i theta}] = F[u] e^{i theta}.  The
-perturbation strength eps is deliberately not stored here; it belongs to the
-simulation / asymptotics configuration so one functional serves many eps.
+Each built-in states F once, as a local formula ``F(u, u_tt)`` that works on
+scalars and arrays alike.  ``local_forcing`` turns such a formula into a
+Perturbation: the pointwise evaluator is the formula itself (used inside the
+analytic quadratures of the cascade), and the grid evaluator applies the same
+formula to sampled fields with a finite-difference u_tt.  The perturbation
+strength eps is deliberately not stored here; it belongs to the simulation /
+asymptotics configuration so one functional serves many eps.
 """
 
 from __future__ import annotations
@@ -16,76 +18,57 @@ import numpy as np
 
 from .finitediff import second_derivative
 
-PointEval = Callable[[complex, complex, complex], complex]
-
 
 @dataclass(frozen=True)
 class Perturbation:
     """Uniform representation of a forcing functional F[u].
 
-    ``grid_eval(u, dx, u_tt=None)`` evaluates F on complex samples; a
-    precomputed second derivative may be passed to avoid recomputing the
-    stencil.  ``point_eval(u, u_t, u_tt)`` evaluates F at a point when the
-    functional is local in these arguments.
+    ``point_eval(u, u_tt)`` evaluates F from the field and its second
+    derivative; ``grid_eval(u, dx, u_tt=None)`` evaluates F on complex
+    samples, computing u_tt by finite differences unless it is passed in.
+    ``phase_symmetric`` claims F[u e^{i theta}] = F[u] e^{i theta}.
     """
 
     label: str
     phase_symmetric: bool
     grid_eval: Callable[..., np.ndarray]
-    point_eval: PointEval | None = None
+    point_eval: Callable
 
     def on_background(self, u_inf: float) -> complex:
         """F evaluated on the constant background u = u_inf (real phase)."""
-        if self.point_eval is None:
-            raise ValueError(f"{self.label} has no pointwise form")
-        return self.point_eval(complex(u_inf), 0.0, 0.0)
+        return self.point_eval(complex(u_inf), 0.0)
+
+
+def local_forcing(label: str, formula: Callable) -> Perturbation:
+    """Phase-symmetric Perturbation from a local formula F(u, u_tt)."""
+
+    def on_grid(u, dx, u_tt=None):
+        if u_tt is None:
+            u_tt = second_derivative(u, dx)
+        return formula(np.asarray(u), u_tt)
+
+    return Perturbation(label=label, phase_symmetric=True, grid_eval=on_grid, point_eval=formula)
 
 
 def dispersive_damping(gamma: float) -> Perturbation:
     """F[u] = i gamma u_tt with gamma > 0 (dissipative dispersive forcing)."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-
-    def on_grid(u, dx, u_tt=None):
-        if u_tt is None:
-            u_tt = second_derivative(u, dx)
-        return 1j * gamma * u_tt
-
-    return Perturbation(
-        label="dispersive_damping",
-        phase_symmetric=True,
-        grid_eval=on_grid,
-        point_eval=lambda u, u_t, u_tt: 1j * gamma * u_tt,
-    )
+    return local_forcing("dispersive_damping", lambda u, u_tt: 1j * gamma * u_tt)
 
 
 def linear_damping(Gamma: float) -> Perturbation:
     """F[u] = -i Gamma u (linear loss), Gamma > 0."""
     if Gamma <= 0:
         raise ValueError("Gamma must be positive")
-    return Perturbation(
-        label="linear_damping",
-        phase_symmetric=True,
-        grid_eval=lambda u, dx, u_tt=None: -1j * Gamma * np.asarray(u),
-        point_eval=lambda u, u_t, u_tt: -1j * Gamma * u,
-    )
+    return local_forcing("linear_damping", lambda u, u_tt: -1j * Gamma * u)
 
 
 def two_photon(gamma3: float) -> Perturbation:
     """F[u] = -i gamma3 |u|^2 u (two-photon absorption), gamma3 > 0."""
     if gamma3 <= 0:
         raise ValueError("gamma3 must be positive")
-
-    def on_grid(u, dx, u_tt=None):
-        u = np.asarray(u)
-        return -1j * gamma3 * np.abs(u) ** 2 * u
-
-    return Perturbation(
-        label="two_photon",
-        phase_symmetric=True,
-        grid_eval=on_grid,
-        point_eval=lambda u, u_t, u_tt: -1j * gamma3 * abs(u) ** 2 * u,
-    )
+    return local_forcing("two_photon", lambda u, u_tt: -1j * gamma3 * abs(u) ** 2 * u)
 
 
 BUILTINS = {

@@ -12,16 +12,18 @@ discrete odd symmetry of a black soliton is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .finitediff import first_derivative, second_derivative
 from .perturbations import Perturbation
-from .soliton import ConservedQuantities, CoreParams, Frame, grey_profile
+from .soliton import ConservedQuantities, CoreParams, grey_profile
 
 STABILITY_FACTOR = 0.2
+MIN_PLATEAU_POINTS = 20  # samples a shelf plateau window must hold
+EDGE_LEVEL = 0.25  # fraction of the plateau deviation marking a tracked edge
 
 
 class SimulationError(RuntimeError):
@@ -64,11 +66,10 @@ class Grid:
 
 @dataclass(frozen=True)
 class FieldState:
-    """Complex field samples at propagation distance z."""
+    """Complex field samples at propagation distance z (lab frame)."""
 
     z: float
     samples: np.ndarray
-    frame: Frame = field(default_factory=Frame)
 
 
 @dataclass(frozen=True)
@@ -135,21 +136,36 @@ def initial_state(params: CoreParams, grid: Grid) -> FieldState:
     return FieldState(z=0.0, samples=grey_profile(params, grid.t - params.t0))
 
 
+def nls_rate(u: np.ndarray, dt: float, u_inf: float, epsilon: float,
+             pert: Perturbation | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """(u_z, F[u]) of the perturbed NLS on a grid of spacing dt:
+
+        u_z = -i (1/2 u_tt - (|u|^2 - u_inf^2) u + eps F[u])
+
+    F is evaluated (and added) only when eps != 0; it is None otherwise.
+    ``run`` overwrites the boundary rows with the background's rate.
+    """
+    u_tt = second_derivative(u, dt)
+    total = 0.5 * u_tt - (np.abs(u) ** 2 - u_inf**2) * u
+    F = None
+    if epsilon != 0.0:
+        F = pert.grid_eval(u, dt, u_tt)
+        total = total + epsilon * F
+    return -1j * total, F
+
+
 def run(
     config: SimConfig,
     grid: Grid,
     initial: FieldState,
     background: SimBackground,
     z_max: float,
-    shift_fn: Callable[[float], float] | None = None,
 ) -> list[FieldState]:
-    """Integrate to z_max, returning snapshots every ``stride`` steps (see resolve).
+    """Integrate to z_max in the lab frame, returning snapshots every
+    ``stride`` steps (see resolve).
 
-    ``shift_fn`` records the comoving origin (int A dz + t0) in each
-    snapshot's frame for later measurement; the PDE itself is stepped in the
-    lab frame.  Raises StabilityError on norm blow-up and
-    BoundaryContaminationError when the shelf edge tracks into the outer
-    tenth of the domain.
+    Raises StabilityError on norm blow-up and BoundaryContaminationError
+    when the shelf edge tracks into the outer tenth of the domain.
     """
     u_inf0 = background.u_inf_fn(0.0)
     if grid.half_width < 3.0 * u_inf0 * z_max:
@@ -169,19 +185,14 @@ def run(
     bc_unit_right = u[-1] / u_inf0
 
     def rhs(f: np.ndarray, z: float) -> np.ndarray:
-        u_tt = second_derivative(f, dt)
-        uinf2 = background.u_inf_fn(z) ** 2
-        total = 0.5 * u_tt - (np.abs(f) ** 2 - uinf2) * f
-        if eps != 0.0:
-            total = total + eps * pert.grid_eval(f, dt, u_tt)
-        w = -1j * total
+        w, _ = nls_rate(f, dt, background.u_inf_fn(z), eps, pert)
         rate = background.rate_fn(z)
         w[0] = rate * bc_unit_left
         w[-1] = rate * bc_unit_right
         return w
 
     max0 = float(np.max(np.abs(u)))
-    snapshots = [FieldState(z=0.0, samples=u.copy(), frame=_frame(shift_fn, 0.0))]
+    snapshots = [FieldState(z=0.0, samples=u.copy())]
     z = 0.0
     travelled = 0.0  # int u_inf dz: lab-frame distance covered by the edges
     t0_lab = float(grid.t[np.argmin(np.abs(u))])
@@ -206,12 +217,8 @@ def run(
                     f"shelf edge within L/10 of the boundary at z={z:.3f}"
                 )
             if snapshots[-1].z != z:
-                snapshots.append(FieldState(z=z, samples=u.copy(), frame=_frame(shift_fn, z)))
+                snapshots.append(FieldState(z=z, samples=u.copy()))
     return snapshots
-
-
-def _frame(shift_fn, z: float) -> Frame:
-    return Frame() if shift_fn is None else Frame(accumulated_shift=float(shift_fn(z)))
 
 
 # -- Diagnostics ------------------------------------------------------------
@@ -245,8 +252,8 @@ def conservation_residuals(
         dI/dz = -2 eps Re int F[u] u_t* dt
         dR/dz = -I + 2 eps Im int t (F[u_inf] u_inf - F[u] u*) dt
 
-    with u_z reconstructed from the equation of motion.  Each law's residual
-    is max_k |lhs - rhs| / max(1, |lhs|, |rhs|).
+    with u_z from the equation of motion the stepper integrates (nls_rate).
+    Each law's residual is max_k |lhs - rhs| / max(1, |lhs|, |rhs|).
     """
     if len(snapshots) < 3:
         raise ValueError("need at least 3 snapshots")
@@ -266,10 +273,8 @@ def conservation_residuals(
         uinf = background.u_inf_fn(s.z)
         u_t = first_derivative(u, grid.dt)
         if eps != 0.0:
-            u_tt = second_derivative(u, grid.dt)
-            F = pert.grid_eval(u, grid.dt, u_tt)
+            u_z, F = nls_rate(u, grid.dt, uinf, eps, pert)
             f_bg = pert.on_background(uinf) * uinf
-            u_z = -1j * (0.5 * u_tt - (np.abs(u) ** 2 - uinf**2) * u + eps * F)
             rhs_H = 2.0 * uinf * background.rate_fn(s.z) * series["E"][k] + 2.0 * eps * float(
                 np.trapezoid(np.real(F * np.conj(u_z)), dx=grid.dt)
             )
@@ -291,88 +296,85 @@ def conservation_residuals(
 
 @dataclass(frozen=True)
 class ShelfMeasurement:
-    """Plateau amplitudes and edge positions extracted from one snapshot.
+    """Plateau amplitudes extracted from one snapshot.
 
     q1 values follow the positive-magnitude convention, (|u| - u_inf)/eps
     averaged over the plateau; phi1t values are least-squares phase slopes
-    over the same windows divided by eps.  Edge positions are comoving.
+    over the same windows divided by eps.
     """
 
     q1_plus: float
     q1_minus: float
     phi1t_plus: float
     phi1t_minus: float
-    edge_right: float
-    edge_left: float
     flat_right: bool
     flat_left: bool
+
+
+Shift = Callable[[float], float]
 
 
 def measure_shelf(
     snapshot: FieldState,
     grid: Grid,
+    comoving_shift: Shift,
     predicted_edges: tuple[float, float],
     epsilon: float,
     u_inf: float,
     B: float,
     core_margin: float | None = None,
-    min_points: int = 20,
     sides: tuple[str, ...] = ("plus", "minus"),
 ) -> ShelfMeasurement:
-    """Measure plateau magnitudes, phase slopes and edge positions.
+    """Measure plateau magnitudes and phase slopes.
 
-    The plateau window is [core_margin, 0.7 S_R] on the right (mirrored on
-    the left) in comoving coordinates, with core_margin defaulting to 10/B.
-    Raises MeasurementError when fewer than ``min_points`` samples fall in a
-    requested window; a plateau whose std exceeds 25% of its mean magnitude
-    is flagged (not fatal) through the ``flat_*`` fields.  ``sides`` limits
-    the measurement (the slow side opens its window much later than the
-    fast one); skipped sides report NaN.
+    ``comoving_shift(z)`` is the lab position of the comoving origin.  The
+    plateau window is [core_margin, 0.7 S_R] on the right (mirrored on the
+    left) in comoving coordinates, with core_margin defaulting to 10/B.
+    Raises MeasurementError when fewer than MIN_PLATEAU_POINTS samples fall
+    in a requested window; a plateau whose std exceeds 25% of its mean
+    magnitude is flagged (not fatal) through the ``flat_*`` fields.
+    ``sides`` limits the measurement (the slow side opens its window much
+    later than the fast one); skipped sides report NaN.
     """
     if epsilon == 0.0:
         raise ValueError("shelf measurement requires epsilon != 0")
     s_l, s_r = predicted_edges
     margin = 10.0 / B if core_margin is None else core_margin
-    T = grid.t - snapshot.frame.accumulated_shift
+    T = grid.t - comoving_shift(snapshot.z)
     dev = (np.abs(snapshot.samples) - u_inf) / epsilon
     phase = np.unwrap(np.angle(snapshot.samples))
 
-    def one_side(lo: float, hi: float, outward_sign: float):
+    def one_side(lo: float, hi: float):
         mask = (T >= lo) & (T <= hi)
-        if int(mask.sum()) < min_points:
+        if int(mask.sum()) < MIN_PLATEAU_POINTS:
             raise MeasurementError(
-                f"plateau window [{lo:.2f}, {hi:.2f}] holds {int(mask.sum())} points (< {min_points})"
+                f"plateau window [{lo:.2f}, {hi:.2f}] holds {int(mask.sum())} points "
+                f"(< {MIN_PLATEAU_POINTS})"
             )
         q1 = float(np.mean(dev[mask]))
         flat = bool(np.std(dev[mask]) <= 0.25 * abs(q1))
         slope = float(np.polyfit(T[mask], phase[mask], 1)[0]) / epsilon
-        edge = _edge_crossing(T, dev, q1, start=hi if outward_sign > 0 else lo, sign=outward_sign)
-        return q1, slope, edge, flat
+        return q1, slope, flat
 
     nan = float("nan")
-    q1p = phi1tp = edge_r = nan
-    q1m = phi1tm = edge_l = nan
+    q1p = phi1tp = q1m = phi1tm = nan
     flat_r = flat_l = True
     if "plus" in sides:
-        q1p, phi1tp, edge_r, flat_r = one_side(margin, 0.7 * s_r, +1.0)
+        q1p, phi1tp, flat_r = one_side(margin, 0.7 * s_r)
     if "minus" in sides:
-        q1m, phi1tm, edge_l, flat_l = one_side(0.7 * s_l, -margin, -1.0)
+        q1m, phi1tm, flat_l = one_side(0.7 * s_l, -margin)
     return ShelfMeasurement(
         q1_plus=q1p,
         q1_minus=q1m,
         phi1t_plus=phi1tp,
         phi1t_minus=phi1tm,
-        edge_right=edge_r,
-        edge_left=edge_l,
         flat_right=flat_r,
         flat_left=flat_l,
     )
 
 
-def _edge_crossing(
-    T: np.ndarray, dev: np.ndarray, plateau: float, start: float, sign: float, fraction: float = 0.5
-) -> float:
-    """First crossing of ``fraction`` of the plateau level outward from ``start``.
+def _edge_crossing(T: np.ndarray, dev: np.ndarray, plateau: float, start: float, sign: float) -> float:
+    """First crossing of EDGE_LEVEL times the plateau level outward from ``start``.
 
     ``sign`` +1 scans toward +T, -1 toward -T.  The deviation is folded so
     the plateau is positive; the edge is where it first drops through the
@@ -384,7 +386,7 @@ def _edge_crossing(
     order = np.argsort(sign * T)
     Ts = T[order]
     ds = fold * dev[order]
-    lv = fraction * abs(plateau)
+    lv = EDGE_LEVEL * abs(plateau)
     k0 = int(np.searchsorted(sign * Ts, sign * start))
     cand = np.where(ds[k0:] < lv)[0]
     if cand.size == 0:
@@ -403,70 +405,62 @@ def _edge_crossing(
 def measure_sigma0_rate(
     snapshots: Sequence[FieldState],
     grid: Grid,
+    comoving_shift: Shift,
     probe_T: float,
     epsilon: float,
-    edges_fn: Callable[[float], tuple[float, float]] | None = None,
+    edges_fn: Callable[[float], tuple[float, float]],
 ) -> float:
     """Slow soliton-phase rate sigma0_Z from the phase drift at a fixed probe.
 
     The probe sits at comoving offset probe_T (nonzero, inside the inner
     region); the unwrapped phase there is sigma0(Z) plus z-stationary terms,
-    so its least-squares slope in z divided by eps estimates sigma0_Z.
+    so its least-squares slope in z divided by eps estimates sigma0_Z (the
+    slope itself when eps = 0).  Raises MeasurementError when a predicted
+    shelf edge ``edges_fn(z) = (S_L, S_R)`` comes within twice the probe's
+    offset of the core in any snapshot.
     """
     if probe_T == 0.0:
         raise ValueError("probe_T must be nonzero (the core phase is singular at the center)")
     if len(snapshots) < 3:
         raise MeasurementError("need at least 3 snapshots for a phase-rate fit")
-    if epsilon == 0.0:
-        zs = np.array([s.z for s in snapshots])
-        ph = _probe_phase(snapshots, grid, probe_T)
-        return float(np.polyfit(zs, ph, 1)[0])
-    if edges_fn is not None:
-        for s in snapshots:
-            s_l, s_r = edges_fn(s.z)
-            if not abs(probe_T) < 0.5 * min(abs(s_l), s_r):
-                raise MeasurementError(f"probe T*={probe_T} overtaken by shelf edge at z={s.z:.2f}")
-    zs = np.array([s.z for s in snapshots])
-    ph = _probe_phase(snapshots, grid, probe_T)
-    return float(np.polyfit(zs, ph, 1)[0]) / epsilon
-
-
-def _probe_phase(snapshots: Sequence[FieldState], grid: Grid, probe_T: float) -> np.ndarray:
-    vals = []
     for s in snapshots:
-        pos = probe_T + s.frame.accumulated_shift
-        phase = np.unwrap(np.angle(s.samples))
-        vals.append(np.interp(pos, grid.t, phase))
-    return np.unwrap(np.array(vals))
+        s_l, s_r = edges_fn(s.z)
+        if not abs(probe_T) < 0.5 * min(abs(s_l), s_r):
+            raise MeasurementError(f"probe T*={probe_T} overtaken by shelf edge at z={s.z:.2f}")
+    zs = np.array([s.z for s in snapshots])
+    ph = [np.interp(probe_T + comoving_shift(s.z), grid.t, np.unwrap(np.angle(s.samples)))
+          for s in snapshots]
+    return float(np.polyfit(zs, np.unwrap(np.array(ph)), 1)[0]) / (epsilon or 1.0)
 
 
 def track_edges(
     snapshots: Sequence[FieldState],
     grid: Grid,
+    comoving_shift: Shift,
     plateau_plus: float,
     plateau_minus: float,
     z_window: tuple[float, float],
-    level_fraction: float = 0.25,
 ) -> dict[str, np.ndarray]:
     """Edge trajectories from fixed-level crossings of the magnitude deviation.
 
     ``plateau_plus/minus`` are the predicted plateau deviations eps*q1 per
-    side; each snapshot's edge is the outward crossing of
-    ``level_fraction`` times that value, scanned from 40% of the nominal
-    edge position.  The transition midpoint rides the plateau characteristic
-    (slower than u_inf by ~eps|q1|) while the similarity widening pushes
-    foot-ward features outward; the default quarter-level sits where the two
-    known O(eps) biases nearly cancel.  Returns comoving positions.
+    side; each snapshot's edge is the outward crossing of EDGE_LEVEL times
+    that value, scanned from 40% of the nominal edge position, with the
+    pinned boundary magnitude as the background.  The transition midpoint
+    rides the plateau characteristic (slower than u_inf by ~eps|q1|) while
+    the similarity widening pushes foot-ward features outward; the quarter
+    level sits where the two known O(eps) biases nearly cancel.  Returns
+    positions relative to ``comoving_shift(z)``.
     """
     zs, right, left = [], [], []
     for s in snapshots:
         if not z_window[0] <= s.z <= z_window[1]:
             continue
-        dev = np.abs(s.samples) - _background_guess(s, grid)
-        T = grid.t - s.frame.accumulated_shift
+        dev = np.abs(s.samples) - float(abs(s.samples[0]))
+        T = grid.t - comoving_shift(s.z)
         try:
-            r = _edge_crossing(T, dev, plateau_plus, start=0.4 * s.z, sign=+1.0, fraction=level_fraction)
-            l = _edge_crossing(T, dev, plateau_minus, start=-0.4 * s.z, sign=-1.0, fraction=level_fraction)
+            r = _edge_crossing(T, dev, plateau_plus, start=0.4 * s.z, sign=+1.0)
+            l = _edge_crossing(T, dev, plateau_minus, start=-0.4 * s.z, sign=-1.0)
         except MeasurementError:
             continue
         zs.append(s.z)
@@ -483,11 +477,6 @@ def track_edges(
     out["speed_right"] = float(np.polyfit(zs_arr, out["right"], 1)[0])
     out["speed_left"] = float(np.polyfit(zs_arr, out["left"], 1)[0])
     return out
-
-
-def _background_guess(s: FieldState, grid: Grid) -> float:
-    # Magnitude of the pinned boundary value; exact for our backgrounds.
-    return float(abs(s.samples[0]))
 
 
 def measure_core_minimum(snapshot: FieldState, grid: Grid) -> tuple[float, float]:

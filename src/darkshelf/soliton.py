@@ -78,17 +78,6 @@ class CoreParams:
 
 
 @dataclass(frozen=True)
-class Frame:
-    """Coordinate-frame bookkeeping for sampled fields.
-
-    ``accumulated_shift`` is the comoving origin int_0^z A ds + t0; it is 0 at
-    z = 0 in the lab frame.
-    """
-
-    accumulated_shift: float = 0.0
-
-
-@dataclass(frozen=True)
 class ConservedQuantities:
     """Hamiltonian, energy, momentum and center of energy of a dark pulse."""
 

@@ -12,7 +12,7 @@ from darkshelf.asymptotics import (
     grey_parameter_rhs,
     phase_conservation_check,
 )
-from darkshelf.perturbations import Perturbation, dispersive_damping, linear_damping, two_photon
+from darkshelf.perturbations import dispersive_damping, linear_damping, local_forcing, two_photon
 from darkshelf.soliton import CoreParams
 
 GREY = CoreParams.from_background(1.0, 4 * math.pi / 5)
@@ -82,8 +82,7 @@ class TestGreyParameterRhs:
         assert sh.phi1t_minus == pytest.approx(bl.phi1t_minus, abs=1e-10)
 
     def test_zero_perturbation_is_quiescent(self):
-        null = Perturbation("null", True, lambda u, dx, u_tt=None: np.zeros_like(u),
-                            point_eval=lambda u, ut, utt: 0.0)
+        null = local_forcing("null", lambda u, u_tt: 0.0 * u)
         sh = grey_parameter_rhs(null, GREY)
         for f in ("q1_plus", "q1_minus", "phi1t_plus", "phi1t_minus",
                   "u_inf_rate", "A_rate", "B_rate", "sigma0_rate", "delta_phi0_rate"):
@@ -114,13 +113,8 @@ class TestEvolveBackground:
         traj = evolve_background(two_photon(1.0), 1.0, 1.0)
         assert traj.u_inf[-1] == pytest.approx(3.0 ** (-0.5), abs=1e-8)
 
-    def test_phase_difference_carried_constant(self):
-        traj = evolve_background(linear_damping(0.5), 1.0, 1.0, delta_phi_inf=2.5)
-        assert traj.delta_phi_inf == 2.5
-
     def test_collapse_detected(self):
-        sinker = Perturbation("sink", True, lambda u, dx, u_tt=None: -1j * np.ones_like(u),
-                              point_eval=lambda u, ut, utt: -1j)
+        sinker = local_forcing("sink", lambda u, u_tt: -1j + 0.0 * u)
         with pytest.raises(BackgroundCollapseError):
             evolve_background(sinker, 0.5, 1.0)
 

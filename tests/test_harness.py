@@ -202,6 +202,19 @@ class TestSweep:
         assert shallow["run"]["z_max"] > deep["run"]["z_max"]
         assert shallow["grid"]["half_width"] >= 3.0 * shallow["run"]["z_max"]
 
+    def test_merge_keeps_per_angle_notes(self):
+        # Per-angle reports as a failing shelf measurement leaves them.
+        def failed(note):
+            row = harness.ComparisonRow("eps_q1_plus", -0.03, float("nan"), 0.10)
+            return harness.ComparisonReport(rows=[row], notes=[note])
+
+        merged = harness.merge_sweep({"dphi2.51327": failed("eps_q1_plus: no plateau"),
+                                      "dphi1.25664": failed("eps_q1_plus: too short")})
+        assert [r.name for r in merged.rows] == ["dphi1.25664.eps_q1_plus", "dphi2.51327.eps_q1_plus"]
+        assert merged.as_dict()["notes"] == ["dphi1.25664.eps_q1_plus: too short",
+                                             "dphi2.51327.eps_q1_plus: no plateau"]
+        assert not merged.passed
+
     def test_sweep_configs_linear_damping(self):
         # Run length from the cascade's q1+- (+0.344/+0.182 at 2pi/5), not the
         # dispersive closed form.
@@ -213,7 +226,10 @@ class TestSweep:
 
 class TestCli:
     def test_seedless_rejected(self):
-        assert cli.main(["--config", "grey_dispersive", "--seedless", "predict"]) == 2
+        # Unknown flags are argparse usage errors: exit code 2.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--config", "grey_dispersive", "--seedless", "predict"])
+        assert exc.value.code == 2
 
     def test_missing_config(self):
         assert cli.main(["predict"]) == 2

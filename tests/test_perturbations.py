@@ -8,8 +8,10 @@ from darkshelf.perturbations import (
     check_phase_symmetry,
     dispersive_damping,
     linear_damping,
+    local_forcing,
     two_photon,
 )
+from darkshelf.finitediff import second_derivative
 from darkshelf.quadrature import integrate_soliton_density
 from darkshelf.soliton import CoreParams, profile_with_derivatives
 
@@ -47,7 +49,7 @@ def test_dispersive_black_energy_integral():
 
     def density(TT):
         u0, u0_T, u0_TT = profile_with_derivatives(p, TT)
-        return np.imag(pert.point_eval(u0, u0_T, u0_TT) * np.conj(u0))
+        return np.imag(pert.point_eval(u0, u0_TT) * np.conj(u0))
 
     val = integrate_soliton_density(density, p.B)
     assert val == pytest.approx(-(4.0 / 3.0), rel=1e-10)
@@ -85,6 +87,7 @@ def test_asymmetric_double_detected():
         label="conjugate_sum",
         phase_symmetric=False,
         grid_eval=lambda u, dx, u_tt=None: np.asarray(u) + np.conj(u),
+        point_eval=lambda u, u_tt: u + np.conj(u),
     )
     ok, dev = check_phase_symmetry(bad, [np.exp(1j * 0.3 * T)], DX)
     assert not ok and dev > 0.1
@@ -98,12 +101,24 @@ def test_empty_test_set_rejected():
 def test_grid_matches_point_on_profile():
     p = CoreParams.from_background(1.0, 4 * math.pi / 5)
     t_fine = np.linspace(-20, 20, 8001)
-    u0, u0_T, u0_TT = profile_with_derivatives(p, t_fine)
+    u0, _, u0_TT = profile_with_derivatives(p, t_fine)
     for pert in (dispersive_damping(1.0), linear_damping(0.5), two_photon(0.7)):
         grid_vals = pert.grid_eval(u0, t_fine[1] - t_fine[0])
-        point_vals = pert.point_eval(u0, u0_T, u0_TT)
+        point_vals = pert.point_eval(u0, u0_TT)
         interior = slice(4, -4)
         np.testing.assert_allclose(grid_vals[interior], point_vals[interior], atol=1e-8)
+
+
+def test_local_forcing_uses_one_formula():
+    # A user-defined forcing: the grid, pointwise and background evaluators
+    # all apply the same formula.
+    pert = local_forcing("mixed", lambda u, u_tt: 0.5j * u_tt - 0.2j * u)
+    u = np.exp(1j * 0.4 * T) * (1 + 0.2 / np.cosh(T))
+    u_tt = np.cos(T) + 0j
+    np.testing.assert_array_equal(pert.grid_eval(u, DX, u_tt), 0.5j * u_tt - 0.2j * u)
+    np.testing.assert_array_equal(pert.grid_eval(u, DX), pert.point_eval(u, second_derivative(u, DX)))
+    assert pert.on_background(2.0) == -0.4j
+    assert check_phase_symmetry(pert, [u], DX)[0]
 
 
 def test_grid_eval_fourth_order():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from darkshelf.finitediff import first_derivative
 from darkshelf.perturbations import dispersive_damping, linear_damping
 from darkshelf.soliton import CoreParams, grey_profile
 from darkshelf.simulator import (
@@ -18,6 +19,7 @@ from darkshelf.simulator import (
     measure_core_minimum,
     measure_shelf,
     measure_sigma0_rate,
+    nls_rate,
     run,
     track_edges,
     write_snapshot_csv,
@@ -27,11 +29,16 @@ BLACK = CoreParams.from_background(1.0, math.pi)
 GREY = CoreParams.from_background(1.0, 4 * math.pi / 5)
 
 
-def small_run(params, epsilon=0.0, pert=None, z_max=3.0, n=1024, L=50.0, shift=None):
+def lab(z):
+    """Comoving origin of a soliton that stays at t = 0."""
+    return 0.0
+
+
+def small_run(params, epsilon=0.0, pert=None, z_max=3.0, n=1024, L=50.0):
     grid = Grid(half_width=L, n_points=n)
     cfg = SimConfig(epsilon=epsilon, perturbation=pert)
     bg = SimBackground.constant(params.u_inf)
-    snaps = run(cfg, grid, initial_state(params, grid), bg, z_max, shift_fn=shift)
+    snaps = run(cfg, grid, initial_state(params, grid), bg, z_max)
     return grid, cfg, bg, snaps
 
 
@@ -72,11 +79,18 @@ class TestUnperturbedFidelity:
         assert err < 5e-5
 
     def test_grey_minimum_tracks_velocity(self):
-        grid, _, _, snaps = small_run(GREY, z_max=5.0, shift=lambda z: GREY.A * z)
+        grid, _, _, snaps = small_run(GREY, z_max=5.0)
         pos, val = measure_core_minimum(snaps[-1], grid)
         assert pos == pytest.approx(GREY.A * snaps[-1].z, abs=1e-3)
         assert val == pytest.approx(abs(GREY.A), abs=1e-3)
-        assert snaps[-1].frame.accumulated_shift == pytest.approx(GREY.A * snaps[-1].z)
+
+    def test_nls_rate_of_travelling_soliton(self):
+        # u(t - A z) solves the unperturbed NLS, so u_z = -A u_t away from the edges.
+        grid = Grid(half_width=30.0, n_points=2048)
+        u = grey_profile(GREY, grid.t)
+        u_z, F = nls_rate(u, grid.dt, GREY.u_inf, 0.0, None)
+        assert F is None
+        np.testing.assert_allclose(u_z[4:-4], -GREY.A * first_derivative(u, grid.dt)[4:-4], atol=1e-6)
 
 
 class TestGridRefinement:
@@ -197,26 +211,33 @@ class TestShelfMeasurement:
         grid = Grid(half_width=100.0, n_points=4096)
         eps = 0.05
         state = synthetic_shelf(grid, eps, -0.66, -0.44, 1.32, -0.88, -39.0, 21.0)
-        m = measure_shelf(state, grid, (-39.0, 21.0), eps, 1.0, 1.0)
+        m = measure_shelf(state, grid, lab, (-39.0, 21.0), eps, 1.0, 1.0)
         assert m.q1_plus == pytest.approx(-0.66, rel=1e-6)
         assert m.q1_minus == pytest.approx(-0.44, rel=1e-6)
         assert m.phi1t_plus == pytest.approx(1.32, rel=1e-6)
         assert m.phi1t_minus == pytest.approx(-0.88, rel=1e-6)
         assert m.flat_right and m.flat_left
-        assert m.edge_right == pytest.approx(21.0, abs=0.2)
-        assert m.edge_left == pytest.approx(-39.0, abs=0.2)
+
+    def test_comoving_shift_moves_windows(self):
+        # The same shelf displaced by 143 samples in the lab is recovered in the comoving frame.
+        grid = Grid(half_width=100.0, n_points=4096)
+        state = synthetic_shelf(grid, 0.05, -0.66, -0.44, 1.32, -0.88, -39.0, 21.0)
+        moved = FieldState(z=state.z, samples=np.roll(state.samples, 143))
+        m = measure_shelf(moved, grid, lambda z: 143 * grid.dt, (-39.0, 21.0), 0.05, 1.0, 1.0)
+        assert m.q1_plus == pytest.approx(-0.66, rel=1e-6)
+        assert m.q1_minus == pytest.approx(-0.44, rel=1e-6)
 
     def test_narrow_plateau_rejected(self):
         grid = Grid(half_width=100.0, n_points=4096)
         state = synthetic_shelf(grid, 0.05, -0.66, -0.44, 1.32, -0.88, -5.0, 5.0)
         with pytest.raises(MeasurementError):
-            measure_shelf(state, grid, (-5.0, 5.0), 0.05, 1.0, 1.0)
+            measure_shelf(state, grid, lab, (-5.0, 5.0), 0.05, 1.0, 1.0)
 
     def test_epsilon_zero_rejected(self):
         grid = Grid(half_width=100.0, n_points=512)
         state = FieldState(z=1.0, samples=np.ones(512, dtype=complex))
         with pytest.raises(ValueError):
-            measure_shelf(state, grid, (-5.0, 5.0), 0.0, 1.0, 1.0)
+            measure_shelf(state, grid, lab, (-5.0, 5.0), 0.0, 1.0, 1.0)
 
 
 class TestEdgeTracking:
@@ -227,7 +248,7 @@ class TestEdgeTracking:
         for z in np.arange(10.0, 30.5, 1.0):
             state = synthetic_shelf(grid, eps, -0.66, -0.66, 0.0, 0.0, -z, z)
             snaps.append(FieldState(z=z, samples=state.samples))
-        tr = track_edges(snaps, grid, eps * -0.66, eps * -0.66, (10.0, 30.0))
+        tr = track_edges(snaps, grid, lab, eps * -0.66, eps * -0.66, (10.0, 30.0))
         assert tr["speed_right"] == pytest.approx(1.0, abs=0.02)
         assert tr["speed_left"] == pytest.approx(-1.0, abs=0.02)
 
@@ -235,18 +256,18 @@ class TestEdgeTracking:
 class TestSigmaRate:
     def test_unperturbed_rate_is_zero(self):
         grid, _, _, snaps = small_run(BLACK, z_max=3.0, n=2048)
-        rate = measure_sigma0_rate(snaps, grid, 2.0, 0.0)
+        rate = measure_sigma0_rate(snaps, grid, lab, 2.0, 0.0, lambda z: (-40.0, 40.0))
         assert abs(rate) < 1e-6
 
     def test_probe_at_center_rejected(self):
         grid, _, _, snaps = small_run(BLACK, z_max=1.0)
         with pytest.raises(ValueError):
-            measure_sigma0_rate(snaps, grid, 0.0, 0.0)
+            measure_sigma0_rate(snaps, grid, lab, 0.0, 0.0, lambda z: (-40.0, 40.0))
 
     def test_probe_overtaken_detected(self):
         grid, _, _, snaps = small_run(BLACK, z_max=3.0)
         with pytest.raises(MeasurementError):
-            measure_sigma0_rate(snaps, grid, 5.0, 0.05, edges_fn=lambda z: (-z, z))
+            measure_sigma0_rate(snaps, grid, lab, 5.0, 0.05, lambda z: (-z, z))
 
 
 class TestSnapshotDump:
