@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import boundary_layer
 from .finitediff import first_derivative, second_derivative
 from .perturbations import Perturbation
 from .quadrature import soliton_integrals
@@ -35,8 +36,11 @@ class BackgroundCollapseError(RuntimeError):
     """Background magnitude driven to zero within the requested span."""
 
 
+SHALLOW_LIMIT = 1e-9  # smallest u_inf - A the cascade accepts
+
+
 class ShallowSolitonError(RuntimeError):
-    """u_inf - A below tolerance: vanishing soliton, shelf amplitudes blow up."""
+    """u_inf - A below SHALLOW_LIMIT: vanishing soliton, shelf amplitudes blow up."""
 
 
 @dataclass(frozen=True)
@@ -44,9 +48,7 @@ class ShelfParams:
     """Shelf plateau amplitudes and slow parameter rates at one Z sample.
 
     ``delta_phi1`` is the phase change accumulated across the shelf along a
-    trajectory; standalone rate evaluations report 0.  ``t0_rate`` is None
-    when the theory leaves it undetermined (general grey perturbations; the
-    black dispersive case pins it to 0).
+    trajectory; standalone rate evaluations report 0.
     """
 
     q1_plus: float
@@ -58,8 +60,16 @@ class ShelfParams:
     B_rate: float
     delta_phi0_rate: float
     sigma0_rate: float
-    t0_rate: float | None = None
     delta_phi1: float = 0.0
+
+
+_ZERO_SHELF = ShelfParams(*(0.0,) * 9)
+
+
+def edge_phase_flux(params: CoreParams, shelf: ShelfParams) -> float:
+    """d(delta_phi1)/dz = (u_inf - A) phi1t+ + (u_inf + A) phi1t-: the shelf's
+    phase slopes swept over by edges opening at u_inf -+ A."""
+    return (params.u_inf - params.A) * shelf.phi1t_plus + (params.u_inf + params.A) * shelf.phi1t_minus
 
 
 @dataclass(frozen=True)
@@ -70,13 +80,17 @@ class BackgroundTrajectory:
 
 @dataclass(frozen=True)
 class ParameterTrajectory:
-    """Sampled slow evolution of core and shelf parameters."""
+    """Sampled slow evolution of core and shelf parameters, and the
+    kinematics (comoving origin, shelf edges) that follow from it."""
 
     epsilon: float
     z: np.ndarray
-    Z: np.ndarray
     params: list[CoreParams]
     shelf: list[ShelfParams]
+
+    @property
+    def Z(self) -> np.ndarray:
+        return self.epsilon * self.z
 
     def comoving_shift(self, z):
         """int_0^z A ds + t0(z): lab position of the comoving origin."""
@@ -86,6 +100,12 @@ class ParameterTrajectory:
         cum = np.concatenate(([0.0], np.cumsum(0.5 * (A[1:] + A[:-1]) * np.diff(self.z))))
         out = np.interp(zq, self.z, cum + t0)
         return float(out[0]) if np.isscalar(z) else out
+
+    def edges(self, z: float) -> tuple[float, float]:
+        """Comoving shelf-edge positions (S_L, S_R) at propagation distance z."""
+        u = np.array([p.u_inf for p in self.params])
+        A = np.array([p.A for p in self.params])
+        return boundary_layer.shelf_edges(self.z, u, A, z)
 
 
 def background_rate(pert: Perturbation, u_inf: float) -> float:
@@ -137,13 +157,13 @@ def grey_parameter_rhs(pert: Perturbation, params: CoreParams) -> ShelfParams:
     """One evaluation of the boxed parameter cascade at the given state.
 
     Solved strictly top to bottom; raises ShallowSolitonError when
-    u_inf - A < 1e-9 (the plateau amplitude q1+ diverges as the soliton
-    vanishes; the black limit A -> 0 is perfectly regular).
+    u_inf - A < SHALLOW_LIMIT (the plateau amplitude q1+ diverges as the
+    soliton vanishes; the black limit A -> 0 is perfectly regular).
     """
     u, A, B = params.u_inf, params.A, params.B
     if not 0.0 < params.delta_phi0 <= math.pi + 1e-12:
         raise ValueError("delta_phi0 must lie in (0, pi]")
-    if u - A < 1e-9:
+    if u - A < SHALLOW_LIMIT:
         raise ShallowSolitonError(f"u_inf - A = {u - A:.3e}: shallow-soliton breakdown")
     f_bg = pert.on_background(u)
     u_rate = f_bg.imag
@@ -154,7 +174,6 @@ def grey_parameter_rhs(pert: Perturbation, params: CoreParams) -> ShelfParams:
     sigma0_rate = (B_rate - m_e + f_bg.real) / u
     q1_plus = 0.5 * (sigma0_rate + dphi0_rate) / (u - A)
     q1_minus = 0.5 * (sigma0_rate - dphi0_rate) / (u + A)
-    t0_rate = 0.0 if (params.is_black and pert.label == "dispersive_damping") else None
     return ShelfParams(
         q1_plus=q1_plus,
         q1_minus=q1_minus,
@@ -165,12 +184,7 @@ def grey_parameter_rhs(pert: Perturbation, params: CoreParams) -> ShelfParams:
         B_rate=B_rate,
         delta_phi0_rate=dphi0_rate,
         sigma0_rate=sigma0_rate,
-        t0_rate=t0_rate,
     )
-
-
-def _zero_shelf() -> ShelfParams:
-    return ShelfParams(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, t0_rate=0.0)
 
 
 def evolve_core_parameters(
@@ -183,17 +197,17 @@ def evolve_core_parameters(
 ) -> ParameterTrajectory:
     """RK4 integration of the cascade over Z in [0, eps*z_span].
 
-    The state is (u_inf, A, sigma0, t0); B is reconstructed from the
-    constraint A^2 + B^2 = u_inf^2, which therefore holds exactly at every
-    sample.  An undetermined t0 rate is treated as zero drift.  eps = 0
-    returns a constant trajectory.
+    The state is (u_inf, A, sigma0); B is reconstructed from the constraint
+    A^2 + B^2 = u_inf^2, which therefore holds exactly at every sample.  t0
+    is held at its initial value: first-order theory gives it zero drift in
+    the black dispersive case and leaves it undetermined otherwise.  Each
+    sample records the cascade evaluation that starts its step, so a
+    trajectory costs 4 steps + 1 evaluations.  eps = 0 returns a constant
+    trajectory.
     """
     if epsilon == 0.0:
         z = np.linspace(0.0, z_span, samples)
-        return ParameterTrajectory(
-            epsilon=0.0, z=z, Z=np.zeros_like(z),
-            params=[params0] * samples, shelf=[_zero_shelf()] * samples,
-        )
+        return ParameterTrajectory(0.0, z, [params0] * samples, [_ZERO_SHELF] * samples)
     if steps is None:
         steps = max(64, int(2000 * abs(epsilon) * z_span))
     # Land every requested sample exactly on an integration node.
@@ -202,63 +216,48 @@ def evolve_core_parameters(
     h = epsilon * z_span / steps  # signed slow-scale step
     stride = steps // (samples - 1)
 
-    def make_params(state) -> CoreParams:
-        u, A, s0, t0 = state
+    def rate(state):
+        u, A, s0 = state
         b2 = u**2 - A**2
         if b2 <= 0:
             raise ShallowSolitonError("A reached u_inf while stepping")
-        return CoreParams(u_inf=u, A=A, B=math.sqrt(b2), t0=t0, sigma0=s0,
-                          delta_phi_inf=params0.delta_phi_inf)
-
-    def rate(state):
-        p = make_params(state)
+        p = CoreParams(u_inf=u, A=A, B=math.sqrt(b2), t0=params0.t0, sigma0=s0)
         sh = grey_parameter_rhs(pert, p)
-        t0r = sh.t0_rate if sh.t0_rate is not None else 0.0
-        return np.array([sh.u_inf_rate, sh.A_rate, sh.sigma0_rate, t0r]), sh
+        return np.array([sh.u_inf_rate, sh.A_rate, sh.sigma0_rate]), p, sh
 
-    state = np.array([params0.u_inf, params0.A, params0.sigma0, params0.t0])
-    z_list = [0.0]
-    p_list = [make_params(state)]
-    sh0 = grey_parameter_rhs(pert, p_list[0])
-    sh_list = [sh0]
+    state = np.array([params0.u_inf, params0.A, params0.sigma0])
+    z, params, shelf = [], [], []
     dphi1 = 0.0
-    for n in range(steps):
-        k1, sh = rate(state)
-        k2, _ = rate(state + 0.5 * h * k1)
-        k3, _ = rate(state + 0.5 * h * k2)
-        k4, _ = rate(state + h * k3)
+    for n in range(steps + 1):
+        k1, p, sh = rate(state)
+        if n % stride == 0:
+            z.append(n * h / epsilon)
+            params.append(p)
+            shelf.append(replace(sh, delta_phi1=dphi1))
+        if n == steps:
+            break
+        k2, _, _ = rate(state + 0.5 * h * k1)
+        k3, _, _ = rate(state + 0.5 * h * k2)
+        k4, _, _ = rate(state + h * k3)
         state = state + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        # Accumulate the shelf phase change d(dphi1)/dzeta over the fast
-        # distance h/eps covered by this slow step (start-point rule; exact
-        # whenever the rates are constant, which covers the validated cases).
-        flux = (p_list[-1].u_inf - p_list[-1].A) * sh.phi1t_plus \
-            + (p_list[-1].u_inf + p_list[-1].A) * sh.phi1t_minus
-        dphi1 += flux * (h / epsilon)
-        if (n + 1) % stride == 0:
-            p = make_params(state)
-            sh_new = grey_parameter_rhs(pert, p)
-            z_list.append((n + 1) * h / epsilon)
-            p_list.append(p)
-            sh_list.append(replace(sh_new, delta_phi1=dphi1))
-    z = np.asarray(z_list)
-    return ParameterTrajectory(epsilon=epsilon, z=z, Z=epsilon * z, params=p_list, shelf=sh_list)
+        # Accumulate the shelf phase change over the fast distance h/eps
+        # covered by this slow step (start-point rule; exact whenever the
+        # rates are constant, which covers the validated cases).
+        dphi1 += edge_phase_flux(params[-1], sh) * (h / epsilon)
+    return ParameterTrajectory(epsilon, np.asarray(z), params, shelf)
 
 
 def phase_conservation_check(traj: ParameterTrajectory) -> float:
     """Max |d/dZ (delta_phi0 + eps*delta_phi1)| along a trajectory.
 
     With the cascade's plateau values, eps * d(delta_phi1)/dZ equals the
-    edge phase flux (u_inf - A) phi1t+ + (u_inf + A) phi1t-, so the residual
-    per sample is |delta_phi0_rate + flux|; it vanishes identically whenever
+    edge phase flux (see edge_phase_flux), so the residual per sample is
+    |delta_phi0_rate + flux|; it vanishes identically whenever
     delta_phi0 is conserved (dispersive and linear damping included).
     """
     if len(traj.params) < 3:
         raise ValueError("need at least 3 trajectory samples")
-    worst = 0.0
-    for p, sh in zip(traj.params, traj.shelf):
-        flux = (p.u_inf - p.A) * sh.phi1t_plus + (p.u_inf + p.A) * sh.phi1t_minus
-        worst = max(worst, abs(sh.delta_phi0_rate + flux))
-    return worst
+    return max(abs(sh.delta_phi0_rate + edge_phase_flux(p, sh)) for p, sh in zip(traj.params, traj.shelf))
 
 
 @dataclass(frozen=True)

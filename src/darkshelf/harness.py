@@ -24,7 +24,6 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -317,12 +316,6 @@ class Artifacts:
         return self.traj.shelf[0]
 
 
-def _edges_at(traj: asymptotics.ParameterTrajectory, zeta: float) -> tuple[float, float]:
-    u = np.array([p.u_inf for p in traj.params])
-    A = np.array([p.A for p in traj.params])
-    return boundary_layer.shelf_edges(traj.z, u, A, zeta)
-
-
 def _snapshot_at(snapshots, z: float):
     return snapshots[int(np.argmin([abs(s.z - z) for s in snapshots]))]
 
@@ -388,7 +381,7 @@ def _measure_fidelity(art: Artifacts) -> list[float]:
 def _measure_shelf(art: Artifacts, snap, **kwargs) -> simulator.ShelfMeasurement:
     exp = art.exp
     return simulator.measure_shelf(
-        snap, exp.grid, art.traj.comoving_shift, _edges_at(art.traj, snap.z), exp.epsilon,
+        snap, exp.grid, art.traj.comoving_shift, art.traj.edges(snap.z), exp.epsilon,
         art.background.u_inf_fn(snap.z), exp.params.B, **kwargs,
     )
 
@@ -418,7 +411,7 @@ def _measure_sigma0(art: Artifacts) -> list[float]:
     exp = art.exp
     sel = [s for s in art.snapshots if 10.0 <= s.z <= exp.z_max]
     return [simulator.measure_sigma0_rate(sel, exp.grid, art.traj.comoving_shift, -2.0 / exp.params.B,
-                                          exp.epsilon, partial(_edges_at, art.traj))]
+                                          exp.epsilon, art.traj.edges)]
 
 
 def _measure_edges(art: Artifacts) -> list[float]:
@@ -457,7 +450,7 @@ def _layer_window(art: Artifacts, widths: float, points: int):
     """(x, simulated |u|, predicted u_inf + eps w) across the right-edge layer
     of the final snapshot, for |x| up to ``widths`` similarity widths."""
     params, snap = art.exp.params, art.final
-    s_l, s_r = _edges_at(art.traj, snap.z)
+    _, s_r = art.traj.edges(snap.z)
     layer = boundary_layer.LayerProfile.at_edge("right", params.u_inf, art.shelf0.q1_plus)
     width = widths * snap.z ** (1.0 / 3.0) / abs(layer.a)
     x = np.linspace(-width, width, points)
@@ -537,7 +530,7 @@ def emit_plotdata(art: Artifacts, kinds, out_dir: str, run_id: str) -> list[str]
             epath = os.path.join(out_dir, f"{run_id}_contour_edges.csv")
             rows = []
             for s in art.snapshots:
-                s_l, s_r = _edges_at(traj, s.z)
+                s_l, s_r = traj.edges(s.z)
                 shift = traj.comoving_shift(s.z)
                 rows.append((s.z, s_l + shift, s_r + shift))
             _writerows(epath, ["z", "t_edge_left", "t_edge_right"], rows)
@@ -563,7 +556,7 @@ def _composite_magnitude(art: Artifacts) -> np.ndarray:
     ))
     if exp.epsilon == 0.0:
         return q0
-    s_l, s_r = _edges_at(traj, snap.z)
+    s_l, s_r = traj.edges(snap.z)
     right = boundary_layer.LayerProfile.at_edge("right", params.u_inf, sh.q1_plus)
     left = boundary_layer.LayerProfile.at_edge("left", params.u_inf, sh.q1_minus)
     w = np.where(
@@ -591,7 +584,7 @@ _SHELF_COLUMNS = ("u_inf_rate", "A_rate", "B_rate", "delta_phi0_rate", "sigma0_r
 def _write_trajectory(traj: asymptotics.ParameterTrajectory, path: str) -> None:
     """The prediction table: z, Z, core parameters, shelf rates and plateaus, edges S_L, S_R."""
     rows = [(z, Z, *(getattr(p, c) for c in _CORE_COLUMNS), *(getattr(sh, c) for c in _SHELF_COLUMNS),
-             *_edges_at(traj, z)) for z, Z, p, sh in zip(traj.z, traj.Z, traj.params, traj.shelf)]
+             *traj.edges(z)) for z, Z, p, sh in zip(traj.z, traj.Z, traj.params, traj.shelf)]
     _writerows(path, ["z", "Z", *_CORE_COLUMNS, *_SHELF_COLUMNS, "S_L", "S_R"], rows)
 
 

@@ -26,11 +26,11 @@ class Perturbation:
     ``point_eval(u, u_tt)`` evaluates F from the field and its second
     derivative; ``grid_eval(u, dx, u_tt=None)`` evaluates F on complex
     samples, computing u_tt by finite differences unless it is passed in.
-    ``phase_symmetric`` claims F[u e^{i theta}] = F[u] e^{i theta}.
+    The theory assumes phase symmetry, F[u e^{i theta}] = F[u] e^{i theta};
+    ``check_phase_symmetry`` tests it.
     """
 
     label: str
-    phase_symmetric: bool
     grid_eval: Callable[..., np.ndarray]
     point_eval: Callable
 
@@ -40,14 +40,14 @@ class Perturbation:
 
 
 def local_forcing(label: str, formula: Callable) -> Perturbation:
-    """Phase-symmetric Perturbation from a local formula F(u, u_tt)."""
+    """Perturbation from a local formula F(u, u_tt)."""
 
     def on_grid(u, dx, u_tt=None):
         if u_tt is None:
             u_tt = second_derivative(u, dx)
         return formula(np.asarray(u), u_tt)
 
-    return Perturbation(label=label, phase_symmetric=True, grid_eval=on_grid, point_eval=formula)
+    return Perturbation(label=label, grid_eval=on_grid, point_eval=formula)
 
 
 def dispersive_damping(gamma: float) -> Perturbation:

@@ -15,7 +15,7 @@ states which one it returns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -34,9 +34,8 @@ class CoreParams:
     """Slowly varying soliton and background parameters.
 
     A is the soliton velocity (grey depth parameter), B the inverse width
-    (darkness), t0 the position offset and sigma0 the soliton phase.
-    delta_phi0 is the phase change across the core, delta_phi_inf the total
-    phase change across the line (equal to delta_phi0 for a bare soliton).
+    (darkness), t0 the position offset and sigma0 the soliton phase.  The
+    core phase change delta_phi0 and ``is_black`` are derived from A and B.
     """
 
     u_inf: float
@@ -44,8 +43,6 @@ class CoreParams:
     B: float
     t0: float = 0.0
     sigma0: float = 0.0
-    delta_phi0: float = field(default=None)  # type: ignore[assignment]
-    delta_phi_inf: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         if not (self.u_inf > 0 and np.isfinite(self.u_inf)):
@@ -56,13 +53,6 @@ class CoreParams:
             raise InvalidParamsError("|A| must not exceed u_inf")
         if abs(self.A**2 + self.B**2 - self.u_inf**2) > _REL_TOL * self.u_inf**2:
             raise InvalidParamsError("A^2 + B^2 = u_inf^2 violated beyond 1e-12")
-        dphi = math.pi if self.A == 0.0 else 2.0 * math.atan2(self.B, self.A)
-        if self.delta_phi0 is None:
-            object.__setattr__(self, "delta_phi0", dphi)
-        elif abs(self.delta_phi0 - dphi) > 1e-9:
-            raise InvalidParamsError("delta_phi0 inconsistent with 2*atan2(B, A)")
-        if self.delta_phi_inf is None:
-            object.__setattr__(self, "delta_phi_inf", self.delta_phi0)
 
     @classmethod
     def from_background(
@@ -71,6 +61,11 @@ class CoreParams:
         """Build params from the background magnitude and core phase change."""
         A, B = ab_from_background(u_inf, delta_phi0)
         return cls(u_inf=u_inf, A=A, B=B, t0=t0, sigma0=sigma0)
+
+    @property
+    def delta_phi0(self) -> float:
+        """Phase change across the core, 2 atan2(B, A) (exactly pi when black)."""
+        return math.pi if self.is_black else 2.0 * math.atan2(self.B, self.A)
 
     @property
     def is_black(self) -> bool:

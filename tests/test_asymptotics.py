@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from darkshelf import asymptotics
 from darkshelf.asymptotics import (
     BackgroundCollapseError,
     ShallowSolitonError,
@@ -93,11 +95,6 @@ class TestGreyParameterRhs:
         with pytest.raises(ShallowSolitonError):
             grey_parameter_rhs(dispersive_damping(1.0), params)
 
-    def test_t0_rate_marker(self):
-        assert grey_parameter_rhs(dispersive_damping(1.0), BLACK).t0_rate == 0.0
-        assert grey_parameter_rhs(dispersive_damping(1.0), GREY).t0_rate is None
-        assert grey_parameter_rhs(linear_damping(1.0), BLACK).t0_rate is None
-
 
 class TestEvolveBackground:
     def test_dispersive_constant(self):
@@ -137,13 +134,24 @@ class TestEvolveCoreParameters:
         assert np.all(traj.Z == 0.0)
 
     def test_constraint_holds_at_every_sample(self):
-        traj = evolve_core_parameters(linear_damping(0.5), GREY, 0.05, 20.0, steps=600)
+        # t0 is held at its initial value; the cascade gives it no rate.
+        traj = evolve_core_parameters(linear_damping(0.5), replace(GREY, t0=0.7), 0.05, 20.0, steps=600)
         for p in traj.params:
             assert abs(p.A**2 + p.B**2 - p.u_inf**2) < 1e-10
+            assert p.t0 == 0.7
 
     def test_linear_damping_background_tracks_exponential(self):
         traj = evolve_core_parameters(linear_damping(0.5), GREY, 0.05, 10.0, steps=600)
         assert traj.params[-1].u_inf == pytest.approx(math.exp(-0.5 * 0.5), abs=1e-8)
+
+    @pytest.mark.parametrize("samples", [2, 11, 121])
+    def test_one_rhs_evaluation_per_state(self, monkeypatch, samples):
+        # Four RK4 stages per step plus the final state; samples reuse stage 1.
+        calls = []
+        rhs = asymptotics.grey_parameter_rhs
+        monkeypatch.setattr(asymptotics, "grey_parameter_rhs", lambda pert, p: calls.append(p) or rhs(pert, p))
+        evolve_core_parameters(two_photon(1.0), GREY, 0.05, 20.0, steps=600, samples=samples)
+        assert len(calls) == 4 * 600 + 1
 
     def test_comoving_shift_linear_for_dispersive(self):
         traj = evolve_core_parameters(dispersive_damping(1.0), GREY, 0.05, 20.0, steps=400)

@@ -85,7 +85,6 @@ def test_builtins_phase_symmetric(pert):
 def test_asymmetric_double_detected():
     bad = Perturbation(
         label="conjugate_sum",
-        phase_symmetric=False,
         grid_eval=lambda u, dx, u_tt=None: np.asarray(u) + np.conj(u),
         point_eval=lambda u, u_tt: u + np.conj(u),
     )

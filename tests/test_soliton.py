@@ -50,7 +50,6 @@ class TestCoreParams:
     def test_delta_phi0_computed(self):
         p = CoreParams.from_background(1.0, 4 * math.pi / 5)
         assert p.delta_phi0 == pytest.approx(2 * math.atan2(p.B, p.A), abs=1e-14)
-        assert p.delta_phi_inf == p.delta_phi0
 
     def test_black_flag(self):
         assert CoreParams.from_background(1.0, math.pi).is_black
