@@ -243,7 +243,7 @@ def evolve_core_parameters(
         # Accumulate the shelf phase change over the fast distance h/eps
         # covered by this slow step (start-point rule; exact whenever the
         # rates are constant, which covers the validated cases).
-        dphi1 += edge_phase_flux(params[-1], sh) * (h / epsilon)
+        dphi1 += edge_phase_flux(p, sh) * (h / epsilon)
     return ParameterTrajectory(epsilon, np.asarray(z), params, shelf)
 
 

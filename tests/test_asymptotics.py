@@ -153,6 +153,13 @@ class TestEvolveCoreParameters:
         evolve_core_parameters(two_photon(1.0), GREY, 0.05, 20.0, steps=600, samples=samples)
         assert len(calls) == 4 * 600 + 1
 
+    def test_delta_phi1_independent_of_sample_count(self):
+        # The flux of each step uses the state that step starts from.
+        final = [evolve_core_parameters(two_photon(1.0), GREY, 0.05, 20.0, steps=600, samples=n).shelf[-1]
+                 for n in (11, 121, 601)]
+        assert final[0].delta_phi1 == final[1].delta_phi1 == final[2].delta_phi1
+        assert final[0].delta_phi1 == pytest.approx(9.9327, abs=1e-4)
+
     def test_comoving_shift_linear_for_dispersive(self):
         traj = evolve_core_parameters(dispersive_damping(1.0), GREY, 0.05, 20.0, steps=400)
         assert traj.comoving_shift(20.0) == pytest.approx(GREY.A * 20.0, rel=1e-6)
