@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from . import harness, simulator
+from . import asymptotics, harness, simulator
 
 EXIT_OK = 0
 EXIT_COMPARE_FAILED = 1
@@ -92,7 +92,8 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"validation error: config is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except simulator.SimulationError as exc:
+    except (simulator.SimulationError, asymptotics.ShallowSolitonError,
+            asymptotics.BackgroundCollapseError) as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except OSError as exc:

@@ -151,20 +151,40 @@ def load_config(source) -> dict:
     raise ConfigError(f"config: no preset or file named {source!r}")
 
 
-def _field(cfg: dict, path: str, typ, required=True, default=None):
-    node = cfg
-    parts = path.split(".")
-    for p in parts[:-1]:
-        node = node.get(p) or {}
-    val = node.get(parts[-1], None)
+_SECTION_KEYS = {"soliton": ("u_inf", "delta_phi0", "t0", "sigma0"),
+                 "grid": ("half_width", "n_points"), "run": ("z_max", "snapshot_dz")}
+_TOP_KEYS = ("perturbation", "epsilon", *_SECTION_KEYS, "observables", "outputs")
+
+
+def _section(cfg: dict, key: str) -> dict:
+    """cfg[key] as a dict ({} when absent or null); unknown fields of the
+    fixed sections are errors (a forcing's strengths depend on its label)."""
+    node = cfg.get(key)
+    if node is None:
+        return {}
+    if not isinstance(node, dict):
+        raise ConfigError(f"{key}: expected an object, got {node!r}")
+    unknown = sorted(set(node) - set(_SECTION_KEYS.get(key, node)))
+    if unknown:
+        raise ConfigError(f"{key}.{unknown[0]}: unknown field")
+    return node
+
+
+def _field(cfg: dict, path: str, integer=False, required=True, default=None):
+    """The finite JSON number at ``path`` ("key" or "section.key")."""
+    *section, leaf = path.split(".")
+    val = (_section(cfg, section[0]) if section else cfg).get(leaf)
     if val is None:
         if required:
             raise ConfigError(f"{path}: required field missing")
         return default
     try:
-        return typ(val)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        num = float(val) if isinstance(val, (int, float)) and not isinstance(val, bool) else math.nan
+    except OverflowError:
+        num = math.inf
+    if not math.isfinite(num) or (integer and not num.is_integer()):
+        raise ConfigError(f"{path}: expected a finite {'integer' if integer else 'number'}, got {val!r}")
+    return int(num) if integer else num
 
 
 @dataclass(frozen=True)
@@ -182,13 +202,13 @@ class Experiment:
 
 
 def _perturbation(cfg: dict) -> Perturbation | None:
-    pert_cfg = cfg.get("perturbation")
-    if pert_cfg is None:
+    if cfg.get("perturbation") is None:
         return None
+    pert_cfg = _section(cfg, "perturbation")
     label = pert_cfg.get("label")
-    if label not in BUILTINS:
+    if not isinstance(label, str) or label not in BUILTINS:
         raise ConfigError(f"perturbation.label: unknown {label!r} (have {sorted(BUILTINS)})")
-    strengths = {k: float(v) for k, v in pert_cfg.items() if k != "label"}
+    strengths = {k: _field(cfg, f"perturbation.{k}") for k in pert_cfg if k != "label"}
     try:
         return BUILTINS[label](**strengths)
     except (TypeError, ValueError) as exc:
@@ -204,29 +224,52 @@ def _names(cfg: dict, key: str, known, default) -> tuple[str, ...]:
     raise ConfigError(f"{key}: expected a list drawn from {sorted(set(known))}, got {names!r}")
 
 
+def _positive(path: str, value: float) -> float:
+    if value <= 0.0:
+        raise ConfigError(f"{path}: must be positive, got {value}")
+    return value
+
+
 def validate(cfg: dict) -> Experiment:
-    eps = _field(cfg, "epsilon", float)
-    if not (math.isfinite(eps) and eps >= 0.0):
+    """Check a config dict and build its Experiment; every fault is a
+    ConfigError naming the field, raised before any run starts."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config: expected an object, got {cfg!r}")
+    unknown = sorted(set(cfg) - set(_TOP_KEYS))
+    if unknown:
+        raise ConfigError(f"{unknown[0]}: unknown field (have {list(_TOP_KEYS)})")
+    eps = _field(cfg, "epsilon")
+    if eps < 0.0:
         raise ConfigError(f"epsilon: must be finite and non-negative, got {eps}")
     pert = _perturbation(cfg)
     if eps != 0.0 and pert is None:
         raise ConfigError("perturbation: required when epsilon != 0")
-    u_inf = _field(cfg, "soliton.u_inf", float)
-    dphi = _field(cfg, "soliton.delta_phi0", float)
-    t0 = _field(cfg, "soliton.t0", float, required=False, default=0.0)
-    sigma0 = _field(cfg, "soliton.sigma0", float, required=False, default=0.0)
+    u_inf = _positive("soliton.u_inf", _field(cfg, "soliton.u_inf"))
+    if not math.isfinite(u_inf * u_inf):
+        raise ConfigError(f"soliton.u_inf: {u_inf} is too large")
+    dphi = _field(cfg, "soliton.delta_phi0")
+    t0 = _field(cfg, "soliton.t0", required=False, default=0.0)
+    sigma0 = _field(cfg, "soliton.sigma0", required=False, default=0.0)
     try:
         params = CoreParams.from_background(u_inf, dphi, t0=t0, sigma0=sigma0)
     except ValueError as exc:
-        raise ConfigError(f"soliton: {exc}") from exc
-    z_max = _field(cfg, "run.z_max", float)
-    snapshot_dz = _field(cfg, "run.snapshot_dz", float, required=False, default=0.5)
-    grid_cfg = cfg.get("grid") or auto_grid(params, z_max)
+        raise ConfigError(f"soliton.delta_phi0: {exc}") from exc
+    if eps != 0.0 and u_inf - params.A < asymptotics.SHALLOW_LIMIT:
+        raise ConfigError(f"soliton.delta_phi0: u_inf - A = {u_inf - params.A:.3g} is below the "
+                          f"shallow-soliton limit {asymptotics.SHALLOW_LIMIT:g}")
+    z_max = _positive("run.z_max", _field(cfg, "run.z_max"))
+    snapshot_dz = _positive("run.snapshot_dz", _field(cfg, "run.snapshot_dz", required=False, default=0.5))
+    if _section(cfg, "grid"):
+        half_width, n_points = _field(cfg, "grid.half_width"), _field(cfg, "grid.n_points", integer=True)
+    else:
+        try:
+            auto = auto_grid(params, z_max)
+        except OverflowError as exc:
+            raise ConfigError(f"run.z_max: {z_max} is too long for an automatic grid") from exc
+        half_width, n_points = auto["half_width"], auto["n_points"]
     try:
-        grid = simulator.Grid(
-            half_width=float(grid_cfg["half_width"]), n_points=int(grid_cfg["n_points"])
-        )
-    except (KeyError, ValueError) as exc:
+        grid = simulator.Grid(half_width=half_width, n_points=n_points)
+    except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
     if grid.half_width < 3.0 * u_inf * z_max:
         raise ConfigError(
@@ -598,17 +641,21 @@ def write_prediction_csv(traj, out_dir: str, run_id: str) -> str:
 def sweep_configs(base_cfg: dict, delta_phi0_values) -> list[tuple[str, dict]]:
     """Per-angle configs with measurement-aware run length and grid.
 
-    The run length comes from the cascade's plateau predictions q1+- for the
-    configured forcing at each angle.
+    Each angle's config is validated first, so a bad angle or base config
+    raises ConfigError before any run.  The run length comes from the
+    cascade's plateau predictions q1+- for the configured forcing at each
+    angle.
     """
-    pert = _perturbation(base_cfg)
     out = []
     for dphi in delta_phi0_values:
         cfg = json.loads(json.dumps(base_cfg))
-        cfg["soliton"]["delta_phi0"] = float(dphi)
-        params = CoreParams.from_background(cfg["soliton"]["u_inf"], float(dphi))
-        eps = float(cfg["epsilon"])
-        sh = asymptotics.grey_parameter_rhs(pert, params)
+        if isinstance(cfg.get("soliton"), dict):
+            cfg["soliton"]["delta_phi0"] = float(dphi)
+        exp = validate(cfg)
+        if exp.epsilon == 0.0:
+            raise ConfigError("epsilon: a sweep grades the shelf, which needs epsilon > 0")
+        params, eps = exp.params, exp.epsilon
+        sh = asymptotics.grey_parameter_rhs(exp.perturbation, params)
         z_max = max(
             measurement_distance(params, eps, sh.q1_plus, +1),
             measurement_distance(params, eps, sh.q1_minus, -1),

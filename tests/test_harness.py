@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from darkshelf import cli, harness, simulator
 from darkshelf.soliton import CoreParams
@@ -62,15 +64,54 @@ class TestConfigs:
         ("epsilon", float("nan")),
         ("epsilon", float("inf")),
         ("epsilon", -0.05),
+        ("epsilon", True),
+        ("soliton", "oops"),
+        ("perturbation", "x"),
+        ("run", 5),
+        ("grid", "x"),
+        ("no_such_section", {}),
+        ("perturbation.gamma", "abc"),
+        ("perturbation.gamma", float("nan")),
+        ("soliton.u_inf", 1e308),
+        ("soliton.t0", float("inf")),
+        ("soliton.extra", 1.0),
+        ("grid.half_width", None),
+        ("grid.n_points", float("inf")),
+        ("grid.n_points", 2048.7),
+        ("run.z_max", -5.0),
+        ("run.snapshot_dz", 0.0),
+        ("run.snapshot_dz", -0.5),
     ])
     def test_bad_field_rejected_before_simulation(self, key, value, tmp_path, no_simulation):
         cfg = harness.load_config("grey_dispersive")
-        cfg[key] = value
+        *section, leaf = key.split(".")
+        (cfg[section[0]] if section else cfg)[leaf] = value
         with pytest.raises(harness.ConfigError, match=key):
             harness.validate(cfg)
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg), encoding="utf-8")
         assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), "compare"]) == 2
+
+    def test_shallow_soliton_rejected(self, tmp_path):
+        # u_inf - A = 0 at delta_phi0 = 1e-10: the cascade's q1+ would diverge.
+        cfg = harness.load_config("grey_dispersive")
+        cfg["soliton"]["delta_phi0"] = 1e-10
+        with pytest.raises(harness.ConfigError, match="soliton.delta_phi0"):
+            harness.validate(cfg)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg), encoding="utf-8")
+        assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), "predict"]) == 2
+        cfg["epsilon"] = 0.0  # no cascade, no limit
+        cfg["perturbation"] = None
+        assert harness.validate(cfg).params.delta_phi0 == 1e-10
+
+    def test_cascade_breakdown_is_runtime_error(self, tmp_path):
+        # Inside the limit at z = 0, but linear damping shrinks u_inf - A below it.
+        cfg = harness.load_config("grey_linear_damping")
+        cfg["soliton"]["delta_phi0"] = 1e-4
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg), encoding="utf-8")
+        assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), "predict"]) == 3
 
     def test_default_observables_from_table(self):
         black = harness.validate(harness.load_config("black_unperturbed") | {"observables": None})
@@ -90,6 +131,36 @@ class TestConfigs:
         z_deep = harness.measurement_distance(deep, 0.05, -0.83, +1)
         z_shallow = harness.measurement_distance(shallow, 0.05, -0.71, +1)
         assert z_shallow > 2 * z_deep
+
+
+def _one_field_replaced():
+    """(preset, path) for every field of every preset, with and without a grid."""
+    bases = {**harness.PRESETS,
+             **{f"{n}/auto_grid": {k: v for k, v in c.items() if k != "grid"} for n, c in harness.PRESETS.items()}}
+    cases = []
+    for name, cfg in bases.items():
+        for key, val in cfg.items():
+            cases.append((name, key))
+            cases += [(name, f"{key}.{sub}") for sub in (val if isinstance(val, dict) else ())]
+    return bases, sorted(cases)
+
+
+_BASES, _FIELDS = _one_field_replaced()
+_BAD_VALUES = [None, "x", [], {}, math.nan, math.inf, -math.inf, -1, 0, 1e308, 2048.7]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(_FIELDS), st.sampled_from(_BAD_VALUES))
+def test_any_one_bad_field_is_experiment_or_config_error(field, value):
+    name, key = field
+    cfg = json.loads(json.dumps(_BASES[name]))
+    *section, leaf = key.split(".")
+    (cfg[section[0]] if section else cfg)[leaf] = value
+    try:
+        exp = harness.validate(cfg)
+    except harness.ConfigError:
+        return
+    assert isinstance(exp, harness.Experiment)
 
 
 class TestPredict:
@@ -260,6 +331,20 @@ class TestCli:
         p = tmp_path / "coarse.json"
         p.write_text(json.dumps(cfg), encoding="utf-8")
         assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), "compare"]) == 1
+
+    @pytest.mark.parametrize("config, angle", [
+        ("grey_dispersive", "7"), ("grey_dispersive", "0"), ("grey_dispersive", "nan"),
+        ("black_unperturbed", "2.5"),
+    ])
+    def test_sweep_bad_angle_rejected_before_pool(self, config, angle, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("started the sweep pool for a bad angle")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        assert cli.main(["--config", config, "--out-dir", str(tmp_path), "sweep",
+                         "--delta-phi0", "2.5", angle]) == 2
 
     def test_sweep_single_angle(self, tmp_path):
         code = cli.main([
