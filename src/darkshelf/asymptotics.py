@@ -63,9 +63,6 @@ class ShelfParams:
     delta_phi1: float = 0.0
 
 
-_ZERO_SHELF = ShelfParams(*(0.0,) * 9)
-
-
 def edge_phase_flux(params: CoreParams, shelf: ShelfParams) -> float:
     """d(delta_phi1)/dz = (u_inf - A) phi1t+ + (u_inf + A) phi1t-: the shelf's
     phase slopes swept over by edges opening at u_inf -+ A."""
@@ -80,8 +77,7 @@ class BackgroundTrajectory:
 
 @dataclass(frozen=True)
 class ParameterTrajectory:
-    """Sampled slow evolution of core and shelf parameters, and the
-    kinematics (comoving origin, shelf edges) that follow from it."""
+    """Sampled slow evolution of core and shelf parameters, and its kinematics."""
 
     epsilon: float
     z: np.ndarray
@@ -93,12 +89,11 @@ class ParameterTrajectory:
         return self.epsilon * self.z
 
     def comoving_shift(self, z):
-        """int_0^z A ds + t0(z): lab position of the comoving origin."""
+        """int_0^z A ds + t0: lab position of the comoving origin."""
         zq = np.atleast_1d(np.asarray(z, dtype=float))
         A = np.array([p.A for p in self.params])
-        t0 = np.array([p.t0 for p in self.params])
         cum = np.concatenate(([0.0], np.cumsum(0.5 * (A[1:] + A[:-1]) * np.diff(self.z))))
-        out = np.interp(zq, self.z, cum + t0)
+        out = np.interp(zq, self.z, cum + self.params[0].t0)
         return float(out[0]) if np.isscalar(z) else out
 
     def edges(self, z: float) -> tuple[float, float]:
@@ -174,40 +169,24 @@ def grey_parameter_rhs(pert: Perturbation, params: CoreParams) -> ShelfParams:
     sigma0_rate = (B_rate - m_e + f_bg.real) / u
     q1_plus = 0.5 * (sigma0_rate + dphi0_rate) / (u - A)
     q1_minus = 0.5 * (sigma0_rate - dphi0_rate) / (u + A)
-    return ShelfParams(
-        q1_plus=q1_plus,
-        q1_minus=q1_minus,
-        phi1t_plus=-2.0 * q1_plus,
-        phi1t_minus=2.0 * q1_minus,
-        u_inf_rate=u_rate,
-        A_rate=A_rate,
-        B_rate=B_rate,
-        delta_phi0_rate=dphi0_rate,
-        sigma0_rate=sigma0_rate,
-    )
+    return ShelfParams(q1_plus=q1_plus, q1_minus=q1_minus, phi1t_plus=-2.0 * q1_plus,
+                       phi1t_minus=2.0 * q1_minus, u_inf_rate=u_rate, A_rate=A_rate, B_rate=B_rate,
+                       delta_phi0_rate=dphi0_rate, sigma0_rate=sigma0_rate)
 
 
-def evolve_core_parameters(
-    pert: Perturbation,
-    params0: CoreParams,
-    epsilon: float,
-    z_span: float,
-    steps: int | None = None,
-    samples: int = 121,
-) -> ParameterTrajectory:
+def evolve_core_parameters(pert: Perturbation, params0: CoreParams, epsilon: float, z_span: float,
+                           steps: int | None = None, samples: int = 121) -> ParameterTrajectory:
     """RK4 integration of the cascade over Z in [0, eps*z_span].
 
-    The state is (u_inf, A, sigma0); B is reconstructed from the constraint
-    A^2 + B^2 = u_inf^2, which therefore holds exactly at every sample.  t0
-    is held at its initial value: first-order theory gives it zero drift in
-    the black dispersive case and leaves it undetermined otherwise.  Each
-    sample records the cascade evaluation that starts its step, so a
-    trajectory costs 4 steps + 1 evaluations.  eps = 0 returns a constant
-    trajectory.
+    The state is (u_inf, A, sigma0); B follows from A^2 + B^2 = u_inf^2,
+    which therefore holds exactly.  t0 is held at its initial value: first-
+    order theory gives it zero drift in the black dispersive case and leaves
+    it undetermined otherwise.  A sample records the first RK4 stage of the
+    step it starts (4 steps + 1 evaluations).  eps = 0 is a constant path.
     """
     if epsilon == 0.0:
         z = np.linspace(0.0, z_span, samples)
-        return ParameterTrajectory(0.0, z, [params0] * samples, [_ZERO_SHELF] * samples)
+        return ParameterTrajectory(0.0, z, [params0] * samples, [ShelfParams(*(0.0,) * 9)] * samples)
     if steps is None:
         steps = max(64, int(2000 * abs(epsilon) * z_span))
     # Land every requested sample exactly on an integration node.

@@ -157,8 +157,7 @@ _TOP_KEYS = ("perturbation", "epsilon", *_SECTION_KEYS, "observables", "outputs"
 
 
 def _section(cfg: dict, key: str) -> dict:
-    """cfg[key] as a dict ({} when absent or null); unknown fields of the
-    fixed sections are errors (a forcing's strengths depend on its label)."""
+    """cfg[key] as a dict ({} if null); a forcing's strength names depend on its label."""
     node = cfg.get(key)
     if node is None:
         return {}
@@ -224,12 +223,6 @@ def _names(cfg: dict, key: str, known, default) -> tuple[str, ...]:
     raise ConfigError(f"{key}: expected a list drawn from {sorted(set(known))}, got {names!r}")
 
 
-def _positive(path: str, value: float) -> float:
-    if value <= 0.0:
-        raise ConfigError(f"{path}: must be positive, got {value}")
-    return value
-
-
 def validate(cfg: dict) -> Experiment:
     """Check a config dict and build its Experiment; every fault is a
     ConfigError naming the field, raised before any run starts."""
@@ -244,49 +237,38 @@ def validate(cfg: dict) -> Experiment:
     pert = _perturbation(cfg)
     if eps != 0.0 and pert is None:
         raise ConfigError("perturbation: required when epsilon != 0")
-    u_inf = _positive("soliton.u_inf", _field(cfg, "soliton.u_inf"))
+    u_inf, dphi = _field(cfg, "soliton.u_inf"), _field(cfg, "soliton.delta_phi0")
+    t0, sigma0 = (_field(cfg, f"soliton.{k}", required=False, default=0.0) for k in ("t0", "sigma0"))
     if not math.isfinite(u_inf * u_inf):
         raise ConfigError(f"soliton.u_inf: {u_inf} is too large")
-    dphi = _field(cfg, "soliton.delta_phi0")
-    t0 = _field(cfg, "soliton.t0", required=False, default=0.0)
-    sigma0 = _field(cfg, "soliton.sigma0", required=False, default=0.0)
     try:
         params = CoreParams.from_background(u_inf, dphi, t0=t0, sigma0=sigma0)
     except ValueError as exc:
-        raise ConfigError(f"soliton.delta_phi0: {exc}") from exc
+        raise ConfigError(f"soliton: {exc}") from exc
     if eps != 0.0 and u_inf - params.A < asymptotics.SHALLOW_LIMIT:
         raise ConfigError(f"soliton.delta_phi0: u_inf - A = {u_inf - params.A:.3g} is below the "
                           f"shallow-soliton limit {asymptotics.SHALLOW_LIMIT:g}")
-    z_max = _positive("run.z_max", _field(cfg, "run.z_max"))
-    snapshot_dz = _positive("run.snapshot_dz", _field(cfg, "run.snapshot_dz", required=False, default=0.5))
-    if _section(cfg, "grid"):
-        half_width, n_points = _field(cfg, "grid.half_width"), _field(cfg, "grid.n_points", integer=True)
-    else:
-        try:
-            auto = auto_grid(params, z_max)
-        except OverflowError as exc:
-            raise ConfigError(f"run.z_max: {z_max} is too long for an automatic grid") from exc
-        half_width, n_points = auto["half_width"], auto["n_points"]
+    z_max, snapshot_dz = _field(cfg, "run.z_max"), _field(cfg, "run.snapshot_dz", required=False, default=0.5)
+    for path, value in (("run.z_max", z_max), ("run.snapshot_dz", snapshot_dz)):
+        if value <= 0.0:
+            raise ConfigError(f"{path}: must be positive, got {value}")
     try:
-        grid = simulator.Grid(half_width=half_width, n_points=n_points)
+        grid_cfg = {"grid": _section(cfg, "grid") or auto_grid(params, z_max)}
+    except OverflowError as exc:
+        raise ConfigError(f"run.z_max: {z_max} is too long for an automatic grid") from exc
+    half_width, n_points = _field(grid_cfg, "grid.half_width"), _field(grid_cfg, "grid.n_points", integer=True)
+    try:
+        grid = simulator.Grid(half_width, n_points)
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
     if grid.half_width < 3.0 * u_inf * z_max:
-        raise ConfigError(
-            f"grid.half_width: {grid.half_width} < 3*u_inf*z_max = {3 * u_inf * z_max}"
-        )
+        raise ConfigError(f"grid.half_width: {grid.half_width} < 3*u_inf*z_max = {3 * u_inf * z_max}")
     core = "black" if params.is_black else "grey"
     defaults = dict.fromkeys(o.name for o in OBSERVABLES if core in o.default_for)
-    return Experiment(
-        params=params,
-        perturbation=pert,
-        epsilon=eps,
-        grid=grid,
-        z_max=z_max,
-        snapshot_dz=snapshot_dz,
-        observables=_names(cfg, "observables", {o.name for o in OBSERVABLES}, defaults),
-        outputs=_names(cfg, "outputs", OUTPUT_KINDS, ("report",)) or ("report",),
-    )
+    return Experiment(params=params, perturbation=pert, epsilon=eps, grid=grid, z_max=z_max,
+                      snapshot_dz=snapshot_dz,
+                      observables=_names(cfg, "observables", {o.name for o in OBSERVABLES}, defaults),
+                      outputs=_names(cfg, "outputs", OUTPUT_KINDS, ("report",)) or ("report",))
 
 
 def auto_grid(params: CoreParams, z_max: float) -> dict:
@@ -594,9 +576,7 @@ def _composite_magnitude(art: Artifacts) -> np.ndarray:
     params = exp.params
     sh = traj.shelf[-1]
     T = exp.grid.t - traj.comoving_shift(snap.z)
-    q0 = np.abs(np.asarray(
-        params.A + 1j * params.B * np.tanh(params.B * T), dtype=complex
-    ))
+    q0 = np.abs(params.A + 1j * params.B * np.tanh(params.B * T))
     if exp.epsilon == 0.0:
         return q0
     s_l, s_r = traj.edges(snap.z)
