@@ -576,7 +576,9 @@ def _composite_magnitude(art: Artifacts) -> np.ndarray:
     params = exp.params
     sh = traj.shelf[-1]
     T = exp.grid.t - traj.comoving_shift(snap.z)
-    q0 = np.abs(params.A + 1j * params.B * np.tanh(params.B * T))
+    q0 = np.abs(np.asarray(
+        params.A + 1j * params.B * np.tanh(params.B * T), dtype=complex
+    ))
     if exp.epsilon == 0.0:
         return q0
     s_l, s_r = traj.edges(snap.z)
