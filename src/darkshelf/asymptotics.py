@@ -37,6 +37,7 @@ class BackgroundCollapseError(RuntimeError):
 
 
 SHALLOW_LIMIT = 1e-9  # smallest u_inf - A the cascade accepts
+STEPS_PER_Z = 2000  # RK4 steps per unit slow distance Z, background and cascade
 
 
 class ShallowSolitonError(RuntimeError):
@@ -109,11 +110,11 @@ def background_rate(pert: Perturbation, u_inf: float) -> float:
 
 
 def evolve_background(pert: Perturbation, u_inf0: float, Z_span: float) -> BackgroundTrajectory:
-    """Integrate the background magnitude ODE with fixed-step RK4 at 2000
+    """Integrate the background magnitude ODE with fixed-step RK4 at STEPS_PER_Z
     steps per unit Z (at least 16)."""
     if u_inf0 <= 0:
         raise ValueError("u_inf0 must be positive")
-    steps = max(16, int(2000 * Z_span))
+    steps = max(16, int(STEPS_PER_Z * Z_span))
     h = Z_span / steps
     u = np.empty(steps + 1)
     u[0] = u_inf0
@@ -188,7 +189,7 @@ def evolve_core_parameters(pert: Perturbation, params0: CoreParams, epsilon: flo
         z = np.linspace(0.0, z_span, samples)
         return ParameterTrajectory(0.0, z, [params0] * samples, [ShelfParams(*(0.0,) * 9)] * samples)
     if steps is None:
-        steps = max(64, int(2000 * abs(epsilon) * z_span))
+        steps = max(64, int(STEPS_PER_Z * abs(epsilon) * z_span))
     # Land every requested sample exactly on an integration node.
     steps = max(steps, samples - 1)
     steps -= steps % (samples - 1)

@@ -31,12 +31,12 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--run-id", default=None, help="output file prefix (defaults to the subcommand)")
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser("predict", help="run the slow-parameter cascade only; emit prediction CSV")
-    sub.add_parser("simulate", help="run the PDE; emit snapshot CSVs")
+    sub.add_parser("simulate", help="run the PDE; emit snapshot CSVs (no grading)")
     sub.add_parser("compare", help="simulate, measure and grade against the asymptotics")
     sw = sub.add_parser("sweep", help="compare across a list of core phase angles, in parallel")
     sw.add_argument("--delta-phi0", type=float, nargs="+", required=True,
                     help="core phase changes to sweep (radians)")
-    em = sub.add_parser("emit", help="simulate and emit plot data of the requested kinds")
+    em = sub.add_parser("emit", help="simulate and emit plot data of the requested kinds (no grading)")
     em.add_argument("--kinds", nargs="+", default=None,
                     help="profile contour trajectory layer snapshots (default: config outputs)")
     return p
@@ -64,28 +64,20 @@ def main(argv=None) -> int:
             path = harness.write_prediction_csv(traj, args.out_dir, run_id)
             print(f"prediction: {path}")
             return EXIT_OK
-        if args.command == "simulate":
-            snapshots, _, _ = harness.simulate(exp)
-            for s in snapshots:
-                simulator.write_snapshot_csv(s, exp.grid, args.out_dir, run_id)
-            print(f"{len(snapshots)} snapshots -> {args.out_dir}/{run_id}_z*.csv")
-            return EXIT_OK
         if args.command == "compare":
-            report, artifacts = harness.compare(exp)
+            report, art = harness.compare(exp)
             harness.write_report(report, args.out_dir, run_id)
-            kinds = [k for k in exp.outputs if k != "report"]
-            if kinds:
-                harness.emit_plotdata(artifacts, kinds, args.out_dir, run_id)
+            kinds = exp.outputs
+        else:
+            art = harness.simulate(exp)
+            kinds = ("snapshots",) if args.command == "simulate" else exp.outputs or ("profile",)
+        written = harness.emit_plotdata(art, kinds, args.out_dir, run_id)
+        if args.command == "compare":
             print(report.table())
             return EXIT_OK if report.passed else EXIT_COMPARE_FAILED
-        if args.command == "emit":
-            report, artifacts = harness.compare(exp)
-            kinds = args.kinds or [k for k in exp.outputs if k != "report"] or ["profile"]
-            written = harness.emit_plotdata(artifacts, kinds, args.out_dir, run_id)
-            for w in written:
-                print(w)
-            return EXIT_OK
-        raise AssertionError(f"unhandled command {args.command}")
+        print(f"{len(art.snapshots)} snapshots -> {args.out_dir}/{run_id}_z*.csv"
+              if args.command == "simulate" else "\n".join(written))
+        return EXIT_OK
     except harness.ConfigError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

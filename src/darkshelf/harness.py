@@ -2,8 +2,9 @@
 
 A configuration is a plain JSON document with keys {perturbation, epsilon,
 soliton, grid, run, observables, outputs}.  ``predict`` integrates the slow
-parameter cascade only; ``compare`` additionally runs the PDE, measures the
-shelf observables and grades them against the asymptotic predictions.
+parameter cascade only; ``simulate`` also runs the PDE and returns the
+Artifacts that observables and plot writers read; ``compare`` grades the
+observables of ``simulate``'s Artifacts against the asymptotic predictions.
 
 Measurement protocol notes (dispersive-damping validation runs):
 
@@ -20,6 +21,7 @@ Measurement protocol notes (dispersive-damping validation runs):
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -32,7 +34,9 @@ from . import asymptotics, boundary_layer, simulator
 from .perturbations import BUILTINS, Perturbation
 from .soliton import CoreParams, grey_profile
 
-FMT = "{:.17g}"
+MAX_POINT_STEPS = 1e10  # PDE steps x grid points
+MAX_SNAPSHOT_BYTES = 2**30  # kept snapshots x grid points x 16 B
+MAX_CASCADE_STEPS = 10**6  # slow-parameter RK4 steps
 
 
 class ConfigError(ValueError):
@@ -107,7 +111,6 @@ PRESETS: dict[str, dict] = {
         "grid": {"half_width": 100.0, "n_points": 4096},
         "run": {"z_max": 30.0, "snapshot_dz": 0.5},
         "observables": ["shelf", "black_balance", "sigma0", "edges", "t0", "layer"],
-        "outputs": ["report"],
     },
     "grey_dispersive": {
         "perturbation": {"label": "dispersive_damping", "gamma": 1.0},
@@ -116,7 +119,6 @@ PRESETS: dict[str, dict] = {
         "grid": {"half_width": 100.0, "n_points": 2048},
         "run": {"z_max": 30.0, "snapshot_dz": 0.5},
         "observables": ["shelf", "a_constancy", "sigma0", "edges"],
-        "outputs": ["report"],
     },
     "black_unperturbed": {
         "perturbation": None,
@@ -125,7 +127,6 @@ PRESETS: dict[str, dict] = {
         "grid": {"half_width": 100.0, "n_points": 4096},
         "run": {"z_max": 10.0, "snapshot_dz": 0.5},
         "observables": ["fidelity"],
-        "outputs": ["report"],
     },
     "grey_linear_damping": {
         "perturbation": {"label": "linear_damping", "Gamma": 0.5},
@@ -134,7 +135,6 @@ PRESETS: dict[str, dict] = {
         "grid": {"half_width": 100.0, "n_points": 2048},
         "run": {"z_max": 20.0, "snapshot_dz": 0.5},
         "observables": ["shelf"],
-        "outputs": ["report"],
     },
 }
 
@@ -197,7 +197,7 @@ class Experiment:
     z_max: float
     snapshot_dz: float
     observables: tuple[str, ...]
-    outputs: tuple[str, ...]
+    outputs: tuple[str, ...]  # plot kinds (PLOT_KINDS)
 
 
 def _perturbation(cfg: dict) -> Perturbation | None:
@@ -252,6 +252,9 @@ def validate(cfg: dict) -> Experiment:
     for path, value in (("run.z_max", z_max), ("run.snapshot_dz", snapshot_dz)):
         if value <= 0.0:
             raise ConfigError(f"{path}: must be positive, got {value}")
+    cascade_steps = asymptotics.STEPS_PER_Z * eps * z_max
+    if cascade_steps > MAX_CASCADE_STEPS:
+        raise ConfigError(f"run.z_max: {cascade_steps:.3g} cascade steps exceed the bound {MAX_CASCADE_STEPS:.0e}")
     try:
         grid_cfg = {"grid": _section(cfg, "grid") or auto_grid(params, z_max)}
     except OverflowError as exc:
@@ -263,12 +266,29 @@ def validate(cfg: dict) -> Experiment:
         raise ConfigError(f"grid: {exc}") from exc
     if grid.half_width < 3.0 * u_inf * z_max:
         raise ConfigError(f"grid.half_width: {grid.half_width} < 3*u_inf*z_max = {3 * u_inf * z_max}")
+    _check_run_size(simulator.SimConfig(eps, pert, snapshot_dz), grid, z_max)
     core = "black" if params.is_black else "grey"
     defaults = dict.fromkeys(o.name for o in OBSERVABLES if core in o.default_for)
+    outputs = _names(cfg, "outputs", ("report", *PLOT_KINDS), ())  # compare always writes the report
     return Experiment(params=params, perturbation=pert, epsilon=eps, grid=grid, z_max=z_max,
-                      snapshot_dz=snapshot_dz,
-                      observables=_names(cfg, "observables", {o.name for o in OBSERVABLES}, defaults),
-                      outputs=_names(cfg, "outputs", OUTPUT_KINDS, ("report",)) or ("report",))
+                      snapshot_dz=snapshot_dz, outputs=tuple(k for k in outputs if k != "report"),
+                      observables=_names(cfg, "observables", {o.name for o in OBSERVABLES}, defaults))
+
+
+def _check_run_size(sim: simulator.SimConfig, grid: simulator.Grid, z_max: float) -> None:
+    """Hold the PDE run to MAX_POINT_STEPS and its snapshots to MAX_SNAPSHOT_BYTES."""
+    n_steps, stride = math.inf, 1
+    # n_points is bounded first; near 1e308 points, or on a tiny half_width, dt**2 underflows.
+    with contextlib.suppress(ZeroDivisionError, OverflowError):
+        if grid.n_points <= MAX_POINT_STEPS:
+            _, n_steps, stride = sim.resolve(grid, z_max)
+    if n_steps * grid.n_points > MAX_POINT_STEPS:
+        raise ConfigError(f"grid.n_points: {n_steps:.3g} steps x {grid.n_points:.3g} points exceed "
+                          f"the bound {MAX_POINT_STEPS:.0e} point-steps")
+    kept = (1 + -(-n_steps // stride)) * grid.n_points * 16
+    if kept > MAX_SNAPSHOT_BYTES:
+        raise ConfigError(f"run.snapshot_dz: {sim.snapshot_dz} keeps {kept / 2**20:.0f} MiB of snapshots "
+                          f"(bound {MAX_SNAPSHOT_BYTES / 2**20:.0f} MiB)")
 
 
 def auto_grid(params: CoreParams, z_max: float) -> dict:
@@ -307,22 +327,6 @@ def predict(exp: Experiment, samples: int = 121) -> asymptotics.ParameterTraject
     )
 
 
-def simulate(exp: Experiment, traj: asymptotics.ParameterTrajectory | None = None):
-    """Run the PDE; returns (snapshots, background, trajectory)."""
-    if traj is None:
-        traj = predict(exp)
-    if exp.epsilon == 0.0:
-        background = simulator.SimBackground.constant(exp.params.u_inf)
-    else:
-        background = simulator.SimBackground.from_perturbation(
-            exp.perturbation, exp.epsilon, exp.params.u_inf, exp.z_max
-        )
-    cfg = simulator.SimConfig(exp.epsilon, exp.perturbation, exp.snapshot_dz)
-    initial = simulator.initial_state(exp.params, exp.grid)
-    snapshots = simulator.run(cfg, exp.grid, initial, background, exp.z_max)
-    return snapshots, background, traj
-
-
 @dataclass(frozen=True)
 class Artifacts:
     """One simulated experiment: what the observables measure and the CSVs plot."""
@@ -341,6 +345,19 @@ class Artifacts:
         return self.traj.shelf[0]
 
 
+def simulate(exp: Experiment) -> Artifacts:
+    """Run the cascade and the PDE: the one way from an Experiment to its Artifacts."""
+    traj = predict(exp)
+    if exp.epsilon == 0.0:
+        background = simulator.SimBackground.constant(exp.params.u_inf)
+    else:
+        background = simulator.SimBackground.from_perturbation(exp.perturbation, exp.epsilon,
+                                                               exp.params.u_inf, exp.z_max)
+    cfg = simulator.SimConfig(exp.epsilon, exp.perturbation, exp.snapshot_dz)
+    initial = simulator.initial_state(exp.params, exp.grid)
+    return Artifacts(exp, simulator.run(cfg, exp.grid, initial, background, exp.z_max), background, traj)
+
+
 def _snapshot_at(snapshots, z: float):
     return snapshots[int(np.argmin([abs(s.z - z) for s in snapshots]))]
 
@@ -348,14 +365,18 @@ def _snapshot_at(snapshots, z: float):
 def compare(exp: Experiment) -> tuple[ComparisonReport, Artifacts]:
     """Simulate, then grade each applicable observable in ``exp.observables``.
 
-    A measurement that raises MeasurementError or ValueError leaves its
-    declared rows failed (measured NaN) with one note.
+    Raises ConfigError before simulating when none applies, so a run cannot
+    pass having graded nothing.  A measurement that raises MeasurementError
+    or ValueError leaves its declared rows failed (measured NaN) with one note.
     """
-    art = Artifacts(exp, *simulate(exp))
+    graded = [obs for obs in OBSERVABLES
+              if obs.name in exp.observables and (exp.epsilon != 0.0 or not obs.perturbed_only)]
+    if not graded:
+        raise ConfigError(f"observables: none of {list(exp.observables)} applies "
+                          f"at epsilon = {exp.epsilon}, so compare would grade nothing")
+    art = simulate(exp)
     report = ComparisonReport()
-    for obs in OBSERVABLES:
-        if obs.name not in exp.observables or (obs.perturbed_only and exp.epsilon == 0.0):
-            continue
+    for obs in graded:
         declared = obs.rows(art)
         try:
             measured = obs.measure(art)
@@ -517,24 +538,15 @@ OBSERVABLES: tuple[Observable, ...] = (
 
 # -- Output emission ---------------------------------------------------------
 
-OUTPUT_KINDS = ("report", "profile", "contour", "trajectory", "layer", "snapshots")
-
-
-def _writerows(path: str, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(FMT.format(v) for v in row) + "\n")
+PLOT_KINDS = ("profile", "contour", "trajectory", "layer", "snapshots")
 
 
 def emit_plotdata(art: Artifacts, kinds, out_dir: str, run_id: str) -> list[str]:
-    """Write CSV plot data of the given OUTPUT_KINDS; returns the created paths."""
+    """Write CSV plot data of the given PLOT_KINDS; returns the created paths."""
     os.makedirs(out_dir, exist_ok=True)
     exp, traj = art.exp, art.traj
     written = []
     for kind in kinds:
-        if kind == "report":
-            continue
         path = os.path.join(out_dir, f"{run_id}_{kind}.csv")
         if kind == "snapshots":
             written += [simulator.write_snapshot_csv(s, exp.grid, out_dir, run_id) for s in art.snapshots]
@@ -543,27 +555,22 @@ def emit_plotdata(art: Artifacts, kinds, out_dir: str, run_id: str) -> list[str]
             s = art.final
             rows = zip(exp.grid.t, s.samples.real, s.samples.imag, np.abs(s.samples),
                        np.unwrap(np.angle(s.samples)), _composite_magnitude(art))
-            _writerows(path, ["t", "re", "im", "abs", "phase", "predicted_abs"], rows)
+            simulator.write_csv(path, ["t", "re", "im", "abs", "phase", "predicted_abs"], rows)
         elif kind == "contour":
             stride = max(1, exp.grid.n_points // 512)
-            t_sub = exp.grid.t[::stride]
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("z," + ",".join(FMT.format(t) for t in t_sub) + "\n")
-                for s in art.snapshots:
-                    fh.write(FMT.format(s.z) + "," +
-                             ",".join(FMT.format(v) for v in np.abs(s.samples[::stride])) + "\n")
+            simulator.write_csv(path, ["z", *map(simulator.FMT.format, exp.grid.t[::stride])],
+                                ((s.z, *np.abs(s.samples[::stride])) for s in art.snapshots))
             epath = os.path.join(out_dir, f"{run_id}_contour_edges.csv")
             rows = []
             for s in art.snapshots:
-                s_l, s_r = traj.edges(s.z)
                 shift = traj.comoving_shift(s.z)
-                rows.append((s.z, s_l + shift, s_r + shift))
-            _writerows(epath, ["z", "t_edge_left", "t_edge_right"], rows)
+                rows.append((s.z, *(edge + shift for edge in traj.edges(s.z))))
+            simulator.write_csv(epath, ["z", "t_edge_left", "t_edge_right"], rows)
             written.append(epath)
         elif kind == "trajectory":
             _write_trajectory(traj, path)
         elif kind == "layer":
-            _writerows(path, ["x", "sim_abs", "predicted_abs"], zip(*_layer_window(art, 8.0, 513)))
+            simulator.write_csv(path, ["x", "sim_abs", "predicted_abs"], zip(*_layer_window(art, 8.0, 513)))
         else:
             raise ConfigError(f"outputs: unknown kind {kind!r}")
         written.append(path)
@@ -576,9 +583,7 @@ def _composite_magnitude(art: Artifacts) -> np.ndarray:
     params = exp.params
     sh = traj.shelf[-1]
     T = exp.grid.t - traj.comoving_shift(snap.z)
-    q0 = np.abs(np.asarray(
-        params.A + 1j * params.B * np.tanh(params.B * T), dtype=complex
-    ))
+    q0 = np.abs(params.A + 1j * params.B * np.tanh(params.B * T))
     if exp.epsilon == 0.0:
         return q0
     s_l, s_r = traj.edges(snap.z)
@@ -610,7 +615,7 @@ def _write_trajectory(traj: asymptotics.ParameterTrajectory, path: str) -> None:
     """The prediction table: z, Z, core parameters, shelf rates and plateaus, edges S_L, S_R."""
     rows = [(z, Z, *(getattr(p, c) for c in _CORE_COLUMNS), *(getattr(sh, c) for c in _SHELF_COLUMNS),
              *traj.edges(z)) for z, Z, p, sh in zip(traj.z, traj.Z, traj.params, traj.shelf)]
-    _writerows(path, ["z", "Z", *_CORE_COLUMNS, *_SHELF_COLUMNS, "S_L", "S_R"], rows)
+    simulator.write_csv(path, ["z", "Z", *_CORE_COLUMNS, *_SHELF_COLUMNS, "S_L", "S_R"], rows)
 
 
 def write_prediction_csv(traj, out_dir: str, run_id: str) -> str:

@@ -2,9 +2,9 @@
 
 Each built-in states F once, as a local formula ``F(u, u_tt)`` that works on
 scalars and arrays alike.  ``local_forcing`` turns such a formula into a
-Perturbation: the pointwise evaluator is the formula itself (used inside the
-analytic quadratures of the cascade), and the grid evaluator applies the same
-formula to sampled fields with a finite-difference u_tt.  The perturbation
+Perturbation whose pointwise evaluator (used inside the analytic quadratures
+of the cascade) and grid evaluator (used by the PDE stepper, which passes its
+finite-difference u_tt) are both the formula itself.  The perturbation
 strength eps is deliberately not stored here; it belongs to the simulation /
 asymptotics configuration so one functional serves many eps.
 """
@@ -24,8 +24,9 @@ class Perturbation:
     """Uniform representation of a forcing functional F[u].
 
     ``point_eval(u, u_tt)`` evaluates F from the field and its second
-    derivative; ``grid_eval(u, dx, u_tt=None)`` evaluates F on complex
-    samples, computing u_tt by finite differences unless it is passed in.
+    derivative; ``grid_eval(u, u_tt)`` evaluates F on complex grid samples
+    and their sampled second derivative.  The two are separate fields so
+    that grid evaluations can be wrapped or counted apart from the cascade's.
     The theory assumes phase symmetry, F[u e^{i theta}] = F[u] e^{i theta};
     ``check_phase_symmetry`` tests it.
     """
@@ -41,13 +42,7 @@ class Perturbation:
 
 def local_forcing(label: str, formula: Callable) -> Perturbation:
     """Perturbation from a local formula F(u, u_tt)."""
-
-    def on_grid(u, dx, u_tt=None):
-        if u_tt is None:
-            u_tt = second_derivative(u, dx)
-        return formula(np.asarray(u), u_tt)
-
-    return Perturbation(label=label, grid_eval=on_grid, point_eval=formula)
+    return Perturbation(label=label, grid_eval=formula, point_eval=formula)
 
 
 def dispersive_damping(gamma: float) -> Perturbation:
@@ -89,16 +84,17 @@ def check_phase_symmetry(
     """Verify F[u e^{i theta}] = F[u] e^{i theta} on sampled test fields.
 
     Returns (ok, max deviation) where the deviation is the sup norm over the
-    fields and theta in {0.3, 1.1, 2.7}.
+    fields and theta in {0.3, 1.1, 2.7}; each field's u_tt is its
+    finite-difference second derivative.
     """
     if not test_fields:
         raise ValueError("need at least one test field")
     worst = 0.0
     for u in test_fields:
         u = np.asarray(u, dtype=complex)
-        base = pert.grid_eval(u, dx)
+        base = pert.grid_eval(u, second_derivative(u, dx))
         for theta in _THETA_SAMPLES:
             rot = np.exp(1j * theta)
-            dev = np.max(np.abs(pert.grid_eval(u * rot, dx) - base * rot))
+            dev = np.max(np.abs(pert.grid_eval(u * rot, second_derivative(u * rot, dx)) - base * rot))
             worst = max(worst, float(dev))
     return worst < tol, worst

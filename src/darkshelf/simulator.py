@@ -12,6 +12,7 @@ discrete odd symmetry of a black soliton is exact.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -24,6 +25,7 @@ from .soliton import ConservedQuantities, CoreParams, grey_profile
 STABILITY_FACTOR = 0.2
 MIN_PLATEAU_POINTS = 20  # samples a shelf plateau window must hold
 EDGE_LEVEL = 0.25  # fraction of the plateau deviation marking a tracked edge
+FMT = "{:.17g}"  # CSV number format: round-trips every float64
 
 
 class SimulationError(RuntimeError):
@@ -149,7 +151,7 @@ def nls_rate(u: np.ndarray, dt: float, u_inf: float, epsilon: float,
     total = 0.5 * u_tt - (np.abs(u) ** 2 - u_inf**2) * u
     F = None
     if epsilon != 0.0:
-        F = pert.grid_eval(u, dt, u_tt)
+        F = pert.grid_eval(u, u_tt)
         total = total + epsilon * F
     return -1j * total, F
 
@@ -491,14 +493,17 @@ def measure_core_minimum(snapshot: FieldState, grid: Grid) -> tuple[float, float
     return float(pos), float(val)
 
 
+def write_csv(path: str, header: Sequence[str], rows) -> None:
+    """One header line, then one line of FMT-formatted numbers per row."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(FMT.format(v) for v in row) + "\n")
+
+
 def write_snapshot_csv(state: FieldState, grid: Grid, directory, run_id: str) -> str:
     """Dump one snapshot: a z record then N rows of (t, Re u, Im u)."""
-    import os
-
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"{run_id}_z{state.z:.6g}.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"z,{state.z:.17g}\n")
-        for t, val in zip(grid.t, state.samples):
-            fh.write(f"{t:.17g},{val.real:.17g},{val.imag:.17g}\n")
+    write_csv(path, ("z", FMT.format(state.z)), zip(grid.t, state.samples.real, state.samples.imag))
     return path

@@ -81,6 +81,9 @@ class TestConfigs:
         ("run.z_max", -5.0),
         ("run.snapshot_dz", 0.0),
         ("run.snapshot_dz", -0.5),
+        ("grid.n_points", 1e308),  # dt**2 would underflow to 0 in SimConfig.resolve
+        ("grid.n_points", 1e7),  # 3.75e11 RK4 steps
+        ("run.z_max", 1e5),  # 1e7 cascade steps
     ])
     def test_bad_field_rejected_before_simulation(self, key, value, tmp_path, no_simulation):
         cfg = harness.load_config("grey_dispersive")
@@ -88,6 +91,40 @@ class TestConfigs:
         (cfg[section[0]] if section else cfg)[leaf] = value
         with pytest.raises(harness.ConfigError, match=key):
             harness.validate(cfg)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg), encoding="utf-8")
+        assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), "compare"]) == 2
+
+    def test_snapshot_memory_bounded(self, tmp_path, no_simulation):
+        # Stride 1 keeps every step: 62,922 x 4096 complex samples, about 3.8 GiB.
+        cfg = harness.load_config("black_dispersive")
+        cfg["run"]["snapshot_dz"] = 1e-12
+        with pytest.raises(harness.ConfigError, match="run.snapshot_dz"):
+            harness.validate(cfg)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg), encoding="utf-8")
+        assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), "compare"]) == 2
+        # grey_dispersive keeps all 15,730 states at 2048 points: 492 MiB, inside the bound.
+        cfg = harness.load_config("grey_dispersive")
+        cfg["run"]["snapshot_dz"] = 1e-12
+        assert harness.validate(cfg).snapshot_dz == 1e-12
+
+    def test_underflowing_grid_spacing_rejected(self):
+        # dt = 1e-290 / 2048: dt**2 underflows to 0, where SimConfig.resolve divides by zero.
+        cfg = harness.load_config("black_unperturbed")
+        cfg["soliton"]["u_inf"], cfg["run"]["z_max"], cfg["grid"]["half_width"] = 1e-200, 1e-100, 1e-290
+        with pytest.raises(harness.ConfigError, match="grid.n_points"):
+            harness.validate(cfg)
+
+    @pytest.mark.parametrize("preset, changes", [
+        ("grey_dispersive", {"epsilon": 0.0, "observables": None}),  # defaults need epsilon != 0
+        ("black_unperturbed", {"observables": ["shelf"]}),
+        ("grey_dispersive", {"observables": []}),
+    ])
+    def test_compare_needs_an_applicable_observable(self, preset, changes, tmp_path, no_simulation):
+        cfg = harness.load_config(preset) | changes
+        with pytest.raises(harness.ConfigError, match="observables"):
+            harness.compare(harness.validate(cfg))
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg), encoding="utf-8")
         assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), "compare"]) == 2
@@ -202,15 +239,13 @@ class TestDeterminism:
             "soliton": {"u_inf": 1.0, "delta_phi0": math.pi},
             "grid": {"half_width": 15.0, "n_points": 512},
             "run": {"z_max": 2.0, "snapshot_dz": 0.5},
-            "observables": [],
             "outputs": ["profile", "trajectory", "contour"],
         }
 
     def test_byte_identical_outputs(self, tmp_path):
         out = {}
         for tag in ("a", "b"):
-            exp = harness.validate(self._tiny_cfg())
-            report, artifacts = harness.compare(exp)
+            artifacts = harness.simulate(harness.validate(self._tiny_cfg()))
             files = harness.emit_plotdata(artifacts, ["profile", "trajectory", "contour"],
                                           str(tmp_path / tag), "t")
             out[tag] = {f.split("/")[-1]: open(f, "rb").read() for f in files}
@@ -365,6 +400,28 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "emit_layer.csv").exists()
         assert (tmp_path / "emit_profile.csv").exists()
+
+    def test_emit_never_grades(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("emit measured an observable")
+
+        for name in ("measure_shelf", "measure_sigma0_rate", "track_edges", "measure_core_minimum"):
+            monkeypatch.setattr(simulator, name, fail)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(TestDeterminism()._tiny_cfg()), encoding="utf-8")
+        assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), "emit", "--kinds", "profile"]) == 0
+        assert (tmp_path / "emit_profile.csv").exists()
+
+    def test_simulate_writes_emit_snapshots(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(TestDeterminism()._tiny_cfg()), encoding="utf-8")
+        out = {}
+        for command in (["simulate"], ["emit", "--kinds", "snapshots"]):
+            d = tmp_path / command[0]
+            assert cli.main(["--config", str(p), "--out-dir", str(d), "--run-id", "r", *command]) == 0
+            out[command[0]] = {f.name: f.read_bytes() for f in d.iterdir()}
+        assert len(out["simulate"]) == 6  # z = 0, four whole strides, and the last step
+        assert out["simulate"] == out["emit"]
 
     def test_emit_unknown_kind_rejected_before_run(self, tmp_path, no_simulation):
         assert cli.main(["--config", "grey_dispersive", "--out-dir", str(tmp_path), "emit",
