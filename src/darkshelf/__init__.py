@@ -22,7 +22,6 @@ from .asymptotics import (
 )
 from .boundary_layer import (
     LayerProfile,
-    dispersion_omega,
     shelf_edges,
     shelf_magnitude_profile,
     shelf_phase_profile,
@@ -38,7 +37,7 @@ __all__ = [
     "BlackFirstOrder", "ParameterTrajectory", "ShelfParams", "black_first_order",
     "evolve_background", "evolve_core_parameters", "grey_parameter_rhs",
     "homogeneous_solutions", "linearized_apply", "phase_conservation_check",
-    "LayerProfile", "dispersion_omega", "shelf_edges", "shelf_magnitude_profile",
+    "LayerProfile", "shelf_edges", "shelf_magnitude_profile",
     "shelf_phase_profile", "airy_ai", "airy_ai_integral",
     "FieldState", "Grid", "SimBackground", "SimConfig", "run",
 ]

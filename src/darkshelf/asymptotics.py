@@ -27,8 +27,8 @@ import numpy as np
 
 from . import boundary_layer
 from .finitediff import first_derivative, second_derivative
-from .perturbations import Perturbation
-from .quadrature import soliton_integrals
+from .perturbations import Perturbation, check_phase_symmetry
+from .quadrature import rk4_step, soliton_integrals
 from .soliton import CoreParams, profile_with_derivatives
 
 
@@ -118,13 +118,12 @@ def evolve_background(pert: Perturbation, u_inf0: float, Z_span: float) -> Backg
     h = Z_span / steps
     u = np.empty(steps + 1)
     u[0] = u_inf0
+
+    def rate(y, _Z):
+        return background_rate(pert, y)
+
     for n in range(steps):
-        y = u[n]
-        k1 = background_rate(pert, y)
-        k2 = background_rate(pert, y + 0.5 * h * k1)
-        k3 = background_rate(pert, y + 0.5 * h * k2)
-        k4 = background_rate(pert, y + h * k3)
-        y_next = y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        y_next = rk4_step(rate, u[n], n * h, h, rate(u[n], n * h))
         if y_next <= 0 or not np.isfinite(y_next):
             raise BackgroundCollapseError(f"u_inf reached {y_next} at Z={h * (n + 1):.4g}")
         u[n + 1] = y_next
@@ -179,15 +178,21 @@ def evolve_core_parameters(pert: Perturbation, params0: CoreParams, epsilon: flo
                            steps: int | None = None, samples: int = 121) -> ParameterTrajectory:
     """RK4 integration of the cascade over Z in [0, eps*z_span].
 
-    The state is (u_inf, A, sigma0); B follows from A^2 + B^2 = u_inf^2,
-    which therefore holds exactly.  t0 is held at its initial value: first-
-    order theory gives it zero drift in the black dispersive case and leaves
-    it undetermined otherwise.  A sample records the first RK4 stage of the
-    step it starts (4 steps + 1 evaluations).  eps = 0 is a constant path.
+    The state is (u_inf, A, sigma0, delta_phi1); B follows from
+    A^2 + B^2 = u_inf^2, which therefore holds exactly.  t0 is held at its
+    initial value: first-order theory gives it zero drift in the black
+    dispersive case and leaves it undetermined otherwise.  A sample records
+    the first RK4 stage of the step it starts (4 steps + 1 evaluations).
+    eps = 0 is a constant path.  Raises ValueError, naming the forcing, when
+    F is not phase-symmetric on the initial profile.
     """
     if epsilon == 0.0:
         z = np.linspace(0.0, z_span, samples)
         return ParameterTrajectory(0.0, z, [params0] * samples, [ShelfParams(*(0.0,) * 9)] * samples)
+    u0, _, u0_TT = profile_with_derivatives(params0, np.linspace(-5.0, 5.0, 11))
+    symmetric, deviation = check_phase_symmetry(pert, u0, u0_TT)
+    if not symmetric:
+        raise ValueError(f"forcing {pert.label!r} is not phase-symmetric (deviation {deviation:.3g})")
     if steps is None:
         steps = max(64, int(STEPS_PER_Z * abs(epsilon) * z_span))
     # Land every requested sample exactly on an integration node.
@@ -197,33 +202,29 @@ def evolve_core_parameters(pert: Perturbation, params0: CoreParams, epsilon: flo
     stride = steps // (samples - 1)
 
     def rate(state):
-        u, A, s0 = state
+        u, A, s0, _ = state
         b2 = u**2 - A**2
         if b2 <= 0:
             raise ShallowSolitonError("A reached u_inf while stepping")
         p = CoreParams(u_inf=u, A=A, B=math.sqrt(b2), t0=params0.t0, sigma0=s0)
         sh = grey_parameter_rhs(pert, p)
-        return np.array([sh.u_inf_rate, sh.A_rate, sh.sigma0_rate]), p, sh
+        # The edge phase flux is a rate per unit fast distance z = Z/eps.
+        return np.array([sh.u_inf_rate, sh.A_rate, sh.sigma0_rate, edge_phase_flux(p, sh) / epsilon]), p, sh
 
-    state = np.array([params0.u_inf, params0.A, params0.sigma0])
+    def stage(state, _Z):
+        return rate(state)[0]
+
+    state = np.array([params0.u_inf, params0.A, params0.sigma0, 0.0])
     z, params, shelf = [], [], []
-    dphi1 = 0.0
     for n in range(steps + 1):
         k1, p, sh = rate(state)
         if n % stride == 0:
             z.append(n * h / epsilon)
             params.append(p)
-            shelf.append(replace(sh, delta_phi1=dphi1))
+            shelf.append(replace(sh, delta_phi1=float(state[3])))
         if n == steps:
             break
-        k2, _, _ = rate(state + 0.5 * h * k1)
-        k3, _, _ = rate(state + 0.5 * h * k2)
-        k4, _, _ = rate(state + h * k3)
-        state = state + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        # Accumulate the shelf phase change over the fast distance h/eps
-        # covered by this slow step (start-point rule; exact whenever the
-        # rates are constant, which covers the validated cases).
-        dphi1 += edge_phase_flux(p, sh) * (h / epsilon)
+        state = rk4_step(stage, state, n * h, h, k1)
     return ParameterTrajectory(epsilon, np.asarray(z), params, shelf)
 
 
@@ -298,34 +299,25 @@ def black_first_order(gamma: float, u_inf: float, t0: float = 0.0) -> BlackFirst
 
 # -- Linearized operator about the soliton ---------------------------------
 
-VARIANT_AS_PRINTED = "tanh"
-VARIANT_SQUARED = "tanh_squared"
-
-
 def linearized_apply(
     params: CoreParams,
     U: np.ndarray,
     W: np.ndarray,
     T: np.ndarray,
-    variant: str = VARIANT_AS_PRINTED,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply the 2x2 linearization L to the real field pair (U, W) = (Re, Im).
 
     Derivatives use the package's 4th-order stencils on the uniform grid T.
-    ``variant`` selects how the diagonal potentials read the soliton
-    profile: "tanh" follows the printed matrix, "tanh_squared" the form
-    consistent with linearizing the NLS about (A + iB tanh); the variant
-    check against the homogeneous solutions settles which is meant.
+    The diagonal potentials read the printed matrix's tanh as tanh^2, the
+    form obtained by linearizing the NLS about (A + iB tanh), because the
+    printed form does not annihilate the homogeneous solutions.
     """
     T = np.asarray(T, dtype=float)
     dT = T[1] - T[0]
     A, B, u2 = params.A, params.B, params.u_inf**2
     tau = np.tanh(B * T)
-    prof = tau if variant == VARIANT_AS_PRINTED else tau**2
-    if variant not in (VARIANT_AS_PRINTED, VARIANT_SQUARED):
-        raise ValueError(f"unknown variant {variant!r}")
-    pot1 = 3.0 * A**2 + B**2 * prof - u2
-    pot2 = A**2 + 3.0 * B**2 * prof - u2
+    pot1 = 3.0 * A**2 + B**2 * tau**2 - u2
+    pot2 = A**2 + 3.0 * B**2 * tau**2 - u2
     cross = 2.0 * A * B * tau
     r1 = -0.5 * second_derivative(U, dT) + pot1 * U + A * first_derivative(W, dT) + cross * W
     r2 = -0.5 * second_derivative(W, dT) + pot2 * W - A * first_derivative(U, dT) + cross * U
@@ -364,7 +356,6 @@ def linearized_residual(
     params: CoreParams,
     pair: tuple[np.ndarray, np.ndarray],
     T: np.ndarray,
-    variant: str = VARIANT_SQUARED,
     margin: int = 4,
 ) -> float:
     """Sup-norm residual of L*pair, normalized by the pair's window sup.
@@ -372,7 +363,7 @@ def linearized_residual(
     The outermost ``margin`` samples are discarded (one-sided stencils meet
     growing solutions there).
     """
-    r1, r2 = linearized_apply(params, pair[0], pair[1], T, variant=variant)
+    r1, r2 = linearized_apply(params, pair[0], pair[1], T)
     sl = slice(margin, -margin if margin else None)
     scale = max(np.max(np.abs(pair[0][sl])), np.max(np.abs(pair[1][sl])), 1.0)
     return float(max(np.max(np.abs(r1[sl])), np.max(np.abs(r2[sl]))) / scale)

@@ -94,19 +94,3 @@ def shelf_edges(z_samples: np.ndarray, u_inf: np.ndarray, A: np.ndarray, zeta: f
     s_l = -float(np.trapezoid(up + ap, grid))
     s_r = float(np.trapezoid(up - ap, grid))
     return s_l, s_r
-
-
-def dispersion_omega(k, u_inf: float):
-    """Layer dispersion relation omega(k) = sqrt(u_inf^2 k^2 + k^4/4) >= 0."""
-    if u_inf <= 0:
-        raise ValueError("u_inf must be positive")
-    k = np.asarray(k, dtype=float)
-    out = np.sqrt(u_inf**2 * k**2 + 0.25 * k**4)
-    return float(out) if out.ndim == 0 else out
-
-
-def dispersion_phase_speed(k, u_inf: float):
-    """Phase speed omega/k; tends to the edge speed u_inf as k -> 0."""
-    k = np.asarray(k, dtype=float)
-    out = np.where(k == 0.0, u_inf, dispersion_omega(np.where(k == 0, 1.0, k), u_inf) / np.where(k == 0, 1.0, np.abs(k)))
-    return float(out) if out.ndim == 0 else out

@@ -3,7 +3,7 @@
 Fourth-order central differences in the interior with one-sided stencils of
 the same order at the points near each boundary.  The dark-soliton field is
 not periodic (it carries a phase jump), so no wraparound is ever used.
-Stencil weights are generated with Fornberg's algorithm.
+Stencil weights solve the Vandermonde (moment) system of the nodes.
 """
 
 from __future__ import annotations

@@ -146,8 +146,11 @@ def load_config(source) -> dict:
     if source in PRESETS:
         return json.loads(json.dumps(PRESETS[source]))
     if os.path.exists(source):
-        with open(source, encoding="utf-8") as fh:
-            return json.load(fh)
+        try:
+            with open(source, encoding="utf-8") as fh:
+                return json.load(fh)
+        except (IsADirectoryError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config: {source!r} is not a UTF-8 JSON file: {exc}") from exc
     raise ConfigError(f"config: no preset or file named {source!r}")
 
 
@@ -580,8 +583,7 @@ def emit_plotdata(art: Artifacts, kinds, out_dir: str, run_id: str) -> list[str]
 def _composite_magnitude(art: Artifacts) -> np.ndarray:
     """Leading magnitude plus shelf plateaus smoothed by the edge layers, at the final snapshot."""
     exp, traj, snap = art.exp, art.traj, art.final
-    params = exp.params
-    sh = traj.shelf[-1]
+    params, sh = traj.params[-1], traj.shelf[-1]
     T = exp.grid.t - traj.comoving_shift(snap.z)
     q0 = np.abs(params.A + 1j * params.B * np.tanh(params.B * T))
     if exp.epsilon == 0.0:
@@ -629,12 +631,15 @@ def sweep_configs(base_cfg: dict, delta_phi0_values) -> list[tuple[str, dict]]:
     """Per-angle configs with measurement-aware run length and grid.
 
     Each angle's config is validated first, so a bad angle or base config
-    raises ConfigError before any run.  The run length comes from the
-    cascade's plateau predictions q1+- for the configured forcing at each
-    angle.
+    raises ConfigError before any run, as do two angles that share a tag
+    (results are keyed by tag).  The run length comes from the cascade's
+    plateau predictions q1+- for the configured forcing at each angle.
     """
     out = []
     for dphi in delta_phi0_values:
+        tag = f"dphi{dphi:.6g}"
+        if tag in dict(out):
+            raise ConfigError(f"delta_phi0: {dphi!r} repeats the angle tagged {tag!r}")
         cfg = json.loads(json.dumps(base_cfg))
         if isinstance(cfg.get("soliton"), dict):
             cfg["soliton"]["delta_phi0"] = float(dphi)
@@ -650,7 +655,7 @@ def sweep_configs(base_cfg: dict, delta_phi0_values) -> list[tuple[str, dict]]:
         cfg["run"]["z_max"] = z_max
         cfg["grid"] = auto_grid(params, z_max)
         cfg["observables"] = ["shelf", "a_constancy"]
-        out.append((f"dphi{dphi:.6g}", cfg))
+        out.append((tag, cfg))
     return out
 
 

@@ -1,11 +1,13 @@
-"""Gauss-Kronrod quadrature: adaptive on an interval, fixed for soliton densities.
+"""Integration rules: Gauss-Kronrod quadrature and the classical RK4 step.
 
-Both rules are built on the 15-point Kronrod extension of 7-point Gauss
-quadrature (the classic QUADPACK pair).  ``integrate`` splits intervals where
-the embedded error estimate is largest until the global estimate meets
-tolerance.  ``soliton_integrals`` applies one fixed composite panel grid
-scaled by the soliton width 1/B, which resolves every sech^2-localized
-density of the theory; the embedded estimate is checked, not refined.
+Both quadrature rules are built on the 15-point Kronrod extension of
+7-point Gauss quadrature (the classic QUADPACK pair).  ``integrate``, which
+serves the Airy bridge, splits intervals where the embedded error estimate is
+largest until the global estimate meets tolerance.  ``soliton_integrals``
+applies one fixed composite panel grid scaled by the soliton width 1/B, which
+resolves every sech^2-localized density of the theory; the embedded estimate
+is checked, not refined.  ``rk4_step`` is the one RK4 step of the PDE
+stepper, the background ODE and the slow-parameter cascade.
 """
 
 from __future__ import annotations
@@ -141,3 +143,15 @@ def integrate_soliton_density(f: Callable[[np.ndarray], np.ndarray], B: float) -
     """Integrate one soliton-localized density over the line (see soliton_integrals)."""
     (value,) = soliton_integrals(lambda T: (f(T),), B)
     return value
+
+
+def rk4_step(f: Callable, y, z: float, h: float, k1):
+    """One classical RK4 step of dy/dz = f(y, z) from (y, z) over h.
+
+    ``k1 = f(y, z)`` is passed in: the cascade records its samples from
+    the first stage, and f is still evaluated once per stage.
+    """
+    k2 = f(y + 0.5 * h * k1, z + 0.5 * h)
+    k3 = f(y + 0.5 * h * k2, z + 0.5 * h)
+    k4 = f(y + h * k3, z + h)
+    return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

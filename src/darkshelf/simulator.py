@@ -20,6 +20,7 @@ import numpy as np
 
 from .finitediff import first_derivative, second_derivative
 from .perturbations import Perturbation
+from .quadrature import rk4_step
 from .soliton import ConservedQuantities, CoreParams, grey_profile
 
 STABILITY_FACTOR = 0.2
@@ -97,7 +98,7 @@ class SimBackground:
     """Adiabatic background seen by the simulator: u_inf(z) and its rate.
 
     Boundary phases are constant in the background-phase-removed frame for
-    phase-symmetric forcings (Re F[u_inf] = 0 for all built-ins).
+    forcings with Re F[u_inf] = 0, which ``from_perturbation`` checks.
     """
 
     u_inf_fn: Callable[[float], float]
@@ -113,11 +114,16 @@ class SimBackground:
         """Background whose magnitude obeys du_inf/dz = eps Im F[u_inf], eps >= 0.
 
         The scalar ODE is stepped once over [0, z_max] and interpolated.
+        Raises ValueError, naming the forcing, unless Re F[u_inf0] = 0 to
+        1e-12 relative: otherwise the boundary phases would rotate.
         """
         if epsilon < 0.0:
             raise ValueError("epsilon must be non-negative")
         if epsilon == 0.0:
             return cls.constant(u_inf0)
+        f_bg = pert.on_background(u_inf0)
+        if abs(f_bg.real) > 1e-12 * abs(f_bg):
+            raise ValueError(f"forcing {pert.label!r}: Re F[u_inf] = {f_bg.real:.3g} != 0 on the background")
 
         from .asymptotics import evolve_background
 
@@ -199,11 +205,7 @@ def run(
     travelled = 0.0  # int u_inf dz: lab-frame distance covered by the edges
     t0_lab = float(grid.t[np.argmin(np.abs(u))])
     for n in range(n_steps):
-        k1 = rhs(u, z)
-        k2 = rhs(u + 0.5 * dz * k1, z + 0.5 * dz)
-        k3 = rhs(u + 0.5 * dz * k2, z + 0.5 * dz)
-        k4 = rhs(u + dz * k3, z + dz)
-        u = u + dz / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        u = rk4_step(rhs, u, z, dz, rhs(u, z))
         travelled += dz * background.u_inf_fn(z)
         z = (n + 1) * dz
         uinf = background.u_inf_fn(z)

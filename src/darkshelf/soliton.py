@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .quadrature import integrate, integrate_soliton_density
+from .quadrature import integrate_soliton_density
 
 _REL_TOL = 1e-12
 
@@ -154,29 +153,3 @@ def soliton_invariants(params: CoreParams) -> ConservedQuantities:
 
     H = integrate_soliton_density(density, B)
     return ConservedQuantities(H=H, E=2.0 * B, I=-2.0 * params.A * B, R=2.0 * B * params.t0)
-
-
-def frame_transform(
-    samples: np.ndarray,
-    z: float,
-    u_inf_history: Callable[[np.ndarray], np.ndarray] | float,
-    direction: str,
-) -> np.ndarray:
-    """Map between the full field U and the background-phase-removed u.
-
-    U = u exp(i int_0^z u_inf(s)^2 ds); ``direction`` is "U_to_u" or "u_to_U".
-    ``u_inf_history`` is either a constant or a callable on [0, z].  The round
-    trip is the identity to 1e-12.
-    """
-    if direction not in ("U_to_u", "u_to_U"):
-        raise ValueError("direction must be 'U_to_u' or 'u_to_U'")
-    if z < 0:
-        raise ValueError("z must be non-negative")
-    if z == 0:
-        phase = 0.0
-    elif callable(u_inf_history):
-        phase = integrate(lambda s: np.asarray(u_inf_history(s)) ** 2, 0.0, z)
-    else:
-        phase = float(u_inf_history) ** 2 * z
-    rot = np.exp(1j * phase if direction == "u_to_U" else -1j * phase)
-    return np.asarray(samples) * rot

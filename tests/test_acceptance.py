@@ -21,7 +21,6 @@ import pytest
 from darkshelf import harness
 from darkshelf.airy import airy_ai
 from darkshelf.asymptotics import (
-    VARIANT_SQUARED,
     evolve_background,
     evolve_core_parameters,
     grey_parameter_rhs,
@@ -153,10 +152,10 @@ def test_criterion_6_property_suites():
         if resid > 1e-8:
             failures.append(f"phase conservation {pert.label}: {resid:.2e}")
 
-    # Linearization annihilates all four homogeneous solutions (squared variant).
+    # Linearization annihilates all four homogeneous solutions.
     T = np.arange(-10.0 / grey.B, 10.0 / grey.B + 5e-4, 1e-3)
     for i, pair in enumerate(homogeneous_solutions(grey, T)):
-        resid = linearized_residual(grey, pair, T, variant=VARIANT_SQUARED)
+        resid = linearized_residual(grey, pair, T)
         if resid > 1e-6:
             failures.append(f"L U1{i + 1} residual {resid:.2e}")
 

@@ -154,11 +154,26 @@ class TestEvolveCoreParameters:
         assert len(calls) == 4 * 600 + 1
 
     def test_delta_phi1_independent_of_sample_count(self):
-        # The flux of each step uses the state that step starts from.
+        # delta_phi1 is an RK4 component; samples only read the state.
         final = [evolve_core_parameters(two_photon(1.0), GREY, 0.05, 20.0, steps=600, samples=n).shelf[-1]
                  for n in (11, 121, 601)]
         assert final[0].delta_phi1 == final[1].delta_phi1 == final[2].delta_phi1
-        assert final[0].delta_phi1 == pytest.approx(9.9327, abs=1e-4)
+        assert final[0].delta_phi1 == pytest.approx(9.925348, abs=1e-6)
+
+    def test_delta_phi1_fourth_order(self):
+        def delta_phi1(steps):
+            traj = evolve_core_parameters(two_photon(1.0), GREY, 0.05, 20.0, steps=steps, samples=2)
+            return traj.shelf[-1].delta_phi1
+
+        reference = delta_phi1(8 * 960)
+        errors = [abs(delta_phi1(steps) - reference) for steps in (240, 480, 960)]
+        assert errors[0] / errors[1] >= 12.0 and errors[1] / errors[2] >= 12.0
+
+    def test_phase_asymmetric_forcing_rejected(self):
+        # Re F[u_inf] = 0, but F[u e^{i theta}] = F[u] e^{-i theta}.
+        skew = local_forcing("skew", lambda u, u_tt: -1j * np.conj(u))
+        with pytest.raises(ValueError, match="skew"):
+            evolve_core_parameters(skew, GREY, 0.05, 1.0)
 
     def test_comoving_shift_linear_for_dispersive(self):
         traj = evolve_core_parameters(dispersive_damping(1.0), GREY, 0.05, 20.0, steps=400)

@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -8,8 +7,6 @@ from scipy.optimize import brentq
 from darkshelf.airy import airy_ai_integral
 from darkshelf.boundary_layer import (
     LayerProfile,
-    dispersion_omega,
-    dispersion_phase_speed,
     shelf_edges,
     shelf_magnitude_profile,
     shelf_phase_profile,
@@ -143,22 +140,3 @@ class TestShelfEdges:
         A = np.full_like(z, 0.8)
         s_l, s_r = shelf_edges(z, np.ones_like(z), A, 15.0)
         assert s_l < 0.0 < s_r
-
-
-class TestDispersion:
-    def test_zero_wavenumber(self):
-        assert dispersion_omega(0.0, 1.0) == 0.0
-
-    def test_reference_value(self):
-        assert dispersion_omega(1.0, 1.0) == pytest.approx(1.1180339887498949, abs=1e-12)
-
-    def test_long_wave_phase_speed(self):
-        assert dispersion_phase_speed(1e-4, 1.0) == pytest.approx(1.0, abs=1e-8)
-        assert dispersion_phase_speed(0.0, 2.0) == 2.0
-
-    @given(st.floats(0.01, 10.0), st.floats(0.2, 3.0))
-    @settings(max_examples=50, deadline=None)
-    def test_formula(self, k, u_inf):
-        assert dispersion_omega(k, u_inf) == pytest.approx(
-            math.sqrt(u_inf**2 * k**2 + 0.25 * k**4), rel=1e-12
-        )

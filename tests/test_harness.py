@@ -253,6 +253,19 @@ class TestDeterminism:
         assert len(out["a"]) == 4  # profile, trajectory, contour + edge overlay
 
 
+def test_profile_prediction_uses_final_background(tmp_path):
+    # Linear damping: u_inf decays to exp(-eps Gamma z_max) = exp(-0.5), which
+    # predicted_abs must reach outside the shelf edges at the grid ends.
+    cfg = dict(TestDeterminism()._tiny_cfg(), perturbation={"label": "linear_damping", "Gamma": 5.0})
+    art = harness.simulate(harness.validate(cfg))
+    (path,) = harness.emit_plotdata(art, ["profile"], str(tmp_path), "t")
+    predicted = np.loadtxt(path, delimiter=",", skiprows=1)[:, -1]
+    u_final = art.traj.params[-1].u_inf
+    assert u_final == pytest.approx(math.exp(-0.5), rel=1e-9)
+    for end in (predicted[0], predicted[-1]):
+        assert end == pytest.approx(u_final, abs=0.01)  # the edge layers' Airy tails stay below 0.01
+
+
 class TestCompareDegradation:
     def test_no_observable_crashes_compare(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -348,6 +361,16 @@ class TestCli:
         p.write_text("{not json", encoding="utf-8")
         assert cli.main(["--config", str(p), "predict"]) == 2
 
+    @pytest.mark.parametrize("kind", ["not_utf8", "directory"])
+    def test_unreadable_config_file(self, kind, tmp_path, capsys):
+        p = tmp_path / "cfg"
+        if kind == "directory":
+            p.mkdir()
+        else:
+            p.write_bytes(b"\xff{}")
+        assert cli.main(["--config", str(p), "predict"]) == 2
+        assert "validation error: config:" in capsys.readouterr().err
+
     def test_predict_roundtrip(self, tmp_path):
         code = cli.main(["--config", "grey_dispersive", "--out-dir", str(tmp_path), "predict"])
         assert code == 0
@@ -370,8 +393,10 @@ class TestCli:
     @pytest.mark.parametrize("config, angle", [
         ("grey_dispersive", "7"), ("grey_dispersive", "0"), ("grey_dispersive", "nan"),
         ("black_unperturbed", "2.5"),
+        # Angles sharing a tag (dphi2.5, dphi2.51327) would drop each other's rows.
+        ("grey_dispersive", "2.5"), ("grey_dispersive", "2.5132741 2.5132742"),
     ])
-    def test_sweep_bad_angle_rejected_before_pool(self, config, angle, tmp_path, monkeypatch):
+    def test_sweep_bad_angle_rejected_before_pool(self, config, angle, tmp_path, monkeypatch, capsys):
         import concurrent.futures
 
         def no_pool(*args, **kwargs):
@@ -379,7 +404,9 @@ class TestCli:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert cli.main(["--config", config, "--out-dir", str(tmp_path), "sweep",
-                         "--delta-phi0", "2.5", angle]) == 2
+                         "--delta-phi0", "2.5", *angle.split()]) == 2
+        # Every case but the unperturbed base config is a fault of the angles.
+        assert ("delta_phi0" in capsys.readouterr().err) == (config != "black_unperturbed")
 
     def test_sweep_single_angle(self, tmp_path):
         code = cli.main([

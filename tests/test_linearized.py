@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from darkshelf.asymptotics import (
-    VARIANT_AS_PRINTED,
-    VARIANT_SQUARED,
-    homogeneous_solutions,
-    linearized_apply,
-    linearized_residual,
-)
+from darkshelf.asymptotics import homogeneous_solutions, linearized_apply, linearized_residual
 from darkshelf.soliton import CoreParams
 
 GREY = CoreParams.from_background(1.0, 4 * math.pi / 5)
@@ -24,22 +18,15 @@ def window(params, dT=1e-3):
 def test_squared_variant_annihilates_all_four():
     T = window(GREY)
     for i, pair in enumerate(homogeneous_solutions(GREY, T)):
-        res = linearized_residual(GREY, pair, T, variant=VARIANT_SQUARED)
+        res = linearized_residual(GREY, pair, T)
         assert res < 1e-6, f"U1{i + 1} residual {res}"
-
-
-def test_printed_variant_does_not_annihilate():
-    T = window(GREY, dT=5e-3)
-    residuals = [linearized_residual(GREY, pair, T, variant=VARIANT_AS_PRINTED)
-                 for pair in homogeneous_solutions(GREY, T)]
-    assert min(residuals) > 1e-3
 
 
 def test_second_grey_angle():
     params = CoreParams.from_background(1.3, 2.0)
     T = window(params)
     for pair in homogeneous_solutions(params, T):
-        assert linearized_residual(params, pair, T, variant=VARIANT_SQUARED) < 1e-6
+        assert linearized_residual(params, pair, T) < 1e-6
 
 
 def test_negative_control_smooth_field():
@@ -68,7 +55,7 @@ def test_negative_control_smooth_field():
         T = np.linspace(-6, 6, n)
         U, W, r1_exact, r2_exact = exact_apply(T)
         assert max(np.max(np.abs(r1_exact)), np.max(np.abs(r2_exact))) > 0.1
-        r1, r2 = linearized_apply(params, U, W, T, variant=VARIANT_SQUARED)
+        r1, r2 = linearized_apply(params, U, W, T)
         sl = slice(4, -4)
         errs.append(max(np.max(np.abs(r1[sl] - r1_exact[sl])), np.max(np.abs(r2[sl] - r2_exact[sl]))))
     assert np.log2(errs[0] / errs[1]) > 3.5
@@ -86,10 +73,4 @@ def test_black_params_supported():
     pairs = homogeneous_solutions(black, T)
     assert np.all(pairs[3][0] == 0.0)  # first component carries a factor A
     for pair in pairs:
-        assert linearized_residual(black, pair, T, variant=VARIANT_SQUARED) < 1e-6
-
-
-def test_unknown_variant_rejected():
-    T = np.linspace(-1, 1, 101)
-    with pytest.raises(ValueError):
-        linearized_apply(GREY, np.zeros_like(T), np.zeros_like(T), T, variant="cubed")
+        assert linearized_residual(black, pair, T) < 1e-6

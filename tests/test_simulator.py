@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from darkshelf.finitediff import first_derivative
-from darkshelf.perturbations import dispersive_damping, linear_damping
+from darkshelf.perturbations import dispersive_damping, linear_damping, local_forcing
 from darkshelf.soliton import CoreParams, grey_profile
 from darkshelf.simulator import (
     BoundaryContaminationError,
@@ -168,6 +168,12 @@ class TestBackground:
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError, match="epsilon"):
             SimBackground.from_perturbation(linear_damping(0.5), -0.05, 1.0, 20.0)
+
+    def test_real_forcing_on_background_rejected(self):
+        # Phase-symmetric, but Re F[u_inf] != 0 would rotate the boundary phases.
+        gain = local_forcing("gain", lambda u, u_tt: 0.1 * u)
+        with pytest.raises(ValueError, match="gain"):
+            SimBackground.from_perturbation(gain, 0.05, 1.0, 20.0)
 
 
 class TestBoundaryHandling:

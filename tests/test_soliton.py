@@ -8,7 +8,6 @@ from darkshelf.soliton import (
     CoreParams,
     InvalidParamsError,
     ab_from_background,
-    frame_transform,
     grey_profile,
     profile_with_derivatives,
     soliton_invariants,
@@ -131,24 +130,3 @@ class TestInvariants:
         assert q.I == pytest.approx(-2 * p.A * p.B, abs=1e-10)
         assert q.R == pytest.approx(2 * p.B * t0, rel=1e-10, abs=1e-12)
         assert q.H == pytest.approx((4.0 / 3.0) * p.B**3, rel=1e-10)
-
-
-class TestFrameTransform:
-    def test_z_zero_identity(self):
-        u = np.array([1 + 2j, -0.5j])
-        np.testing.assert_array_equal(frame_transform(u, 0.0, 1.0, "U_to_u"), u)
-
-    def test_round_trip(self):
-        u = np.exp(1j * np.linspace(0, 2, 11))
-        back = frame_transform(frame_transform(u, math.pi, lambda s: np.ones_like(s), "U_to_u"),
-                               math.pi, lambda s: np.ones_like(s), "u_to_U")
-        np.testing.assert_allclose(back, u, atol=1e-12)
-
-    def test_quarter_turn(self):
-        # Constant u = 1, u_inf = 1, z = pi/2: U = exp(i pi/2) = i.
-        out = frame_transform(np.array([1.0 + 0j]), math.pi / 2, 1.0, "u_to_U")
-        assert out[0] == pytest.approx(1j, abs=1e-12)
-
-    def test_direction_validated(self):
-        with pytest.raises(ValueError):
-            frame_transform(np.array([1.0]), 1.0, 1.0, "sideways")
