@@ -183,9 +183,11 @@ def evolve_core_parameters(pert: Perturbation, params0: CoreParams, epsilon: flo
     initial value: first-order theory gives it zero drift in the black
     dispersive case and leaves it undetermined otherwise.  A sample records
     the first RK4 stage of the step it starts (4 steps + 1 evaluations).
-    eps = 0 is a constant path.  Raises ValueError, naming the forcing, when
-    F is not phase-symmetric on the initial profile.
+    eps = 0 is a constant path.  Raises ValueError for samples < 2 and, naming
+    the forcing, when F is not phase-symmetric on the initial profile.
     """
+    if samples < 2:
+        raise ValueError(f"samples must be at least 2, got {samples}")
     if epsilon == 0.0:
         z = np.linspace(0.0, z_span, samples)
         return ParameterTrajectory(0.0, z, [params0] * samples, [ShelfParams(*(0.0,) * 9)] * samples)

@@ -51,17 +51,20 @@ def _apply(u: np.ndarray, interior: np.ndarray, edge: list[np.ndarray], dx: floa
     half = interior.size // 2
     if n < max(interior.size, edge[0].size):
         raise ValueError("grid too small for the stencil")
+    scale = dx ** -order
+    pair = np.subtract if order % 2 else np.add  # mirrored interior taps share |weight|
     out = np.empty_like(u)
-    acc = interior[half] * u[half:n - half]
+    acc = out[half:n - half]
+    np.multiply(u[half:n - half], interior[half] * scale, out=acc)
     for k in range(1, half + 1):
-        acc = acc + interior[half - k] * u[half - k:n - half - k]
-        acc = acc + interior[half + k] * u[half + k:n - half + k]
-    out[half:n - half] = acc
+        tap = pair(u[half + k:n - half + k], u[half - k:n - half - k])
+        tap *= interior[half + k] * scale
+        acc += tap
     m = edge[0].size
     for i in range(half):
-        out[i] = np.dot(edge[i], u[:m])
-        out[n - 1 - i] = np.dot(edge[i][::-1], u[n - m:]) * (-1.0) ** order
-    return out / dx**order
+        out[i] = np.dot(edge[i], u[:m]) * scale
+        out[n - 1 - i] = np.dot(edge[i][::-1], u[n - m:]) * (scale * (-1.0) ** order)
+    return out
 
 
 def first_derivative(u: np.ndarray, dx: float) -> np.ndarray:

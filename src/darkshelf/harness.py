@@ -288,7 +288,7 @@ def _check_run_size(sim: simulator.SimConfig, grid: simulator.Grid, z_max: float
     if n_steps * grid.n_points > MAX_POINT_STEPS:
         raise ConfigError(f"grid.n_points: {n_steps:.3g} steps x {grid.n_points:.3g} points exceed "
                           f"the bound {MAX_POINT_STEPS:.0e} point-steps")
-    kept = (1 + -(-n_steps // stride)) * grid.n_points * 16
+    kept = (1 + n_steps // stride) * grid.n_points * 16
     if kept > MAX_SNAPSHOT_BYTES:
         raise ConfigError(f"run.snapshot_dz: {sim.snapshot_dz} keeps {kept / 2**20:.0f} MiB of snapshots "
                           f"(bound {MAX_SNAPSHOT_BYTES / 2**20:.0f} MiB)")

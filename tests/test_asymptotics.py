@@ -169,6 +169,11 @@ class TestEvolveCoreParameters:
         errors = [abs(delta_phi1(steps) - reference) for steps in (240, 480, 960)]
         assert errors[0] / errors[1] >= 12.0 and errors[1] / errors[2] >= 12.0
 
+    @pytest.mark.parametrize("epsilon", [0.0, 0.05])
+    def test_fewer_than_two_samples_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="samples"):
+            evolve_core_parameters(two_photon(1.0), GREY, epsilon, 10.0, samples=1)
+
     def test_phase_asymmetric_forcing_rejected(self):
         # Re F[u_inf] = 0, but F[u e^{i theta}] = F[u] e^{-i theta}.
         skew = local_forcing("skew", lambda u, u_tt: -1j * np.conj(u))

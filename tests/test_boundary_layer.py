@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
-from darkshelf.airy import airy_ai_integral
 from darkshelf.boundary_layer import (
     LayerProfile,
     shelf_edges,

@@ -46,3 +46,20 @@ def test_boundary_rows_same_order():
         err = np.abs(second_derivative(f, dx) + 9 * np.sin(3 * x))
         errs.append(max(err[0], err[1], err[-1], err[-2]))
     assert np.log2(errs[0] / errs[1]) > 3.5
+
+
+@pytest.mark.parametrize("deriv,order,edge_nodes", [(first_derivative, 1, 5), (second_derivative, 2, 6)])
+def test_matches_row_by_row_stencils(deriv, order, edge_nodes):
+    # Reference: each row's stencil from fd_weights, applied directly and then divided by dx**order.
+    rng = np.random.default_rng(7)
+    n, dx = 64, 0.07
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    ref = np.empty_like(u)
+    for j in range(n):
+        nodes = np.arange(j - 2, j + 3)
+        if j < 2:
+            nodes = np.arange(edge_nodes)
+        elif j >= n - 2:
+            nodes = np.arange(n - edge_nodes, n)
+        ref[j] = fd_weights(nodes - j, order) @ u[nodes] / dx**order
+    assert np.max(np.abs(deriv(u, dx) - ref)) <= 3e-13 * np.max(np.abs(ref))

@@ -96,15 +96,16 @@ class TestConfigs:
         assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), "compare"]) == 2
 
     def test_snapshot_memory_bounded(self, tmp_path, no_simulation):
-        # Stride 1 keeps every step: 62,922 x 4096 complex samples, about 3.8 GiB.
+        # Stride 1 keeps every step: 63,272 x 8192 complex samples, about 7.7 GiB.
         cfg = harness.load_config("black_dispersive")
+        cfg["grid"]["n_points"] = 8192
         cfg["run"]["snapshot_dz"] = 1e-12
         with pytest.raises(harness.ConfigError, match="run.snapshot_dz"):
             harness.validate(cfg)
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg), encoding="utf-8")
         assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), "compare"]) == 2
-        # grey_dispersive keeps all 15,730 states at 2048 points: 492 MiB, inside the bound.
+        # grey_dispersive keeps all 3,956 states at 2048 points: 124 MiB, inside the bound.
         cfg = harness.load_config("grey_dispersive")
         cfg["run"]["snapshot_dz"] = 1e-12
         assert harness.validate(cfg).snapshot_dz == 1e-12
@@ -447,7 +448,7 @@ class TestCli:
             d = tmp_path / command[0]
             assert cli.main(["--config", str(p), "--out-dir", str(d), "--run-id", "r", *command]) == 0
             out[command[0]] = {f.name: f.read_bytes() for f in d.iterdir()}
-        assert len(out["simulate"]) == 6  # z = 0, four whole strides, and the last step
+        assert len(out["simulate"]) == 5  # z = 0 and four intervals of 0.5, the last ending at z_max
         assert out["simulate"] == out["emit"]
 
     def test_emit_unknown_kind_rejected_before_run(self, tmp_path, no_simulation):

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from darkshelf.finitediff import first_derivative
+from darkshelf.finitediff import first_derivative, second_derivative
 from darkshelf.perturbations import dispersive_damping, linear_damping, local_forcing
 from darkshelf.soliton import CoreParams, grey_profile
 from darkshelf.simulator import (
+    D2_SPECTRAL_RADIUS,
+    DZ_PER_DT2,
+    RK4_IMAGINARY_LIMIT,
     BoundaryContaminationError,
     FieldState,
     Grid,
@@ -59,10 +62,36 @@ class TestGridAndConfig:
 
     def test_snapshot_stride_from_snapshot_dz(self):
         g = Grid(half_width=50.0, n_points=1024)
-        dz, n_steps, stride = SimConfig().resolve(g, 3.0)
-        assert dz <= 0.2 * g.dt**2 and n_steps * dz == pytest.approx(3.0)
-        assert stride == round(0.5 / dz)
-        assert SimConfig(snapshot_dz=0.1).resolve(g, 3.0)[2] == round(0.1 / dz)
+        for snapshot_dz, n_snap in ((0.5, 6), (0.1, 30)):
+            dz, n_steps, stride = SimConfig(snapshot_dz=snapshot_dz).resolve(g, 3.0)
+            assert dz <= DZ_PER_DT2 * g.dt**2 and n_steps * dz == pytest.approx(3.0)
+            # Equal intervals, each with the fewest steps the bound allows.
+            assert n_steps == n_snap * stride and n_snap * (stride - 1) * DZ_PER_DT2 * g.dt**2 < 3.0
+
+    def test_snapshots_on_exact_grid(self):
+        grid = Grid(half_width=50.0, n_points=1024)
+        cfg = SimConfig(snapshot_dz=0.7)  # 3.0 / 0.7 rounds to 4 intervals of 0.75
+        snaps = run(cfg, grid, initial_state(BLACK, grid), SimBackground.constant(1.0), 3.0)
+        np.testing.assert_allclose([s.z for s in snaps], 0.75 * np.arange(5), rtol=0.0, atol=1e-12)
+        # A snapshot_dz below the step bound keeps every step, at the bound's dz.
+        dz, _, stride = SimConfig(snapshot_dz=1e-9).resolve(grid, 3.0)
+        assert stride == 1 and dz == SimConfig(snapshot_dz=3.0).resolve(grid, 3.0)[0]
+
+    @pytest.mark.parametrize("eps_gamma", [0.0, 0.05])  # eps gamma of dispersive damping
+    def test_step_inside_rk4_stability_region(self, eps_gamma):
+        grid = Grid(half_width=12.8, n_points=256)
+        eye = np.eye(grid.n_points)
+        # The pinned boundary samples do not evolve: drop their rows and columns.
+        d2 = np.column_stack([second_derivative(e, grid.dt) for e in eye])[1:-1, 1:-1]
+        lam = (-0.5j + eps_gamma) * np.linalg.eigvals(d2)
+
+        def growth(dz):
+            w = dz * lam
+            return np.max(np.abs(1.0 + w + w**2 / 2 + w**3 / 6 + w**4 / 24))
+
+        assert growth(SimConfig().resolve(grid, 1.0)[0]) <= 1.0 + 1e-12  # roundoff in R
+        # The margin is taken under the true limit: just past it, RK4 grows.
+        assert growth(1.07 * RK4_IMAGINARY_LIMIT / (0.5 * D2_SPECTRAL_RADIUS) * grid.dt**2) > 1.0
 
     def test_domain_size_guard(self):
         grid = Grid(half_width=20.0, n_points=512)
