@@ -1,15 +1,24 @@
 """Airy function Ai and its first and second antiderivatives.
 
-Self-contained evaluation: Maclaurin series in the central range, classical
-asymptotic expansions outside it (exponential on the right, oscillatory on
-the left).  The cumulative integral int_{-inf}^x Ai uses the integrated
-series in the center, an integration-by-parts tail expansion where that
-converges, and a short Gauss-Kronrod bridge over the band where neither is
-at full accuracy.  The second antiderivative reduces exactly to
-x*AiI(x) - Ai'(x).
+Self-contained and vectorized: every branch evaluates a whole array at once.
+On [-8.4, 6.5] each point takes one Taylor step of f'' = x f from the
+nearest of a table of anchors 0.25 apart holding (Ai, Ai', AiI), where
+AiI(x) = int_{-inf}^x Ai.  The table is built once at import by walking the
+same step leftward from two seeds: x = 0, with the exact Ai(0), Ai'(0) and
+AiI(0) = 2/3, and x = 6.5, off the asymptotic branch (walking right from 0
+would grow the Bi component).  Evaluation steps are at most 0.125 long, so
+their terms do not cancel and a plain sum is exact to rounding.
 
-Accuracy: ~1e-12 absolute on [-8.6, 6.5] and on the exponential side,
-~1e-11 elsewhere; plenty below every tolerance used by the layer profiles.
+Outside the table Ai and Ai' come from the classical asymptotic expansions
+(DLMF 9.7) and AiI from an integration-by-parts tail series, each a
+fixed-length sum whose terms still decrease at the switch point.  On
+[-12, -8.4), where the tail series is not yet accurate, AiI is the table's
+value at -8.4 minus an adaptive Gauss-Kronrod bridge.  The second
+antiderivative reduces exactly to x*AiI(x) - Ai'(x).
+
+Accuracy against mpmath (absolute): Ai, Ai' and AiI within 7e-14 on
+[-12, 6.5], Ai' 3e-14 and AiI 1.2e-13 further left, and AiI 1.5e-11 just
+right of 6.5, where the tail series stops at its smallest term.
 """
 
 from __future__ import annotations
@@ -24,232 +33,174 @@ _AI0 = 0.3550280538878172  # Ai(0)  = 3^(-2/3)/Gamma(2/3)
 _AIP0 = -0.2588194037928068  # Ai'(0) = -3^(-1/3)/Gamma(1/3)
 _SQRTPI = math.sqrt(math.pi)
 
-_SERIES_HI = 6.5
-_SERIES_LO = -8.4
+_TABLE_LO = -8.4
+_TABLE_HI = 6.5
 _BRIDGE_LO = -12.0
-# Between -7 and -4 the Maclaurin series cancels badly enough that its
-# term-recurrence roundoff (~1e-13, pointwise-random) shows up in
-# finite-difference residuals, while the oscillatory expansion has not yet
-# reached full accuracy.  There Ai is advanced by Taylor steps of the
-# defining ODE from anchors seeded off the (machine-exact) asymptotic
-# branch at -7.
-_TAYLOR_LO = -7.0
-_TAYLOR_HI = -4.0
-_ANCHOR_STEP = 0.25
+_SPACING = 0.25
+_TAYLOR_TERMS = 24  # 20 already reach rounding on a full 0.25 walking step at |x| <= 8.5
 
 
-def _maclaurin(x: float) -> tuple[float, float, float]:
-    """(Ai, Ai', int_0^x Ai) by the two Maclaurin component series.
-
-    Terms grow to ~1e5 before cancelling near |x| = 8, so each series is
-    compensated with fsum; plain accumulation would leave ~1e-11 pointwise
-    jitter that wrecks finite-difference residual checks downstream.
-    """
-    x3 = x * x * x
-    tf = 1.0  # f terms: a_k x^{3k}
-    tg = x  # g terms: b_k x^{3k+1}
-    f = [tf]
-    g = [tg]
-    fp = [0.0]  # f'
-    gp = [1.0]  # g'
-    fi = [x]  # int f
-    gi = [0.5 * x * x]  # int g
-    k = 0
-    while k < 80:
-        tf_next = tf * x3 / ((3 * k + 2) * (3 * k + 3))
-        tg_next = tg * x3 / ((3 * k + 3) * (3 * k + 4))
-        k += 1
-        tf, tg = tf_next, tg_next
-        f.append(tf)
-        g.append(tg)
-        if x != 0.0:
-            fp.append(tf * (3 * k) / x)
-            gp.append(tg * (3 * k + 1) / x)
-        fi.append(tf * x / (3 * k + 1))
-        gi.append(tg * x / (3 * k + 2))
-        if abs(tf) < 1e-18 and abs(tg) < 1e-18:
-            break
-    ai = math.fsum([_AI0 * t for t in f] + [_AIP0 * t for t in g])
-    aip = math.fsum([_AI0 * t for t in fp] + [_AIP0 * t for t in gp])
-    aii = math.fsum([_AI0 * t for t in fi] + [_AIP0 * t for t in gi])
-    return ai, aip, aii
-
-
-def _asym_coeffs(n: int) -> tuple[list[float], list[float]]:
+def _asym_coeffs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """First n coefficients u_k, v_k of the standard Airy asymptotic series."""
     u = [1.0]
     v = [1.0]
     for k in range(1, n):
         u.append(u[-1] * (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216.0 * k * (2 * k - 1)))
         v.append(u[-1] * (6 * k + 1) / (1 - 6 * k))
-    return u, v
+    return np.array(u), np.array(v)
 
 
 _UK, _VK = _asym_coeffs(26)
+_ALT = (-1.0) ** np.arange(26)
 
 
-def _asym_right(x: float) -> tuple[float, float]:
-    """(Ai, Ai') for large positive x."""
+def _asym_right(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Ai, Ai') for x >= 6.5."""
     zeta = (2.0 / 3.0) * x**1.5
-    if zeta > 700.0:
-        return 0.0, 0.0
-    su = 0.0
-    sv = 0.0
-    sign = 1.0
-    zk = 1.0
-    prev = math.inf
-    for k in range(len(_UK)):
-        term = _UK[k] / zk
-        if abs(term) > prev:
-            break
-        prev = abs(term)
-        su += sign * term
-        sv += sign * _VK[k] / zk
-        sign = -sign
-        zk *= zeta
-    amp = math.exp(-zeta) / (2.0 * _SQRTPI)
-    return amp * su / x**0.25, -amp * sv * x**0.25
+    amp = np.exp(-zeta) / (2.0 * _SQRTPI)
+    w = 1.0 / zeta
+    return (amp * np.polyval((_ALT * _UK)[::-1], w) / x**0.25,
+            -amp * np.polyval((_ALT * _VK)[::-1], w) * x**0.25)
 
 
-def _asym_left(x: float) -> tuple[float, float]:
-    """(Ai, Ai') for large negative x (oscillatory side)."""
+def _asym_left(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Ai, Ai') for x <= -8.4 (oscillatory side)."""
     y = -x
     zeta = (2.0 / 3.0) * y**1.5
-    ceven = 0.0  # sum over u_{2k}
-    codd = 0.0  # sum over u_{2k+1}
-    seven = 0.0  # sum over v_{2k}
-    sodd = 0.0  # sum over v_{2k+1}
-    prev = math.inf
-    for k in range(len(_UK) // 2):
-        t_even = _UK[2 * k] / zeta ** (2 * k)
-        if abs(t_even) > prev:
-            break
-        prev = abs(t_even)
-        sign = (-1.0) ** k
-        ceven += sign * t_even
-        codd += sign * _UK[2 * k + 1] / zeta ** (2 * k + 1)
-        seven += sign * _VK[2 * k] / zeta ** (2 * k)
-        sodd += sign * _VK[2 * k + 1] / zeta ** (2 * k + 1)
-    c = math.cos(zeta - 0.25 * math.pi)
-    s = math.sin(zeta - 0.25 * math.pi)
-    ai = (c * ceven + s * codd) / (_SQRTPI * y**0.25)
-    aip = (s * seven - c * sodd) * y**0.25 / _SQRTPI
-    return ai, aip
+    w = 1.0 / zeta
+    # Each series splits into even and odd powers of w, alternating in sign pairwise.
+    alt = _ALT[:13]
+    ceven = np.polyval((alt * _UK[0::2])[::-1], w * w)
+    codd = w * np.polyval((alt * _UK[1::2])[::-1], w * w)
+    seven = np.polyval((alt * _VK[0::2])[::-1], w * w)
+    sodd = w * np.polyval((alt * _VK[1::2])[::-1], w * w)
+    c = np.cos(zeta - 0.25 * math.pi)
+    s = np.sin(zeta - 0.25 * math.pi)
+    return (c * ceven + s * codd) / (_SQRTPI * y**0.25), (s * seven - c * sodd) * y**0.25 / _SQRTPI
 
 
-def _taylor_step(x0: float, f0: float, fp0: float, dx: float) -> tuple[float, float]:
-    """Advance (Ai, Ai') from x0 by dx using the Taylor series of f'' = x f."""
-    c_prev = 0.0  # c_{k-1}
-    c_k = f0
-    c_k1 = fp0
-    f = math.fsum
-    terms_f = [f0, fp0 * dx]
-    terms_fp = [fp0]
-    dxk = dx * dx
-    for k in range(60):
-        c_next = (x0 * c_k + c_prev) / ((k + 1) * (k + 2))
-        terms_f.append(c_next * dxk)
-        terms_fp.append((k + 2) * c_next * dxk / dx if dx != 0.0 else 0.0)
-        if abs(terms_f[-1]) < 1e-20 and k > 2:
-            break
-        c_prev, c_k = c_k, c_k1
-        c_k1 = c_next
-        dxk *= dx
-    return f(terms_f), f(terms_fp)
+def _byparts(x: np.ndarray, ai: np.ndarray, aip: np.ndarray, terms: int) -> np.ndarray:
+    """int_{-inf}^x Ai for x < 0, or -int_x^inf Ai for x > 0.
 
-
-_ANCHORS: dict[int, tuple[float, float]] = {}
-
-
-def _anchor(i: int) -> tuple[float, float]:
-    """(Ai, Ai') at x = _TAYLOR_LO + i*_ANCHOR_STEP, walked in from the left."""
-    if not _ANCHORS:
-        val = _asym_left(_TAYLOR_LO)
-        _ANCHORS[0] = val
-        n = int(round((_TAYLOR_HI - _TAYLOR_LO) / _ANCHOR_STEP))
-        for j in range(1, n + 1):
-            x0 = _TAYLOR_LO + (j - 1) * _ANCHOR_STEP
-            val = _taylor_step(x0, val[0], val[1], _ANCHOR_STEP)
-            _ANCHORS[j] = val
-    return _ANCHORS[i]
-
-
-def _ai_scalar(x: float) -> tuple[float, float]:
-    if x > _SERIES_HI:
-        return _asym_right(x)
-    if x < _TAYLOR_LO:
-        return _asym_left(x)
-    if x < _TAYLOR_HI:
-        i = int(round((x - _TAYLOR_LO) / _ANCHOR_STEP))
-        i = min(max(i, 0), int(round((_TAYLOR_HI - _TAYLOR_LO) / _ANCHOR_STEP)))
-        x0 = _TAYLOR_LO + i * _ANCHOR_STEP
-        f0, fp0 = _anchor(i)
-        if x == x0:
-            return f0, fp0
-        return _taylor_step(x0, f0, fp0, x - x0)
-    ai, aip, _ = _maclaurin(x)
-    return ai, aip
-
-
-def _tail_byparts(x: float, lower: bool) -> float:
-    """int Ai over (x, inf) for lower=False, over (-inf, x) for lower=True.
-
-    Repeated integration by parts through Ai = Ai''/t; an asymptotic series
-    truncated at its smallest term.
+    Repeated integration by parts through Ai = Ai''/t: an asymptotic series
+    in x^-3 whose first ``terms`` terms decrease over the range it serves.
     """
-    ai, aip = _ai_scalar(x)
-    total = 0.0
-    coef = 1.0
-    n = 0
-    prev = math.inf
-    sgn = 1.0 if lower else -1.0
-    for _ in range(12):
-        term = coef * sgn * (aip / x ** (n + 1) + (n + 1) * ai / x ** (n + 2))
-        if abs(term) > prev:
-            break
-        prev = abs(term)
-        total += term
-        coef *= (n + 1) * (n + 2)
-        n += 3
-    return total
+    n = 3 * np.arange(terms)
+    coef = np.cumprod(np.concatenate(([1.0], ((n + 1) * (n + 2))[:-1])))
+    w = 1.0 / x**3
+    return aip / x * np.polyval(coef[::-1], w) + ai / x**2 * np.polyval(((n + 1) * coef)[::-1], w)
 
 
-def _ai_integral_scalar(x: float) -> float:
-    if x > _SERIES_HI:
-        return 1.0 - _tail_byparts(x, lower=False)
-    if x >= _SERIES_LO:
-        return 2.0 / 3.0 + _maclaurin(x)[2]
-    if x >= _BRIDGE_LO:
-        anchor = 2.0 / 3.0 + _maclaurin(_SERIES_LO)[2]
-        bridge = integrate(_ai_array, x, _SERIES_LO, tol=1e-13)
-        return anchor - bridge
-    return _tail_byparts(x, lower=True)
+def _taylor_step(x0, f0, fp0, F0, d):
+    """(Ai, Ai', AiI) at x0 + d from their values at x0.
+
+    Sums the Taylor series of f'' = x f, whose coefficients obey
+    c_{n+2} = (x0 c_n + c_{n-1}) / ((n+1)(n+2)).
+    """
+    c_prev, c, c_next = 0.0, f0, fp0  # c_{n-1}, c_n, c_{n+1}
+    f = fp = 0.0
+    F = F0
+    dn = 1.0  # d^n
+    for n in range(_TAYLOR_TERMS):
+        f = f + c * dn
+        fp = fp + (n + 1) * c_next * dn
+        F = F + c * dn * d / (n + 1)
+        c_prev, c, c_next = c, c_next, (x0 * c + c_prev) / ((n + 1) * (n + 2))
+        dn = dn * d
+    return f, fp, F
 
 
-def _ai_array(x: np.ndarray) -> np.ndarray:
-    return np.array([_ai_scalar(float(v))[0] for v in np.atleast_1d(x)])
+def _walk(start: int, stop: int, seed: tuple[float, float, float]) -> list[tuple[float, float, float]]:
+    """Anchors k = start, start - 1, ..., stop (x = k * _SPACING), walked left from ``seed``."""
+    rows = [seed]
+    for k in range(start, stop, -1):
+        rows.append(_taylor_step(k * _SPACING, *rows[-1], -_SPACING))
+    return rows
 
 
-def _vectorize(scalar_fn, x):
-    if np.isscalar(x):
-        return scalar_fn(float(x))
+def _anchors() -> np.ndarray:
+    """Columns Ai, Ai', AiI; row i is the anchor x = (i + _K_LO) * _SPACING.
+
+    The right half's integral is carried from zero at x = 6.5 and then
+    shifted to meet the exact 2/3 at x = 0.
+    """
+    left = _walk(0, _K_LO, (_AI0, _AIP0, 2.0 / 3.0))[::-1]
+    ai, aip = _asym_right(np.array([_TABLE_HI]))
+    right = np.array(_walk(_K_HI, 0, (float(ai[0]), float(aip[0]), 0.0))[::-1])
+    right[:, 2] += 2.0 / 3.0 - right[0, 2]
+    return np.concatenate((left, right[1:])).T
+
+
+_K_LO = round(_TABLE_LO / _SPACING)
+_K_HI = round(_TABLE_HI / _SPACING)
+_ANCHORS = _anchors()
+
+
+def _table(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Ai, Ai', AiI) on [-8.4, 6.5] by one step from the nearest anchor."""
+    k = np.rint(x / _SPACING)
+    i = k.astype(int) - _K_LO
+    x0 = k * _SPACING
+    return _taylor_step(x0, *_ANCHORS[:, i], x - x0)
+
+
+_AII_LO = float(_table(np.array([_TABLE_LO]))[2][0])
+
+
+def _piecewise(x: np.ndarray, branches, rows: tuple[int, ...] = ()) -> np.ndarray:
+    """Evaluate each (mask, fn) branch on the points of ``x`` its mask selects."""
+    out = np.empty(rows + x.shape)
+    for mask, fn in branches:
+        if mask.any():
+            out[..., mask] = fn(x[mask])
+    return out
+
+
+def _ai(x: np.ndarray) -> np.ndarray:
+    """Rows Ai, Ai' at the points of a 1-d array."""
+    return _piecewise(x, (
+        (x < _TABLE_LO, _asym_left),
+        ((x >= _TABLE_LO) & (x <= _TABLE_HI), lambda v: _table(v)[:2]),
+        (x > _TABLE_HI, _asym_right),
+    ), rows=(2,))
+
+
+def _bridge(x: np.ndarray) -> list[float]:
+    """AiI on [-12, -8.4): the table's value at -8.4 minus the integral up to it."""
+    return [_AII_LO - integrate(lambda s: _asym_left(s)[0], v, _TABLE_LO, tol=1e-13) for v in x]
+
+
+def _ai_integral(x: np.ndarray) -> np.ndarray:
+    """int_{-inf}^x Ai at the points of a 1-d array."""
+    return _piecewise(x, (
+        (x < _BRIDGE_LO, lambda v: _byparts(v, *_asym_left(v), 12)),
+        ((x >= _BRIDGE_LO) & (x < _TABLE_LO), _bridge),
+        ((x >= _TABLE_LO) & (x <= _TABLE_HI), lambda v: _table(v)[2]),
+        (x > _TABLE_HI, lambda v: 1.0 + _byparts(v, *_asym_right(v), 6)),
+    ))
+
+
+def _apply(fn, x):
     arr = np.asarray(x, dtype=float)
-    return np.array([scalar_fn(float(v)) for v in arr.ravel()]).reshape(arr.shape)
+    if not np.isfinite(arr).all():
+        raise ValueError("x must be finite")
+    out = fn(arr.ravel())
+    return float(out[0]) if np.isscalar(x) else out.reshape(arr.shape)
 
 
 def airy_ai(x):
     """Airy function Ai(x); accepts scalars or arrays."""
-    return _vectorize(lambda v: _ai_scalar(v)[0], x)
+    return _apply(lambda v: _ai(v)[0], x)
 
 
 def airy_ai_prime(x):
     """Derivative Ai'(x)."""
-    return _vectorize(lambda v: _ai_scalar(v)[1], x)
+    return _apply(lambda v: _ai(v)[1], x)
 
 
 def airy_ai_integral(x):
     """Cumulative integral int_{-inf}^x Ai(s) ds; tends to 0 / 1 at -inf / +inf."""
-    return _vectorize(_ai_integral_scalar, x)
+    return _apply(_ai_integral, x)
 
 
 def airy_ai_double_integral(x):
@@ -258,8 +209,4 @@ def airy_ai_double_integral(x):
     Integration by parts collapses it to x*AiI(x) - Ai'(x); the boundary
     contribution at -infinity cancels between the two terms.
     """
-
-    def scalar(v: float) -> float:
-        return v * _ai_integral_scalar(v) - _ai_scalar(v)[1]
-
-    return _vectorize(scalar, x)
+    return _apply(lambda v: v * _ai_integral(v) - _ai(v)[1], x)

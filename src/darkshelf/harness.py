@@ -35,7 +35,8 @@ from .perturbations import BUILTINS, Perturbation
 from .soliton import CoreParams, grey_profile
 
 MAX_POINT_STEPS = 1e10  # PDE steps x grid points
-MAX_SNAPSHOT_BYTES = 2**30  # kept snapshots x grid points x 16 B
+MAX_SNAPSHOT_BYTES = 2**30  # (kept snapshots + STEP_FIELDS) x grid points x 16 B
+STEP_FIELDS = 11  # complex fields live in one simulator.run RK4 step (tracemalloc: 10.03 at N = 4096)
 MAX_CASCADE_STEPS = 10**6  # slow-parameter RK4 steps
 
 
@@ -279,7 +280,7 @@ def validate(cfg: dict) -> Experiment:
 
 
 def _check_run_size(sim: simulator.SimConfig, grid: simulator.Grid, z_max: float) -> None:
-    """Hold the PDE run to MAX_POINT_STEPS and its snapshots to MAX_SNAPSHOT_BYTES."""
+    """Hold the PDE run to MAX_POINT_STEPS, and its snapshots plus one step's fields to MAX_SNAPSHOT_BYTES."""
     n_steps, stride = math.inf, 1
     # n_points is bounded first; near 1e308 points, or on a tiny half_width, dt**2 underflows.
     with contextlib.suppress(ZeroDivisionError, OverflowError):
@@ -291,6 +292,11 @@ def _check_run_size(sim: simulator.SimConfig, grid: simulator.Grid, z_max: float
     kept = (1 + n_steps // stride) * grid.n_points * 16
     if kept > MAX_SNAPSHOT_BYTES:
         raise ConfigError(f"run.snapshot_dz: {sim.snapshot_dz} keeps {kept / 2**20:.0f} MiB of snapshots "
+                          f"(bound {MAX_SNAPSHOT_BYTES / 2**20:.0f} MiB)")
+    step = STEP_FIELDS * grid.n_points * 16
+    if kept + step > MAX_SNAPSHOT_BYTES:
+        raise ConfigError(f"grid.n_points: {grid.n_points} points need {step / 2**20:.0f} MiB for one step "
+                          f"on top of {kept / 2**20:.0f} MiB of snapshots "
                           f"(bound {MAX_SNAPSHOT_BYTES / 2**20:.0f} MiB)")
 
 

@@ -35,10 +35,11 @@ def test_total_integral_is_one():
 
 
 def test_defining_ode_residual():
-    # f'' = xi f over [-10, 5]; a 7-point 6th-order stencil at h = 0.01 keeps
-    # the differencing truncation below the 1e-8 target (|f^(8)| ~ xi^4 f).
+    # f'' = xi f over [-10, 8], across both ends of the anchor table; a 7-point
+    # 6th-order stencil at h = 0.01 keeps the differencing truncation below
+    # the 1e-8 target (|f^(8)| ~ xi^4 f).
     h = 0.01
-    xi = np.arange(-10.0, 5.0 + h / 2, h)
+    xi = np.arange(-10.0, 8.0 + h / 2, h)
     f = airy_ai(xi)
     c = np.array([1 / 90, -3 / 20, 3 / 2, -49 / 18, 3 / 2, -3 / 20, 1 / 90])
     d2 = sum(ck * np.roll(f, 3 - i) for i, ck in enumerate(c)) / h**2
@@ -75,6 +76,23 @@ def test_double_integral_slope_is_integral():
     G = airy_ai_double_integral(x)
     mid = (G[2:] - G[:-2]) / (2 * h)
     np.testing.assert_allclose(mid, airy_ai_integral(x[1:-1]), atol=1e-3)
+
+
+def test_array_equals_scalar_calls():
+    # Both sides of each branch switch, and anchor midpoints, where a step is longest.
+    switches = [v + dv for v in (-12.0, -8.4, 6.5) for dv in (-1e-9, 0.0, 1e-9, -0.01, 0.01)]
+    x = np.array(switches + list((np.arange(-34, 26) + 0.5) * 0.25))
+    for fn in (airy_ai, airy_ai_prime, airy_ai_integral, airy_ai_double_integral):
+        assert np.array_equal(fn(x), [fn(float(v)) for v in x]), fn.__name__
+
+
+@pytest.mark.parametrize("fn", [airy_ai, airy_ai_prime, airy_ai_integral, airy_ai_double_integral])
+@pytest.mark.parametrize("bad", [-np.inf, np.inf, np.nan])
+def test_non_finite_rejected(fn, bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        fn(bad)
+    with pytest.raises(ValueError, match="must be finite"):
+        fn(np.array([0.0, bad]))
 
 
 def test_scalar_and_array_forms():

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,32 @@ class TestConfigs:
         cfg = harness.load_config("grey_dispersive")
         cfg["run"]["snapshot_dz"] = 1e-12
         assert harness.validate(cfg).snapshot_dz == 1e-12
+
+    def test_step_memory_bounded(self, tmp_path, no_simulation):
+        # Two snapshots of 2**25 points fill the bound exactly; one RK4 step's fields do not fit.
+        cfg = harness.load_config("black_unperturbed")
+        cfg["grid"] = {"half_width": 100.0, "n_points": 2**25}
+        cfg["run"]["z_max"] = 1e-9
+        with pytest.raises(harness.ConfigError, match="grid.n_points"):
+            harness.validate(cfg)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg), encoding="utf-8")
+        assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), "compare"]) == 2
+
+    def test_step_fields_cover_a_traced_run(self):
+        # The traced peak of a short dispersive run stays within what validate counts for it.
+        exp = harness.validate(harness.load_config("black_dispersive"))
+        sim = simulator.SimConfig(exp.epsilon, exp.perturbation, exp.snapshot_dz)
+        background = simulator.SimBackground.from_perturbation(exp.perturbation, exp.epsilon,
+                                                               exp.params.u_inf, 1e-3)
+        initial = simulator.initial_state(exp.params, exp.grid)
+        tracemalloc.start()
+        try:
+            snapshots = simulator.run(sim, exp.grid, initial, background, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (harness.STEP_FIELDS + len(snapshots)) * exp.grid.n_points * 16
 
     def test_underflowing_grid_spacing_rejected(self):
         # dt = 1e-290 / 2048: dt**2 underflows to 0, where SimConfig.resolve divides by zero.
