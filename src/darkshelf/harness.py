@@ -8,10 +8,14 @@ observables of ``simulate``'s Artifacts against the asymptotic predictions.
 
 Measurement protocol notes (dispersive-damping validation runs):
 
-* Shelf plateaus are averaged over [margin, 0.7 S_side] per side, with the
-  margin set so the bare-core tail biases the plateau by under 5%, and the
-  measurement distance chosen per side so the slow edge has opened a usable
-  window before second-order drift accumulates.
+* Each observable picks its windows, and ``_measure_shelf`` states the
+  rule once: a plateau is averaged over [margin, 0.7 S_R] right of the core
+  or [0.7 S_L, -margin] left of it, in comoving coordinates.  The ``shelf``
+  rows take the margin at which the bare-core tail biases the plateau by
+  under 5% (shelf_margin), at a measurement distance chosen per side so the
+  slow edge has opened a usable window before second-order drift
+  accumulates.  ``black_balance`` takes the margin 10/B on the final snapshot.
+* sigma0 and edge speeds are fitted over the snapshots from z = 10 on.
 * A is measured kinematically: the dip velocity fitted over the two halves
   of the decade before the measurement distance must agree (A_rate = 0).
 * Edge trajectories use quarter-level crossings (see track_edges); the
@@ -270,6 +274,10 @@ def validate(cfg: dict) -> Experiment:
         raise ConfigError(f"grid: {exc}") from exc
     if grid.half_width < 3.0 * u_inf * z_max:
         raise ConfigError(f"grid.half_width: {grid.half_width} < 3*u_inf*z_max = {3 * u_inf * z_max}")
+    reach = abs(t0) + 0.5 * grid.dt + u_inf * z_max  # simulator.run's edge reach, background not growing
+    if reach > 0.9 * grid.half_width:
+        raise ConfigError(f"soliton.t0: shelf edges from t0 = {t0} reach {reach:.4g} by run.z_max, "
+                          f"past 0.9*half_width = {0.9 * grid.half_width:.4g}")
     _check_run_size(simulator.SimConfig(eps, pert, snapshot_dz), grid, z_max)
     core = "black" if params.is_black else "grey"
     defaults = dict.fromkeys(o.name for o in OBSERVABLES if core in o.default_for)
@@ -433,49 +441,51 @@ def _measure_fidelity(art: Artifacts) -> list[float]:
     return [dev, *drifts, float(np.max(np.abs(dR + np.array([c.I for c in q]))))]
 
 
-def _measure_shelf(art: Artifacts, snap, **kwargs) -> simulator.ShelfMeasurement:
-    exp = art.exp
-    return simulator.measure_shelf(
-        snap, exp.grid, art.traj.comoving_shift, art.traj.edges(snap.z), exp.epsilon,
-        art.background.u_inf_fn(snap.z), exp.params.B, **kwargs,
-    )
+def _measure_shelf(art: Artifacts, snap, side: int, margin: float) -> tuple[float, float, bool]:
+    """(q1, phi1t, flat) of ``snap`` over the plateau window on ``side``:
+    [margin, 0.7 S_R] right (+1) or [0.7 S_L, -margin] left (-1) of the core."""
+    s_l, s_r = art.traj.edges(snap.z)
+    window = (margin, 0.7 * s_r) if side > 0 else (0.7 * s_l, -margin)
+    return simulator.measure_shelf(snap, art.exp.grid, art.traj.comoving_shift, window, art.exp.epsilon,
+                                   art.background.u_inf_fn(snap.z))
 
 
 def _shelf_side(tag: str, side: int) -> Observable:
-    """The plateau on one side, at its own measurement distance."""
+    """The plateau on one side, at its own measurement distance and margin."""
     key = f"q1_{tag}"
 
     def measure(art):
         params, eps, q1 = art.exp.params, art.exp.epsilon, getattr(art.shelf0, key)
         z_m = min(measurement_distance(params, eps, q1, side), art.exp.z_max)
-        m = _measure_shelf(art, _snapshot_at(art.snapshots, z_m),
-                           core_margin=shelf_margin(params, eps, q1), sides=(tag,))
-        return [eps * getattr(m, key)]
+        q1_m, _, _ = _measure_shelf(art, _snapshot_at(art.snapshots, z_m), side, shelf_margin(params, eps, q1))
+        return [eps * q1_m]
 
     return Observable("shelf", lambda a: [_row(f"eps_{key}", a.exp.epsilon * getattr(a.shelf0, key), 0.10)],
                       measure, default_for=("black", "grey"))
 
 
 def _measure_black_balance(art: Artifacts) -> list[float]:
-    # Signed convention: the left-side magnitude correction flips sign.
-    m = _measure_shelf(art, art.final)
-    return [art.exp.epsilon * (m.q1_plus + m.q1_minus), m.phi1t_plus + m.phi1t_minus]
+    # Both sides of the final snapshot, 10/B from the core; the left-side magnitude correction flips sign.
+    (q1p, phi1tp, _), (q1m, phi1tm, _) = (_measure_shelf(art, art.final, side, 10.0 / art.exp.params.B)
+                                          for side in (+1, -1))
+    return [art.exp.epsilon * (q1p + q1m), phi1tp + phi1tm]
+
+
+def _late_snapshots(art: Artifacts) -> list[simulator.FieldState]:
+    """Snapshots from z = 10 on, once the shelf has formed: what sigma0 and edge speeds fit."""
+    return [s for s in art.snapshots if s.z >= 10.0]
 
 
 def _measure_sigma0(art: Artifacts) -> list[float]:
     exp = art.exp
-    sel = [s for s in art.snapshots if 10.0 <= s.z <= exp.z_max]
-    return [simulator.measure_sigma0_rate(sel, exp.grid, art.traj.comoving_shift, -2.0 / exp.params.B,
-                                          exp.epsilon, art.traj.edges)]
+    return [simulator.measure_sigma0_rate(_late_snapshots(art), exp.grid, art.traj.comoving_shift,
+                                          -2.0 / exp.params.B, exp.epsilon, art.traj.edges)]
 
 
 def _measure_edges(art: Artifacts) -> list[float]:
-    exp, sh0 = art.exp, art.shelf0
-    tr = simulator.track_edges(
-        art.snapshots, exp.grid, art.traj.comoving_shift, exp.epsilon * sh0.q1_plus,
-        exp.epsilon * sh0.q1_minus, z_window=(10.0, exp.z_max),
-    )
-    return [tr["speed_right"], tr["speed_left"]]
+    eps, sh0 = art.exp.epsilon, art.shelf0
+    return list(simulator.track_edges(_late_snapshots(art), art.exp.grid, art.traj.comoving_shift,
+                                      eps * sh0.q1_plus, eps * sh0.q1_minus))
 
 
 def _measure_t0(art: Artifacts) -> list[float]:
@@ -636,10 +646,11 @@ def write_prediction_csv(traj, out_dir: str, run_id: str) -> str:
 def sweep_configs(base_cfg: dict, delta_phi0_values) -> list[tuple[str, dict]]:
     """Per-angle configs with measurement-aware run length and grid.
 
-    Each angle's config is validated first, so a bad angle or base config
-    raises ConfigError before any run, as do two angles that share a tag
-    (results are keyed by tag).  The run length comes from the cascade's
-    plateau predictions q1+- for the configured forcing at each angle.
+    Each angle's config is validated as given and again as it will run, so
+    a bad angle, base config or sweep-set size raises ConfigError before any
+    run, as do two angles that share a tag (results are keyed by tag).  The
+    run length comes from the cascade's plateau predictions q1+- for the
+    configured forcing at each angle.
     """
     out = []
     for dphi in delta_phi0_values:
@@ -661,6 +672,10 @@ def sweep_configs(base_cfg: dict, delta_phi0_values) -> list[tuple[str, dict]]:
         cfg["run"]["z_max"] = z_max
         cfg["grid"] = auto_grid(params, z_max)
         cfg["observables"] = ["shelf", "a_constancy"]
+        try:
+            validate(cfg)
+        except ConfigError as exc:
+            raise ConfigError(f"delta_phi0 {dphi!r}: {exc}") from exc
         out.append((tag, cfg))
     return out
 

@@ -298,98 +298,41 @@ def conservation_residuals(
     return {name: float(np.max(resid[name])) for name in "HEIR"}
 
 
-@dataclass(frozen=True)
-class ShelfMeasurement:
-    """Plateau amplitudes extracted from one snapshot.
+def measure_shelf(snapshot: FieldState, grid: Grid, comoving_shift: Callable[[float], float],
+                  window: tuple[float, float], epsilon: float, u_inf: float) -> tuple[float, float, bool]:
+    """(q1, phi1t, flat) of the plateau over the comoving window [lo, hi].
 
-    q1 values follow the positive-magnitude convention, (|u| - u_inf)/eps
-    averaged over the plateau; phi1t values are least-squares phase slopes
-    over the same windows divided by eps.
-    """
-
-    q1_plus: float
-    q1_minus: float
-    phi1t_plus: float
-    phi1t_minus: float
-    flat_right: bool
-    flat_left: bool
-
-
-Shift = Callable[[float], float]
-
-
-def measure_shelf(
-    snapshot: FieldState,
-    grid: Grid,
-    comoving_shift: Shift,
-    predicted_edges: tuple[float, float],
-    epsilon: float,
-    u_inf: float,
-    B: float,
-    core_margin: float | None = None,
-    sides: tuple[str, ...] = ("plus", "minus"),
-) -> ShelfMeasurement:
-    """Measure plateau magnitudes and phase slopes.
-
-    ``comoving_shift(z)`` is the lab position of the comoving origin.  The
-    plateau window is [core_margin, 0.7 S_R] on the right (mirrored on the
-    left) in comoving coordinates, with core_margin defaulting to 10/B.
-    Raises MeasurementError when fewer than MIN_PLATEAU_POINTS samples fall
-    in a requested window; a plateau whose std exceeds 25% of its mean
-    magnitude is flagged (not fatal) through the ``flat_*`` fields.
-    ``sides`` limits the measurement (the slow side opens its window much
-    later than the fast one); skipped sides report NaN.
+    ``comoving_shift(z)`` is the lab position of the comoving origin.  q1 is
+    (|u| - u_inf)/eps averaged over the window, phi1t the least-squares
+    phase slope over it divided by eps, and ``flat`` is False when the
+    deviation's std exceeds 25% of |q1|.  Raises MeasurementError when fewer
+    than MIN_PLATEAU_POINTS samples fall in the window.
     """
     if epsilon == 0.0:
         raise ValueError("shelf measurement requires epsilon != 0")
-    s_l, s_r = predicted_edges
-    margin = 10.0 / B if core_margin is None else core_margin
+    lo, hi = window
     T = grid.t - comoving_shift(snapshot.z)
-    dev = (np.abs(snapshot.samples) - u_inf) / epsilon
-    phase = np.unwrap(np.angle(snapshot.samples))
-
-    def one_side(lo: float, hi: float):
-        mask = (T >= lo) & (T <= hi)
-        if int(mask.sum()) < MIN_PLATEAU_POINTS:
-            raise MeasurementError(
-                f"plateau window [{lo:.2f}, {hi:.2f}] holds {int(mask.sum())} points "
-                f"(< {MIN_PLATEAU_POINTS})"
-            )
-        q1 = float(np.mean(dev[mask]))
-        flat = bool(np.std(dev[mask]) <= 0.25 * abs(q1))
-        slope = float(np.polyfit(T[mask], phase[mask], 1)[0]) / epsilon
-        return q1, slope, flat
-
-    nan = float("nan")
-    q1p = phi1tp = q1m = phi1tm = nan
-    flat_r = flat_l = True
-    if "plus" in sides:
-        q1p, phi1tp, flat_r = one_side(margin, 0.7 * s_r)
-    if "minus" in sides:
-        q1m, phi1tm, flat_l = one_side(0.7 * s_l, -margin)
-    return ShelfMeasurement(
-        q1_plus=q1p,
-        q1_minus=q1m,
-        phi1t_plus=phi1tp,
-        phi1t_minus=phi1tm,
-        flat_right=flat_r,
-        flat_left=flat_l,
-    )
+    mask = (T >= lo) & (T <= hi)
+    if (n := int(mask.sum())) < MIN_PLATEAU_POINTS:
+        raise MeasurementError(f"plateau window [{lo:.2f}, {hi:.2f}] holds {n} points (< {MIN_PLATEAU_POINTS})")
+    dev = (np.abs(snapshot.samples[mask]) - u_inf) / epsilon
+    q1 = float(np.mean(dev))
+    phase = np.unwrap(np.angle(snapshot.samples))[mask]
+    return q1, float(np.polyfit(T[mask], phase, 1)[0]) / epsilon, bool(np.std(dev) <= 0.25 * abs(q1))
 
 
-def _edge_crossing(T: np.ndarray, dev: np.ndarray, plateau: float, start: float, sign: float) -> float:
+def _edge_crossing(T: np.ndarray, dev: np.ndarray, plateau: float, start: float, sign: int) -> float:
     """First crossing of EDGE_LEVEL times the plateau level outward from ``start``.
 
-    ``sign`` +1 scans toward +T, -1 toward -T.  The deviation is folded so
-    the plateau is positive; the edge is where it first drops through the
-    level, linearly interpolated between samples.
+    ``sign`` +1 scans toward +T, -1 toward -T along the increasing ``T``.
+    The deviation is folded so the plateau is positive; the edge is where it
+    first drops through the level, linearly interpolated between samples.
     """
     if plateau == 0.0:
         raise MeasurementError("zero plateau value; no edge level to cross")
     fold = -1.0 if plateau < 0 else 1.0
-    order = np.argsort(sign * T)
-    Ts = T[order]
-    ds = fold * dev[order]
+    Ts = T[::sign]
+    ds = fold * dev[::sign]
     lv = EDGE_LEVEL * abs(plateau)
     k0 = int(np.searchsorted(sign * Ts, sign * start))
     cand = np.where(ds[k0:] < lv)[0]
@@ -409,7 +352,7 @@ def _edge_crossing(T: np.ndarray, dev: np.ndarray, plateau: float, start: float,
 def measure_sigma0_rate(
     snapshots: Sequence[FieldState],
     grid: Grid,
-    comoving_shift: Shift,
+    comoving_shift: Callable[[float], float],
     probe_T: float,
     epsilon: float,
     edges_fn: Callable[[float], tuple[float, float]],
@@ -437,15 +380,9 @@ def measure_sigma0_rate(
     return float(np.polyfit(zs, np.unwrap(np.array(ph)), 1)[0]) / (epsilon or 1.0)
 
 
-def track_edges(
-    snapshots: Sequence[FieldState],
-    grid: Grid,
-    comoving_shift: Shift,
-    plateau_plus: float,
-    plateau_minus: float,
-    z_window: tuple[float, float],
-) -> dict[str, np.ndarray]:
-    """Edge trajectories from fixed-level crossings of the magnitude deviation.
+def track_edges(snapshots: Sequence[FieldState], grid: Grid, comoving_shift: Callable[[float], float],
+                plateau_plus: float, plateau_minus: float) -> tuple[float, float]:
+    """(right, left) edge speeds fitted to fixed-level crossings of the magnitude deviation.
 
     ``plateau_plus/minus`` are the predicted plateau deviations eps*q1 per
     side; each snapshot's edge is the outward crossing of EDGE_LEVEL times
@@ -453,18 +390,17 @@ def track_edges(
     pinned boundary magnitude as the background.  The transition midpoint
     rides the plateau characteristic (slower than u_inf by ~eps|q1|) while
     the similarity widening pushes foot-ward features outward; the quarter
-    level sits where the two known O(eps) biases nearly cancel.  Returns
-    positions relative to ``comoving_shift(z)``.
+    level sits where the two known O(eps) biases nearly cancel.  Positions
+    are relative to ``comoving_shift(z)``; snapshots without both crossings
+    are skipped.
     """
     zs, right, left = [], [], []
     for s in snapshots:
-        if not z_window[0] <= s.z <= z_window[1]:
-            continue
         dev = np.abs(s.samples) - float(abs(s.samples[0]))
         T = grid.t - comoving_shift(s.z)
         try:
-            r = _edge_crossing(T, dev, plateau_plus, start=0.4 * s.z, sign=+1.0)
-            l = _edge_crossing(T, dev, plateau_minus, start=-0.4 * s.z, sign=-1.0)
+            r = _edge_crossing(T, dev, plateau_plus, start=0.4 * s.z, sign=+1)
+            l = _edge_crossing(T, dev, plateau_minus, start=-0.4 * s.z, sign=-1)
         except MeasurementError:
             continue
         zs.append(s.z)
@@ -472,10 +408,7 @@ def track_edges(
         left.append(l)
     if len(zs) < 3:
         raise MeasurementError("fewer than 3 snapshots yielded edge crossings")
-    out = {"z": np.array(zs), "right": np.array(right), "left": np.array(left)}
-    out["speed_right"] = float(np.polyfit(out["z"], out["right"], 1)[0])
-    out["speed_left"] = float(np.polyfit(out["z"], out["left"], 1)[0])
-    return out
+    return float(np.polyfit(zs, right, 1)[0]), float(np.polyfit(zs, left, 1)[0])
 
 
 def measure_core_minimum(snapshot: FieldState, grid: Grid) -> tuple[float, float]:

@@ -122,6 +122,19 @@ class TestConfigs:
         p.write_text(json.dumps(cfg), encoding="utf-8")
         assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), "compare"]) == 2
 
+    @pytest.mark.parametrize("t0, ok", [(69.8, True), (70.0, False), (-70.0, False), (150.0, False)])
+    def test_shelf_edges_must_stay_off_the_boundary(self, t0, ok, no_simulation):
+        # Edges from t0 travel u_inf z_max = 20 on L = 100; run's guard stops them at 0.9 L.
+        cfg = harness.load_config("grey_dispersive")
+        cfg["soliton"]["t0"] = t0
+        cfg["grid"] = {"half_width": 100.0, "n_points": 1024}
+        cfg["run"]["z_max"] = 20.0
+        if ok:
+            assert harness.validate(cfg).params.t0 == t0
+        else:
+            with pytest.raises(harness.ConfigError, match="soliton.t0"):
+                harness.validate(cfg)
+
     def test_step_fields_cover_a_traced_run(self):
         # The traced peak of a short dispersive run stays within what validate counts for it.
         exp = harness.validate(harness.load_config("black_dispersive"))
@@ -316,6 +329,47 @@ class TestCompareDegradation:
             assert sum(note.startswith(f"{names[0]}: patched") for note in report.notes) == 1
         assert len(report.notes) == len(failed)
 
+    def test_observables_pick_their_shelf_windows(self, monkeypatch):
+        # shelf: [shelf_margin, 0.7 S_R] and [0.7 S_L, -shelf_margin] at z_m = 20;
+        # black_balance: +-10/B on the final snapshot, z = 25.
+        calls = []
+
+        def record(snap, grid, shift, window, epsilon, u_inf):
+            calls.append((snap.z, window))
+            return 0.0, 0.0, True
+
+        monkeypatch.setattr(simulator, "measure_shelf", record)
+        cfg = dict(TestDeterminism()._tiny_cfg(), observables=["shelf", "black_balance"],
+                   grid={"half_width": 80.0, "n_points": 512}, run={"z_max": 25.0, "snapshot_dz": 0.5})
+        _, art = harness.compare(harness.validate(cfg))
+        params, eps, sh0, edges = art.exp.params, art.exp.epsilon, art.shelf0, art.traj.edges
+        right, left = (harness.shelf_margin(params, eps, q1) for q1 in (sh0.q1_plus, sh0.q1_minus))
+        core = 10.0 / params.B
+        assert [z for z, _ in calls] == [20.0, 20.0, 25.0, 25.0]
+        assert calls[0][1] == (right, 0.7 * edges(20.0)[1])
+        assert calls[1][1] == (0.7 * edges(20.0)[0], -left)
+        assert calls[2][1] == (core, 0.7 * edges(25.0)[1])
+        assert calls[3][1] == (0.7 * edges(25.0)[0], -core)
+
+    def test_late_fits_keep_the_final_snapshot(self, monkeypatch):
+        # 650 steps of 12.6/650 end at z = 12.600000000000001, one ulp past z_max.
+        seen = {}
+
+        def record(name):
+            def fit(snapshots, *args):
+                seen[name] = [s.z for s in snapshots]
+                return (0.0, 0.0) if name == "track_edges" else 0.0
+            return fit
+
+        for name in ("track_edges", "measure_sigma0_rate"):
+            monkeypatch.setattr(simulator, name, record(name))
+        cfg = dict(TestDeterminism()._tiny_cfg(), observables=["sigma0", "edges"],
+                   grid={"half_width": 40.0, "n_points": 512}, run={"z_max": 12.6, "snapshot_dz": 0.5})
+        _, art = harness.compare(harness.validate(cfg))
+        late = [s.z for s in art.snapshots if s.z >= 10.0]
+        assert art.final.z > 12.6 and late[-1] == art.final.z
+        assert seen == {"track_edges": late, "measure_sigma0_rate": late}
+
     def test_linear_damping_shelf_rows_finite(self):
         # The plateau is graded against the decayed background u_inf(z_m), not u_inf(0).
         report, _ = harness.compare(harness.validate(harness.load_config("grey_linear_damping")))
@@ -348,6 +402,12 @@ class TestSweep:
         shallow = by_tag["dphi1.25664"]
         assert shallow["run"]["z_max"] > deep["run"]["z_max"]
         assert shallow["grid"]["half_width"] >= 3.0 * shallow["run"]["z_max"]
+
+    def test_sweep_configs_validate_the_config_each_angle_runs(self):
+        # At 0.5 the sweep's own run length (755) and grid (48,128 points) keep 1.1 GiB of snapshots.
+        base = harness.load_config("grey_dispersive")
+        with pytest.raises(harness.ConfigError, match=r"delta_phi0 0\.5: run\.snapshot_dz"):
+            harness.sweep_configs(base, [4 * math.pi / 5, 0.5])
 
     def test_merge_keeps_per_angle_notes(self):
         # Per-angle reports as a failing shelf measurement leaves them.
@@ -423,6 +483,8 @@ class TestCli:
         ("black_unperturbed", "2.5"),
         # Angles sharing a tag (dphi2.5, dphi2.51327) would drop each other's rows.
         ("grey_dispersive", "2.5"), ("grey_dispersive", "2.5132741 2.5132742"),
+        # Valid as given, but the run length and grid the sweep sets for it are not.
+        ("grey_dispersive", "0.5"),
     ])
     def test_sweep_bad_angle_rejected_before_pool(self, config, angle, tmp_path, monkeypatch, capsys):
         import concurrent.futures

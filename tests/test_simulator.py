@@ -242,37 +242,46 @@ def synthetic_shelf(grid, eps, q1p, q1m, p1tp, p1tm, s_l, s_r, u_inf=1.0, B=1.0)
 
 
 class TestShelfMeasurement:
+    # Windows [10/B, 0.7 S_R] and [0.7 S_L, -10/B] for B = 1 and edges (-39, 21).
+    RIGHT, LEFT = (10.0, 0.7 * 21.0), (0.7 * -39.0, -10.0)
+
     def test_synthetic_plateaus_recovered(self):
         grid = Grid(half_width=100.0, n_points=4096)
         eps = 0.05
         state = synthetic_shelf(grid, eps, -0.66, -0.44, 1.32, -0.88, -39.0, 21.0)
-        m = measure_shelf(state, grid, lab, (-39.0, 21.0), eps, 1.0, 1.0)
-        assert m.q1_plus == pytest.approx(-0.66, rel=1e-6)
-        assert m.q1_minus == pytest.approx(-0.44, rel=1e-6)
-        assert m.phi1t_plus == pytest.approx(1.32, rel=1e-6)
-        assert m.phi1t_minus == pytest.approx(-0.88, rel=1e-6)
-        assert m.flat_right and m.flat_left
+        q1p, phi1tp, flat_right = measure_shelf(state, grid, lab, self.RIGHT, eps, 1.0)
+        q1m, phi1tm, flat_left = measure_shelf(state, grid, lab, self.LEFT, eps, 1.0)
+        assert q1p == pytest.approx(-0.66, rel=1e-6)
+        assert q1m == pytest.approx(-0.44, rel=1e-6)
+        assert phi1tp == pytest.approx(1.32, rel=1e-6)
+        assert phi1tm == pytest.approx(-0.88, rel=1e-6)
+        assert flat_right and flat_left
 
     def test_comoving_shift_moves_windows(self):
         # The same shelf displaced by 143 samples in the lab is recovered in the comoving frame.
         grid = Grid(half_width=100.0, n_points=4096)
         state = synthetic_shelf(grid, 0.05, -0.66, -0.44, 1.32, -0.88, -39.0, 21.0)
         moved = FieldState(z=state.z, samples=np.roll(state.samples, 143))
-        m = measure_shelf(moved, grid, lambda z: 143 * grid.dt, (-39.0, 21.0), 0.05, 1.0, 1.0)
-        assert m.q1_plus == pytest.approx(-0.66, rel=1e-6)
-        assert m.q1_minus == pytest.approx(-0.44, rel=1e-6)
+
+        def shift(z):
+            return 143 * grid.dt
+
+        assert measure_shelf(moved, grid, shift, self.RIGHT, 0.05, 1.0)[0] == pytest.approx(-0.66, rel=1e-6)
+        assert measure_shelf(moved, grid, shift, self.LEFT, 0.05, 1.0)[0] == pytest.approx(-0.44, rel=1e-6)
 
     def test_narrow_plateau_rejected(self):
+        # Edges at +-5 leave [10, 3.5] and [-3.5, -10] empty; [10, 10.5] holds 10 points.
         grid = Grid(half_width=100.0, n_points=4096)
         state = synthetic_shelf(grid, 0.05, -0.66, -0.44, 1.32, -0.88, -5.0, 5.0)
-        with pytest.raises(MeasurementError):
-            measure_shelf(state, grid, lab, (-5.0, 5.0), 0.05, 1.0, 1.0)
+        for window in ((10.0, 3.5), (-3.5, -10.0), (10.0, 10.5)):
+            with pytest.raises(MeasurementError):
+                measure_shelf(state, grid, lab, window, 0.05, 1.0)
 
     def test_epsilon_zero_rejected(self):
         grid = Grid(half_width=100.0, n_points=512)
         state = FieldState(z=1.0, samples=np.ones(512, dtype=complex))
         with pytest.raises(ValueError):
-            measure_shelf(state, grid, lab, (-5.0, 5.0), 0.0, 1.0, 1.0)
+            measure_shelf(state, grid, lab, (10.0, 3.5), 0.0, 1.0)
 
 
 class TestEdgeTracking:
@@ -283,9 +292,9 @@ class TestEdgeTracking:
         for z in np.arange(10.0, 30.5, 1.0):
             state = synthetic_shelf(grid, eps, -0.66, -0.66, 0.0, 0.0, -z, z)
             snaps.append(FieldState(z=z, samples=state.samples))
-        tr = track_edges(snaps, grid, lab, eps * -0.66, eps * -0.66, (10.0, 30.0))
-        assert tr["speed_right"] == pytest.approx(1.0, abs=0.02)
-        assert tr["speed_left"] == pytest.approx(-1.0, abs=0.02)
+        speed_right, speed_left = track_edges(snaps, grid, lab, eps * -0.66, eps * -0.66)
+        assert speed_right == pytest.approx(1.0, abs=0.02)
+        assert speed_left == pytest.approx(-1.0, abs=0.02)
 
 
 class TestSigmaRate:
