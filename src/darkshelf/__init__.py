@@ -20,12 +20,7 @@ from .asymptotics import (
     linearized_apply,
     phase_conservation_check,
 )
-from .boundary_layer import (
-    LayerProfile,
-    shelf_edges,
-    shelf_magnitude_profile,
-    shelf_phase_profile,
-)
+from .boundary_layer import LayerProfile, shelf_magnitude_profile, shelf_phase_profile
 from .airy import airy_ai, airy_ai_integral
 from .simulator import FieldState, Grid, SimBackground, SimConfig, run
 
@@ -37,7 +32,7 @@ __all__ = [
     "BlackFirstOrder", "ParameterTrajectory", "ShelfParams", "black_first_order",
     "evolve_background", "evolve_core_parameters", "grey_parameter_rhs",
     "homogeneous_solutions", "linearized_apply", "phase_conservation_check",
-    "LayerProfile", "shelf_edges", "shelf_magnitude_profile",
+    "LayerProfile", "shelf_magnitude_profile",
     "shelf_phase_profile", "airy_ai", "airy_ai_integral",
     "FieldState", "Grid", "SimBackground", "SimConfig", "run",
 ]

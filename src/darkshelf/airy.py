@@ -14,7 +14,9 @@ Outside the table Ai and Ai' come from the classical asymptotic expansions
 fixed-length sum whose terms still decrease at the switch point.  On
 [-12, -8.4), where the tail series is not yet accurate, AiI is the table's
 value at -8.4 minus an adaptive Gauss-Kronrod bridge.  The second
-antiderivative reduces exactly to x*AiI(x) - Ai'(x).
+antiderivative reduces exactly to x*AiI(x) - Ai'(x).  Past |x| = 1e100 Ai
+and Ai' are 0 and AiI is 1 on the right (exact in float64) and 0 on the left
+(within the amplitude bound; float64 no longer resolves the phase there).
 
 Accuracy against mpmath (absolute): Ai, Ai' and AiI within 7e-14 on
 [-12, 6.5], Ai' 3e-14 and AiI 1.2e-13 further left, and AiI 1.5e-11 just
@@ -38,6 +40,7 @@ _TABLE_HI = 6.5
 _BRIDGE_LO = -12.0
 _SPACING = 0.25
 _TAYLOR_TERMS = 24  # 20 already reach rounding on a full 0.25 walking step at |x| <= 8.5
+_FAR = 1e100  # past it the far-field limits apply (module docstring)
 
 
 def _asym_coeffs(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -148,8 +151,8 @@ _AII_LO = float(_table(np.array([_TABLE_LO]))[2][0])
 
 
 def _piecewise(x: np.ndarray, branches, rows: tuple[int, ...] = ()) -> np.ndarray:
-    """Evaluate each (mask, fn) branch on the points of ``x`` its mask selects."""
-    out = np.empty(rows + x.shape)
+    """Evaluate each (mask, fn) branch on the points of ``x`` its mask selects; 0 where none does."""
+    out = np.zeros(rows + x.shape)
     for mask, fn in branches:
         if mask.any():
             out[..., mask] = fn(x[mask])
@@ -159,9 +162,9 @@ def _piecewise(x: np.ndarray, branches, rows: tuple[int, ...] = ()) -> np.ndarra
 def _ai(x: np.ndarray) -> np.ndarray:
     """Rows Ai, Ai' at the points of a 1-d array."""
     return _piecewise(x, (
-        (x < _TABLE_LO, _asym_left),
+        ((x >= -_FAR) & (x < _TABLE_LO), _asym_left),
         ((x >= _TABLE_LO) & (x <= _TABLE_HI), lambda v: _table(v)[:2]),
-        (x > _TABLE_HI, _asym_right),
+        ((x > _TABLE_HI) & (x <= _FAR), _asym_right),
     ), rows=(2,))
 
 
@@ -173,10 +176,11 @@ def _bridge(x: np.ndarray) -> list[float]:
 def _ai_integral(x: np.ndarray) -> np.ndarray:
     """int_{-inf}^x Ai at the points of a 1-d array."""
     return _piecewise(x, (
-        (x < _BRIDGE_LO, lambda v: _byparts(v, *_asym_left(v), 12)),
+        ((x >= -_FAR) & (x < _BRIDGE_LO), lambda v: _byparts(v, *_asym_left(v), 12)),
         ((x >= _BRIDGE_LO) & (x < _TABLE_LO), _bridge),
         ((x >= _TABLE_LO) & (x <= _TABLE_HI), lambda v: _table(v)[2]),
-        (x > _TABLE_HI, lambda v: 1.0 + _byparts(v, *_asym_right(v), 6)),
+        ((x > _TABLE_HI) & (x <= _FAR), lambda v: 1.0 + _byparts(v, *_asym_right(v), 6)),
+        (x > _FAR, lambda v: 1.0),
     ))
 
 

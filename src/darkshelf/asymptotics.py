@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from . import boundary_layer
 from .finitediff import first_derivative, second_derivative
 from .perturbations import Perturbation, check_phase_symmetry
 from .quadrature import rk4_step, soliton_integrals
@@ -78,7 +78,8 @@ class BackgroundTrajectory:
 
 @dataclass(frozen=True)
 class ParameterTrajectory:
-    """Sampled slow evolution of core and shelf parameters, and its kinematics."""
+    """Sampled slow evolution of core and shelf parameters, and its kinematics:
+    the comoving origin and both shelf edges interpolate one pair of integrals."""
 
     epsilon: float
     z: np.ndarray
@@ -89,19 +90,25 @@ class ParameterTrajectory:
     def Z(self) -> np.ndarray:
         return self.epsilon * self.z
 
-    def comoving_shift(self, z):
-        """int_0^z A ds + t0: lab position of the comoving origin."""
-        zq = np.atleast_1d(np.asarray(z, dtype=float))
-        A = np.array([p.A for p in self.params])
-        cum = np.concatenate(([0.0], np.cumsum(0.5 * (A[1:] + A[:-1]) * np.diff(self.z))))
-        out = np.interp(zq, self.z, cum + self.params[0].t0)
-        return float(out[0]) if np.isscalar(z) else out
+    @cached_property
+    def _integrals(self) -> np.ndarray:
+        """Rows int_0^z u_inf ds and int_0^z A ds at the samples: cumulative trapezoid, built once."""
+        f = np.array([[p.u_inf for p in self.params], [p.A for p in self.params]])
+        steps = 0.5 * (f[:, 1:] + f[:, :-1]) * np.diff(self.z)
+        return np.hstack((np.zeros((2, 1)), np.cumsum(steps, axis=1)))
+
+    def comoving_shift(self, z: float) -> float:
+        """t0 + int_0^z A ds: lab position of the comoving origin."""
+        return self.params[0].t0 + float(np.interp(z, self.z, self._integrals[1]))
 
     def edges(self, z: float) -> tuple[float, float]:
-        """Comoving shelf-edge positions (S_L, S_R) at propagation distance z."""
-        u = np.array([p.u_inf for p in self.params])
-        A = np.array([p.A for p in self.params])
-        return boundary_layer.shelf_edges(self.z, u, A, z)
+        """Comoving shelf-edge positions (S_L, S_R) = (-int_0^z (u_inf + A) ds,
+        int_0^z (u_inf - A) ds); S_L < 0 < S_R for B > 0.  Raises ValueError
+        outside the sampled span."""
+        if not 0.0 <= z <= self.z[-1] + 1e-12:
+            raise ValueError(f"trajectory covers [0, {self.z[-1]}], not z={z}")
+        u_int, a_int = (float(np.interp(z, self.z, f)) for f in self._integrals)
+        return 0.0 - u_int - a_int, u_int - a_int  # 0.0 - ...: S_L is +0.0, not -0.0, at z = 0
 
 
 def background_rate(pert: Perturbation, u_inf: float) -> float:
@@ -184,7 +191,8 @@ def evolve_core_parameters(pert: Perturbation, params0: CoreParams, epsilon: flo
     dispersive case and leaves it undetermined otherwise.  A sample records
     the first RK4 stage of the step it starts (4 steps + 1 evaluations).
     eps = 0 is a constant path.  Raises ValueError for samples < 2 and, naming
-    the forcing, when F is not phase-symmetric on the initial profile.
+    the forcing, when F is not phase-symmetric on the initial profile;
+    BackgroundCollapseError when a stage drives u_inf to zero or non-finite.
     """
     if samples < 2:
         raise ValueError(f"samples must be at least 2, got {samples}")
@@ -203,8 +211,10 @@ def evolve_core_parameters(pert: Perturbation, params0: CoreParams, epsilon: flo
     h = epsilon * z_span / steps  # signed slow-scale step
     stride = steps // (samples - 1)
 
-    def rate(state):
+    def rate(state, Z):
         u, A, s0, _ = state
+        if not 0.0 < u < math.inf:
+            raise BackgroundCollapseError(f"u_inf reached {u} at Z={Z:.4g}")
         b2 = u**2 - A**2
         if b2 <= 0:
             raise ShallowSolitonError("A reached u_inf while stepping")
@@ -213,13 +223,13 @@ def evolve_core_parameters(pert: Perturbation, params0: CoreParams, epsilon: flo
         # The edge phase flux is a rate per unit fast distance z = Z/eps.
         return np.array([sh.u_inf_rate, sh.A_rate, sh.sigma0_rate, edge_phase_flux(p, sh) / epsilon]), p, sh
 
-    def stage(state, _Z):
-        return rate(state)[0]
+    def stage(state, Z):
+        return rate(state, Z)[0]
 
     state = np.array([params0.u_inf, params0.A, params0.sigma0, 0.0])
     z, params, shelf = [], [], []
     for n in range(steps + 1):
-        k1, p, sh = rate(state)
+        k1, p, sh = rate(state, n * h)
         if n % stride == 0:
             z.append(n * h / epsilon)
             params.append(p)

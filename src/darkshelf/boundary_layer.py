@@ -1,12 +1,13 @@
-"""Airy similarity layers at the shelf edges and shelf-edge kinematics.
+"""Airy similarity layers at the shelf edges.
 
-Each edge of the shelf moves at the instantaneous long-wave speed +-u_inf
-and carries a transition layer obeying 2 V w_{zeta x} = (1/4) w_{xxxx}.
-In the similarity variable xi = a x / zeta^(1/3) with a = -2 (V/3)^(1/3)
-(real signed cube root) the magnitude step is an Airy integral and the
-phase is its second antiderivative.  The orientation (outer side -> 0,
-shelf side -> plateau) comes out of the sign of a automatically: dispersive
-ripples run ahead of the edge, on the outer side.
+Each edge of the shelf (at ParameterTrajectory.edges) moves at the
+instantaneous long-wave speed +-u_inf and carries a transition layer obeying
+2 V w_{zeta x} = (1/4) w_{xxxx}.  In the similarity variable
+xi = a x / zeta^(1/3) with a = -2 (V/3)^(1/3) (real signed cube root) the
+magnitude step is an Airy integral and the phase is its second
+antiderivative.  The orientation (outer side -> 0, shelf side -> plateau)
+comes out of the sign of a automatically: dispersive ripples run ahead of
+the edge, on the outer side.
 """
 
 from __future__ import annotations
@@ -73,24 +74,3 @@ def shelf_phase_profile(layer: LayerProfile, zeta: float, x):
     scale = zeta ** (1.0 / 3.0) / layer.a
     return layer.amplitude * scale * airy_ai_double_integral(xi)
 
-
-def shelf_edges(z_samples: np.ndarray, u_inf: np.ndarray, A: np.ndarray, zeta: float) -> tuple[float, float]:
-    """Comoving shelf-edge positions (S_L, S_R) at propagation distance zeta.
-
-    S_L = -int_0^zeta (u_inf + A) ds and S_R = int_0^zeta (u_inf - A) ds,
-    accumulated by the trapezoid rule on the sampled histories.  Always
-    S_L < 0 < S_R for B > 0.
-    """
-    z_samples = np.asarray(z_samples, dtype=float)
-    u_inf = np.asarray(u_inf, dtype=float)
-    A = np.asarray(A, dtype=float)
-    if zeta < 0 or zeta > z_samples[-1] + 1e-12:
-        raise ValueError(f"trajectory covers [0, {z_samples[-1]}], not zeta={zeta}")
-    if zeta == 0:
-        return 0.0, 0.0
-    grid = np.append(z_samples[z_samples < zeta], zeta)
-    up = np.interp(grid, z_samples, u_inf)
-    ap = np.interp(grid, z_samples, A)
-    s_l = -float(np.trapezoid(up + ap, grid))
-    s_r = float(np.trapezoid(up - ap, grid))
-    return s_l, s_r

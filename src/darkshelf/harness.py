@@ -512,17 +512,15 @@ def _measure_a_constancy(art: Artifacts) -> list[float]:
 
 
 def _layer_window(art: Artifacts, widths: float, points: int):
-    """(x, simulated |u|, predicted u_inf + eps w) across the right-edge layer
-    of the final snapshot, for |x| up to ``widths`` similarity widths."""
-    params, snap = art.exp.params, art.final
-    _, s_r = art.traj.edges(snap.z)
-    layer = boundary_layer.LayerProfile.at_edge("right", params.u_inf, art.shelf0.q1_plus)
-    width = widths * snap.z ** (1.0 / 3.0) / abs(layer.a)
+    """(x, simulated |u|, predicted |u|) across the right-edge layer of the
+    final snapshot, for |x| up to ``widths`` similarity widths of the final background."""
+    traj, snap = art.traj, art.final
+    _, s_r = traj.edges(snap.z)
+    a = boundary_layer.LayerProfile.at_edge("right", traj.params[-1].u_inf, 0.0).a
+    width = widths * snap.z ** (1.0 / 3.0) / abs(a)
     x = np.linspace(-width, width, points)
-    T = art.exp.grid.t - art.traj.comoving_shift(snap.z)
-    sim = np.interp(x + s_r, T, np.abs(snap.samples))
-    pred = params.u_inf + art.exp.epsilon * boundary_layer.shelf_magnitude_profile(layer, snap.z, x)
-    return x, sim, pred
+    T = art.exp.grid.t - traj.comoving_shift(snap.z)
+    return x, np.interp(x + s_r, T, np.abs(snap.samples)), _composite_magnitude(art, x + s_r)
 
 
 def _measure_layer(art: Artifacts) -> list[float]:
@@ -572,8 +570,9 @@ def emit_plotdata(art: Artifacts, kinds, out_dir: str, run_id: str) -> list[str]
             continue
         if kind == "profile":
             s = art.final
+            predicted = _composite_magnitude(art, exp.grid.t - traj.comoving_shift(s.z))
             rows = zip(exp.grid.t, s.samples.real, s.samples.imag, np.abs(s.samples),
-                       np.unwrap(np.angle(s.samples)), _composite_magnitude(art))
+                       np.unwrap(np.angle(s.samples)), predicted)
             simulator.write_csv(path, ["t", "re", "im", "abs", "phase", "predicted_abs"], rows)
         elif kind == "contour":
             stride = max(1, exp.grid.n_points // 512)
@@ -596,23 +595,20 @@ def emit_plotdata(art: Artifacts, kinds, out_dir: str, run_id: str) -> list[str]
     return written
 
 
-def _composite_magnitude(art: Artifacts) -> np.ndarray:
-    """Leading magnitude plus shelf plateaus smoothed by the edge layers, at the final snapshot."""
-    exp, traj, snap = art.exp, art.traj, art.final
+def _composite_magnitude(art: Artifacts, T: np.ndarray) -> np.ndarray:
+    """The predicted |u| at comoving T on the final snapshot: the leading magnitude
+    plus the shelf plateaus smoothed by the edge layers, all from the final parameters."""
+    traj, z = art.traj, art.final.z
     params, sh = traj.params[-1], traj.shelf[-1]
-    T = exp.grid.t - traj.comoving_shift(snap.z)
     q0 = np.abs(params.A + 1j * params.B * np.tanh(params.B * T))
-    if exp.epsilon == 0.0:
+    if art.exp.epsilon == 0.0:
         return q0
-    s_l, s_r = traj.edges(snap.z)
+    s_l, s_r = traj.edges(z)
     right = boundary_layer.LayerProfile.at_edge("right", params.u_inf, sh.q1_plus)
     left = boundary_layer.LayerProfile.at_edge("left", params.u_inf, sh.q1_minus)
-    w = np.where(
-        T >= 0,
-        boundary_layer.shelf_magnitude_profile(right, snap.z, T - s_r),
-        boundary_layer.shelf_magnitude_profile(left, snap.z, T - s_l),
-    )
-    return q0 + exp.epsilon * w
+    w = np.where(T >= 0, boundary_layer.shelf_magnitude_profile(right, z, T - s_r),
+                 boundary_layer.shelf_magnitude_profile(left, z, T - s_l))
+    return q0 + art.exp.epsilon * w
 
 
 def write_report(report: ComparisonReport, out_dir: str, run_id: str) -> str:

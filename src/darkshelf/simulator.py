@@ -174,7 +174,7 @@ def run(
     z_max: float,
 ) -> list[FieldState]:
     """Integrate to z_max in the lab frame, returning snapshots every
-    ``stride`` steps (see resolve).
+    ``stride`` steps (see resolve), kept at z = k z_max / n_snap, the last at z_max.
 
     Raises StabilityError on norm blow-up and BoundaryContaminationError
     when the shelf edge tracks into the outer tenth of the domain.
@@ -224,7 +224,8 @@ def run(
                 raise BoundaryContaminationError(
                     f"shelf edge within L/10 of the boundary at z={z:.3f}"
                 )
-            snapshots.append(FieldState(z=z, samples=u.copy()))
+            k, n_snap = (n + 1) // stride, n_steps // stride
+            snapshots.append(FieldState(z=z_max if k == n_snap else k * z_max / n_snap, samples=u.copy()))
     return snapshots
 
 

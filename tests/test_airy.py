@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import special
@@ -93,6 +95,28 @@ def test_non_finite_rejected(fn, bad):
         fn(bad)
     with pytest.raises(ValueError, match="must be finite"):
         fn(np.array([0.0, bad]))
+
+
+def test_huge_arguments_quiet_and_bounded():
+    # Past 5.6e102 x**3 overflows and past 3.9e205 so does the phase (2/3)|x|^1.5.
+    big = np.array([1e20, 1e100, 1.0000000000000002e100, 1e103, 1e120, 1e206, 1e250, np.finfo(float).max])
+    x = np.concatenate([-big[::-1], big])
+    fns = (airy_ai, airy_ai_prime, airy_ai_integral, airy_ai_double_integral)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ai, aip, aii, aiii = (fn(x) for fn in fns)
+        scalars = [[fn(float(v)) for v in x] for fn in fns]
+    assert np.array_equal([ai, aip, aii, aiii], scalars)
+    left, y = x < 0, np.abs(x)
+    # Oscillatory side: within the amplitude bounds of the asymptotic forms.
+    amp = 1.01 * y[left] ** 0.25 / np.sqrt(np.pi)
+    assert np.all(np.abs(ai[left]) <= amp / y[left] ** 0.5)
+    assert np.all(np.abs(aip[left]) <= amp)
+    assert np.all(np.abs(aii[left]) <= amp / y[left])
+    assert np.all(np.abs(aiii[left]) <= 2.0 * amp)
+    # Decaying side: the float64 limits.
+    assert np.all(ai[~left] == 0.0) and np.all(aip[~left] == 0.0)
+    assert np.all(aii[~left] == 1.0) and np.array_equal(aiii[~left], x[~left])
 
 
 def test_scalar_and_array_forms():

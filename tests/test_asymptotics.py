@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from darkshelf import asymptotics
 from darkshelf.asymptotics import (
@@ -183,6 +184,24 @@ class TestEvolveCoreParameters:
     def test_comoving_shift_linear_for_dispersive(self):
         traj = evolve_core_parameters(dispersive_damping(1.0), GREY, 0.05, 20.0, steps=400)
         assert traj.comoving_shift(20.0) == pytest.approx(GREY.A * 20.0, rel=1e-6)
+
+    def test_frame_and_edges_read_one_integral(self):
+        # Linear damping: the comoving origin plus either edge is t0 +- int_0^z u_inf ds,
+        # at the samples and halfway between them.
+        traj = evolve_core_parameters(linear_damping(0.5), replace(GREY, t0=0.7), 0.05, 20.0, steps=600)
+        travelled = cumulative_trapezoid([p.u_inf for p in traj.params], traj.z, initial=0.0)
+        halfway = zip(0.5 * (traj.z[1:] + traj.z[:-1]), 0.5 * (travelled[1:] + travelled[:-1]))
+        for z, dist in [*zip(traj.z, travelled), *halfway]:
+            shift, (s_l, s_r) = traj.comoving_shift(z), traj.edges(z)
+            assert isinstance(shift, float)
+            assert shift + s_r == pytest.approx(0.7 + dist, abs=1e-12)
+            assert shift + s_l == pytest.approx(0.7 - dist, abs=1e-12)
+        assert traj._integrals is traj._integrals  # built once per trajectory
+
+    def test_background_collapse_in_the_cascade(self):
+        # Two-photon absorption this strong drives u_inf through zero within one RK4 step.
+        with pytest.raises(BackgroundCollapseError, match=r"u_inf reached -[0-9.]+ at Z="):
+            evolve_core_parameters(two_photon(1e4), GREY, 0.05, 1.0)
 
 
 class TestPhaseConservation:

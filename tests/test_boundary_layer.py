@@ -1,15 +1,14 @@
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
-from darkshelf.boundary_layer import (
-    LayerProfile,
-    shelf_edges,
-    shelf_magnitude_profile,
-    shelf_phase_profile,
-)
+from darkshelf.asymptotics import ParameterTrajectory
+from darkshelf.boundary_layer import LayerProfile, shelf_magnitude_profile, shelf_phase_profile
+from darkshelf.soliton import CoreParams
 
 
 def right_layer(amplitude=-2.0 / 3.0):
@@ -112,6 +111,12 @@ class TestPhaseProfile:
         assert slope == pytest.approx(0.066666667, abs=1e-7)
 
 
+def shelf_edges(z, u_inf, A, zeta):
+    """(S_L, S_R) from ParameterTrajectory.edges on a sampled (z, u_inf, A) history."""
+    params = [CoreParams(u_inf=u, A=a, B=math.sqrt(u * u - a * a)) for u, a in zip(u_inf, A)]
+    return ParameterTrajectory(0.05, np.asarray(z, dtype=float), params, []).edges(zeta)
+
+
 class TestShelfEdges:
     def test_black_constant_background(self):
         z = np.linspace(0, 40, 81)
@@ -127,7 +132,9 @@ class TestShelfEdges:
 
     def test_zeta_zero(self):
         z = np.linspace(0, 10, 11)
-        assert shelf_edges(z, np.ones_like(z), np.zeros_like(z), 0.0) == (0.0, 0.0)
+        s_l, s_r = shelf_edges(z, np.ones_like(z), np.zeros_like(z), 0.0)
+        assert (s_l, s_r) == (0.0, 0.0)
+        assert math.copysign(1.0, s_l) == 1.0  # +0.0: CSVs print "0", not "-0"
 
     def test_coverage_gap(self):
         z = np.linspace(0, 10, 11)

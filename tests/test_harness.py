@@ -191,6 +191,16 @@ class TestConfigs:
         p.write_text(json.dumps(cfg), encoding="utf-8")
         assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), "predict"]) == 3
 
+    def test_background_collapse_is_runtime_error(self, tmp_path):
+        # Two-photon absorption at gamma3 = 1e4 passes validation, then drives u_inf through zero.
+        cfg = {"perturbation": {"label": "two_photon", "gamma3": 1e4}, "epsilon": 0.05,
+               "soliton": {"u_inf": 1.0, "delta_phi0": 4 * math.pi / 5},
+               "grid": {"half_width": 15.0, "n_points": 256}, "run": {"z_max": 1.0}}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg), encoding="utf-8")
+        for command in ("predict", "compare"):
+            assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), command]) == 3
+
     def test_default_observables_from_table(self):
         black = harness.validate(harness.load_config("black_unperturbed") | {"observables": None})
         grey = harness.validate(harness.load_config("grey_dispersive") | {"observables": None})
@@ -307,6 +317,18 @@ def test_profile_prediction_uses_final_background(tmp_path):
         assert end == pytest.approx(u_final, abs=0.01)  # the edge layers' Airy tails stay below 0.01
 
 
+def test_layer_window_predicts_the_composite_at_the_final_background():
+    # The layer prediction is the profile's predicted |u| at comoving x + S_R, over a
+    # window of 8 similarity widths of the decayed background u_inf(z_max) = exp(-0.5).
+    cfg = dict(TestDeterminism()._tiny_cfg(), perturbation={"label": "linear_damping", "Gamma": 5.0})
+    art = harness.simulate(harness.validate(cfg))
+    x, _, predicted = harness._layer_window(art, 8.0, 513)
+    _, s_r = art.traj.edges(art.final.z)
+    u_final = art.traj.params[-1].u_inf
+    assert x[-1] == pytest.approx(8.0 * 2.0 ** (1.0 / 3.0) / (2.0 * (u_final / 3.0) ** (1.0 / 3.0)), rel=1e-12)
+    np.testing.assert_array_equal(predicted, harness._composite_magnitude(art, x + s_r))
+
+
 class TestCompareDegradation:
     def test_no_observable_crashes_compare(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -352,7 +374,7 @@ class TestCompareDegradation:
         assert calls[3][1] == (0.7 * edges(25.0)[0], -core)
 
     def test_late_fits_keep_the_final_snapshot(self, monkeypatch):
-        # 650 steps of 12.6/650 end at z = 12.600000000000001, one ulp past z_max.
+        # 650 steps of 12.6/650 end at z = 12.600000000000001; the final snapshot is kept at z_max.
         seen = {}
 
         def record(name):
@@ -367,8 +389,22 @@ class TestCompareDegradation:
                    grid={"half_width": 40.0, "n_points": 512}, run={"z_max": 12.6, "snapshot_dz": 0.5})
         _, art = harness.compare(harness.validate(cfg))
         late = [s.z for s in art.snapshots if s.z >= 10.0]
-        assert art.final.z > 12.6 and late[-1] == art.final.z
+        assert art.final.z == 12.6 and late[-1] == art.final.z
         assert seen == {"track_edges": late, "measure_sigma0_rate": late}
+
+    def test_a_constancy_fits_the_final_snapshot(self, monkeypatch):
+        # The dip "moves" only in the final snapshot, z = z_max = 12.6, so only a
+        # second fit over [7.6, 12.6] that includes it sees a velocity.
+        monkeypatch.setattr(simulator, "measure_core_minimum", lambda s, grid: (float(s.z == 12.6), 1.0))
+        cfg = harness.load_config("grey_dispersive")
+        cfg.update(observables=["a_constancy"], grid={"half_width": 40.0, "n_points": 512},
+                   run={"z_max": 12.6, "snapshot_dz": 0.5})
+        report, art = harness.compare(harness.validate(cfg))
+        zs = np.array([s.z for s in art.snapshots])
+        fit = zs >= 12.6 - 5.0
+        expected = np.polyfit(zs[fit], zs[fit] == 12.6, 1)[0] / art.exp.params.A
+        assert zs[-1] == 12.6
+        assert report.rows[0].measured == pytest.approx(expected, rel=1e-12) and expected > 0.1
 
     def test_linear_damping_shelf_rows_finite(self):
         # The plateau is graded against the decayed background u_inf(z_m), not u_inf(0).
