@@ -38,6 +38,7 @@ class BackgroundCollapseError(RuntimeError):
 
 SHALLOW_LIMIT = 1e-9  # smallest u_inf - A the cascade accepts
 STEPS_PER_Z = 2000  # RK4 steps per unit slow distance Z, background and cascade
+SAMPLES = 121  # trajectory samples, each one an RK4 node of the slow scale
 
 
 class ShallowSolitonError(RuntimeError):
@@ -111,17 +112,23 @@ class ParameterTrajectory:
         return 0.0 - u_int - a_int, u_int - a_int  # 0.0 - ...: S_L is +0.0, not -0.0, at z = 0
 
 
+def slow_steps(Z_span: float) -> int:
+    """RK4 steps over Z_span: STEPS_PER_Z per unit Z, at least SAMPLES - 1 and a multiple of it."""
+    steps = max(SAMPLES - 1, int(STEPS_PER_Z * Z_span))
+    return steps - steps % (SAMPLES - 1)
+
+
 def background_rate(pert: Perturbation, u_inf: float) -> float:
     """du_inf/dZ = Im F[u_inf] on the constant background."""
     return pert.on_background(u_inf).imag
 
 
 def evolve_background(pert: Perturbation, u_inf0: float, Z_span: float) -> BackgroundTrajectory:
-    """Integrate the background magnitude ODE with fixed-step RK4 at STEPS_PER_Z
-    steps per unit Z (at least 16)."""
+    """Integrate the background magnitude ODE with fixed-step RK4 over the
+    cascade's slow_steps(Z_span) nodes, so it equals the cascade's u_inf there."""
     if u_inf0 <= 0:
         raise ValueError("u_inf0 must be positive")
-    steps = max(16, int(STEPS_PER_Z * Z_span))
+    steps = slow_steps(Z_span)
     h = Z_span / steps
     u = np.empty(steps + 1)
     u[0] = u_inf0
@@ -137,20 +144,19 @@ def evolve_background(pert: Perturbation, u_inf0: float, Z_span: float) -> Backg
     return BackgroundTrajectory(Z=np.linspace(0.0, Z_span, steps + 1), u_inf=u)
 
 
-def _forcing_integrals(pert: Perturbation, params: CoreParams) -> tuple[float, float]:
-    """(Re int F[u0] u0_T* dT,  Im int (F[u_inf]u_inf - F[u0]u0*) dT).
+def _forcing_integrals(pert: Perturbation, params: CoreParams, f_inf: complex) -> tuple[float, float]:
+    """(Re int F[u0] u0_T* dT,  Im int (F[u_inf]u_inf - F[u0]u0*) dT), given f_inf = F[u_inf]u_inf.
 
     Both densities share one evaluation of F on the analytic profile at the
     nodes of the fixed soliton-density rule.  The global soliton phase drops
     out for phase-symmetric forcings, so sigma0 = 0 is used.
     """
     base = replace(params, sigma0=0.0)
-    f_bg = pert.on_background(params.u_inf) * params.u_inf
 
     def densities(T):
         u0, u0_T, u0_TT = profile_with_derivatives(base, T)
         F = pert.point_eval(u0, u0_TT)
-        return np.real(F * np.conj(u0_T)), np.imag(f_bg - F * np.conj(u0))
+        return np.real(F * np.conj(u0_T)), np.imag(f_inf - F * np.conj(u0))
 
     return tuple(soliton_integrals(densities, params.B))
 
@@ -169,7 +175,7 @@ def grey_parameter_rhs(pert: Perturbation, params: CoreParams) -> ShelfParams:
         raise ShallowSolitonError(f"u_inf - A = {u - A:.3e}: shallow-soliton breakdown")
     f_bg = pert.on_background(u)
     u_rate = f_bg.imag
-    m_i, m_e = _forcing_integrals(pert, params)
+    m_i, m_e = _forcing_integrals(pert, params, f_bg * u)
     A_rate = m_i / (2.0 * B)
     B_rate = (u * u_rate - A * A_rate) / B
     dphi0_rate = (2.0 * A * B_rate - 2.0 * B * A_rate) / u**2
@@ -181,35 +187,30 @@ def grey_parameter_rhs(pert: Perturbation, params: CoreParams) -> ShelfParams:
                        delta_phi0_rate=dphi0_rate, sigma0_rate=sigma0_rate)
 
 
-def evolve_core_parameters(pert: Perturbation, params0: CoreParams, epsilon: float, z_span: float,
-                           steps: int | None = None, samples: int = 121) -> ParameterTrajectory:
-    """RK4 integration of the cascade over Z in [0, eps*z_span].
+def evolve_core_parameters(pert: Perturbation, params0: CoreParams, epsilon: float,
+                           z_span: float) -> ParameterTrajectory:
+    """RK4 integration of the cascade over Z in [0, eps*z_span] on evolve_background's
+    nodes, slow_steps(|eps| z_span) steps, sampled SAMPLES times.
 
     The state is (u_inf, A, sigma0, delta_phi1); B follows from
     A^2 + B^2 = u_inf^2, which therefore holds exactly.  t0 is held at its
     initial value: first-order theory gives it zero drift in the black
     dispersive case and leaves it undetermined otherwise.  A sample records
     the first RK4 stage of the step it starts (4 steps + 1 evaluations).
-    eps = 0 is a constant path.  Raises ValueError for samples < 2 and, naming
-    the forcing, when F is not phase-symmetric on the initial profile;
-    BackgroundCollapseError when a stage drives u_inf to zero or non-finite.
+    eps = 0 is a constant path.  Raises ValueError, naming the forcing, when
+    F is not phase-symmetric on the initial profile; BackgroundCollapseError
+    when a stage drives u_inf to zero or non-finite.
     """
-    if samples < 2:
-        raise ValueError(f"samples must be at least 2, got {samples}")
     if epsilon == 0.0:
-        z = np.linspace(0.0, z_span, samples)
-        return ParameterTrajectory(0.0, z, [params0] * samples, [ShelfParams(*(0.0,) * 9)] * samples)
+        z = np.linspace(0.0, z_span, SAMPLES)
+        return ParameterTrajectory(0.0, z, [params0] * SAMPLES, [ShelfParams(*(0.0,) * 9)] * SAMPLES)
     u0, _, u0_TT = profile_with_derivatives(params0, np.linspace(-5.0, 5.0, 11))
     symmetric, deviation = check_phase_symmetry(pert, u0, u0_TT)
     if not symmetric:
         raise ValueError(f"forcing {pert.label!r} is not phase-symmetric (deviation {deviation:.3g})")
-    if steps is None:
-        steps = max(64, int(STEPS_PER_Z * abs(epsilon) * z_span))
-    # Land every requested sample exactly on an integration node.
-    steps = max(steps, samples - 1)
-    steps -= steps % (samples - 1)
+    steps = slow_steps(abs(epsilon) * z_span)
     h = epsilon * z_span / steps  # signed slow-scale step
-    stride = steps // (samples - 1)
+    stride = steps // (SAMPLES - 1)
 
     def rate(state, Z):
         u, A, s0, _ = state

@@ -256,11 +256,14 @@ def validate(cfg: dict) -> Experiment:
     if eps != 0.0 and u_inf - params.A < asymptotics.SHALLOW_LIMIT:
         raise ConfigError(f"soliton.delta_phi0: u_inf - A = {u_inf - params.A:.3g} is below the "
                           f"shallow-soliton limit {asymptotics.SHALLOW_LIMIT:g}")
-    z_max, snapshot_dz = _field(cfg, "run.z_max"), _field(cfg, "run.snapshot_dz", required=False, default=0.5)
+    z_max = _field(cfg, "run.z_max")
+    snapshot_dz = _field(cfg, "run.snapshot_dz", required=False, default=simulator.SimConfig.snapshot_dz)
     for path, value in (("run.z_max", z_max), ("run.snapshot_dz", snapshot_dz)):
         if value <= 0.0:
             raise ConfigError(f"{path}: must be positive, got {value}")
-    cascade_steps = asymptotics.STEPS_PER_Z * eps * z_max
+    cascade_steps = math.inf  # int() overflows when 2000 eps z_max is inf (z_max = 1e308)
+    with contextlib.suppress(OverflowError):
+        cascade_steps = asymptotics.slow_steps(eps * z_max)
     if cascade_steps > MAX_CASCADE_STEPS:
         raise ConfigError(f"run.z_max: {cascade_steps:.3g} cascade steps exceed the bound {MAX_CASCADE_STEPS:.0e}")
     try:
@@ -337,11 +340,9 @@ def measurement_distance(params: CoreParams, epsilon: float, q1_side: float, sid
 # -- Pipelines ---------------------------------------------------------------
 
 
-def predict(exp: Experiment, samples: int = 121) -> asymptotics.ParameterTrajectory:
+def predict(exp: Experiment) -> asymptotics.ParameterTrajectory:
     """Asymptotics only: slow trajectory of core and shelf parameters."""
-    return asymptotics.evolve_core_parameters(
-        exp.perturbation, exp.params, exp.epsilon, exp.z_max, samples=samples
-    )
+    return asymptotics.evolve_core_parameters(exp.perturbation, exp.params, exp.epsilon, exp.z_max)
 
 
 @dataclass(frozen=True)

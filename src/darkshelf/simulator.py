@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .asymptotics import background_rate, evolve_background
 from .finitediff import first_derivative, second_derivative
 from .perturbations import Perturbation
 from .quadrature import rk4_step
@@ -89,9 +90,9 @@ class SimConfig:
             raise ValueError("epsilon != 0 requires a perturbation")
 
     def resolve(self, grid: Grid, z_max: float) -> tuple[float, int, int]:
-        """(dz, n_snap * stride, stride): n_snap = z_max / snapshot_dz rounded, at most the fewest
-        steps with dz <= DZ_PER_DT2 dt^2, and the fewest steps per interval.  Kept z: k z_max / n_snap."""
-        fewest = math.ceil(z_max / (DZ_PER_DT2 * grid.dt**2))
+        """(dz, n_snap * stride, stride): n_snap = z_max / snapshot_dz rounded, at most the fewest steps
+        (at least one) with dz <= DZ_PER_DT2 dt^2, and the fewest steps per interval.  Kept z: k z_max / n_snap."""
+        fewest = max(1, math.ceil(z_max / (DZ_PER_DT2 * grid.dt**2)))
         n_snap = max(1, round(min(z_max / self.snapshot_dz, fewest)))
         stride = -(-fewest // n_snap)
         return z_max / (n_snap * stride), n_snap * stride, stride
@@ -117,9 +118,9 @@ class SimBackground:
                           z_max: float) -> "SimBackground":
         """Background whose magnitude obeys du_inf/dz = eps Im F[u_inf], eps >= 0.
 
-        The scalar ODE is stepped once over [0, z_max] and interpolated.
-        Raises ValueError, naming the forcing, unless Re F[u_inf0] = 0 to
-        1e-12 relative: otherwise the boundary phases would rotate.
+        The scalar ODE is stepped once over [0, z_max] on the cascade's nodes, where u_inf_fn
+        equals the trajectory's u_inf, and interpolated.  Raises ValueError, naming the forcing,
+        unless Re F[u_inf0] = 0 to 1e-12 relative: otherwise the boundary phases would rotate.
         """
         if epsilon < 0.0:
             raise ValueError("epsilon must be non-negative")
@@ -128,9 +129,6 @@ class SimBackground:
         f_bg = pert.on_background(u_inf0)
         if abs(f_bg.real) > 1e-12 * abs(f_bg):
             raise ValueError(f"forcing {pert.label!r}: Re F[u_inf] = {f_bg.real:.3g} != 0 on the background")
-
-        from .asymptotics import evolve_background
-
         traj = evolve_background(pert, u_inf0, epsilon * z_max)
         zs = traj.Z / epsilon
 
@@ -138,7 +136,7 @@ class SimBackground:
             return float(np.interp(z, zs, traj.u_inf))
 
         def rate_fn(z: float) -> float:
-            return epsilon * pert.on_background(u_inf_fn(z)).imag
+            return epsilon * background_rate(pert, u_inf_fn(z))
 
         return cls(u_inf_fn=u_inf_fn, rate_fn=rate_fn)
 

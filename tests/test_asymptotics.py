@@ -8,18 +8,28 @@ from scipy.integrate import cumulative_trapezoid
 from darkshelf import asymptotics
 from darkshelf.asymptotics import (
     BackgroundCollapseError,
+    ParameterTrajectory,
     ShallowSolitonError,
+    ShelfParams,
     black_first_order,
     evolve_background,
     evolve_core_parameters,
     grey_parameter_rhs,
     phase_conservation_check,
+    slow_steps,
 )
-from darkshelf.perturbations import dispersive_damping, linear_damping, local_forcing, two_photon
+from darkshelf.perturbations import Perturbation, dispersive_damping, linear_damping, local_forcing, two_photon
+from darkshelf.simulator import SimBackground
 from darkshelf.soliton import CoreParams
 
 GREY = CoreParams.from_background(1.0, 4 * math.pi / 5)
 BLACK = CoreParams.from_background(1.0, math.pi)
+
+
+def use_steps(monkeypatch, steps, Z_span):
+    """Set STEPS_PER_Z so that slow_steps gives the slow span Z_span ``steps`` RK4 steps."""
+    monkeypatch.setattr(asymptotics, "STEPS_PER_Z", steps / Z_span)
+    assert asymptotics.slow_steps(Z_span) == steps
 
 
 def dispersive_closed_forms(params, gamma):
@@ -117,15 +127,34 @@ class TestEvolveBackground:
             evolve_background(sinker, 0.5, 1.0)
 
 
+class TestSlowSteps:
+    @pytest.mark.parametrize("Z_span, expected", [(0.01, 120), (0.365, 720), (1.0, 1920), (1.5, 3000), (3.75, 7440)])
+    def test_rule(self, Z_span, expected):
+        # The cascade's count: max(120, int(2000 Z)) rounded down to a multiple of 120.
+        steps = slow_steps(Z_span)
+        assert steps == expected
+        assert steps >= asymptotics.SAMPLES - 1 and steps % (asymptotics.SAMPLES - 1) == 0
+
+    @pytest.mark.parametrize("pert, z_span", [(linear_damping(0.5), 20.0), (linear_damping(0.5), 75.0),
+                                              (two_photon(1.0), 7.3)])
+    def test_pde_background_is_the_trajectory_at_every_sample(self, pert, z_span):
+        traj = evolve_core_parameters(pert, GREY, 0.05, z_span)
+        background = SimBackground.from_perturbation(pert, 0.05, GREY.u_inf, z_span)
+        for z, p in zip(traj.z, traj.params):
+            assert background.u_inf_fn(z) == p.u_inf
+
+
 class TestEvolveCoreParameters:
-    def test_black_sigma0_at_30(self):
-        traj = evolve_core_parameters(dispersive_damping(1.0), BLACK, 0.05, 30.0, steps=600)
+    def test_black_sigma0_at_30(self, monkeypatch):
+        use_steps(monkeypatch, 600, 0.05 * 30.0)
+        traj = evolve_core_parameters(dispersive_damping(1.0), BLACK, 0.05, 30.0)
         assert traj.params[-1].sigma0 == pytest.approx(-2.0, abs=1e-9)
 
-    def test_grey_sigma0_at_30(self):
+    def test_grey_sigma0_at_30(self, monkeypatch):
         # -30*0.05*(4/3)*sin^3(2 pi/5), evaluated directly.
         expect = -30 * 0.05 * (4.0 / 3.0) * math.sin(2 * math.pi / 5) ** 3
-        traj = evolve_core_parameters(dispersive_damping(1.0), GREY, 0.05, 30.0, steps=600)
+        use_steps(monkeypatch, 600, 0.05 * 30.0)
+        traj = evolve_core_parameters(dispersive_damping(1.0), GREY, 0.05, 30.0)
         assert traj.params[-1].sigma0 == pytest.approx(expect, abs=1e-9)
         assert expect == pytest.approx(-1.7204774005889667, abs=1e-12)
 
@@ -134,15 +163,17 @@ class TestEvolveCoreParameters:
         assert all(p == GREY for p in traj.params)
         assert np.all(traj.Z == 0.0)
 
-    def test_constraint_holds_at_every_sample(self):
+    def test_constraint_holds_at_every_sample(self, monkeypatch):
         # t0 is held at its initial value; the cascade gives it no rate.
-        traj = evolve_core_parameters(linear_damping(0.5), replace(GREY, t0=0.7), 0.05, 20.0, steps=600)
+        use_steps(monkeypatch, 600, 0.05 * 20.0)
+        traj = evolve_core_parameters(linear_damping(0.5), replace(GREY, t0=0.7), 0.05, 20.0)
         for p in traj.params:
             assert abs(p.A**2 + p.B**2 - p.u_inf**2) < 1e-10
             assert p.t0 == 0.7
 
-    def test_linear_damping_background_tracks_exponential(self):
-        traj = evolve_core_parameters(linear_damping(0.5), GREY, 0.05, 10.0, steps=600)
+    def test_linear_damping_background_tracks_exponential(self, monkeypatch):
+        use_steps(monkeypatch, 600, 0.05 * 10.0)
+        traj = evolve_core_parameters(linear_damping(0.5), GREY, 0.05, 10.0)
         assert traj.params[-1].u_inf == pytest.approx(math.exp(-0.5 * 0.5), abs=1e-8)
 
     @pytest.mark.parametrize("samples", [2, 11, 121])
@@ -151,29 +182,42 @@ class TestEvolveCoreParameters:
         calls = []
         rhs = asymptotics.grey_parameter_rhs
         monkeypatch.setattr(asymptotics, "grey_parameter_rhs", lambda pert, p: calls.append(p) or rhs(pert, p))
-        evolve_core_parameters(two_photon(1.0), GREY, 0.05, 20.0, steps=600, samples=samples)
+        monkeypatch.setattr(asymptotics, "SAMPLES", samples)
+        use_steps(monkeypatch, 600, 0.05 * 20.0)
+        evolve_core_parameters(two_photon(1.0), GREY, 0.05, 20.0)
         assert len(calls) == 4 * 600 + 1
 
-    def test_delta_phi1_independent_of_sample_count(self):
+    def test_delta_phi1_independent_of_sample_count(self, monkeypatch):
         # delta_phi1 is an RK4 component; samples only read the state.
-        final = [evolve_core_parameters(two_photon(1.0), GREY, 0.05, 20.0, steps=600, samples=n).shelf[-1]
-                 for n in (11, 121, 601)]
+        final = []
+        for n in (11, 121, 601):
+            monkeypatch.setattr(asymptotics, "SAMPLES", n)
+            use_steps(monkeypatch, 600, 0.05 * 20.0)
+            final.append(evolve_core_parameters(two_photon(1.0), GREY, 0.05, 20.0).shelf[-1])
         assert final[0].delta_phi1 == final[1].delta_phi1 == final[2].delta_phi1
         assert final[0].delta_phi1 == pytest.approx(9.925348, abs=1e-6)
 
-    def test_delta_phi1_fourth_order(self):
+    def test_delta_phi1_fourth_order(self, monkeypatch):
+        monkeypatch.setattr(asymptotics, "SAMPLES", 2)
+
         def delta_phi1(steps):
-            traj = evolve_core_parameters(two_photon(1.0), GREY, 0.05, 20.0, steps=steps, samples=2)
+            use_steps(monkeypatch, steps, 0.05 * 20.0)
+            traj = evolve_core_parameters(two_photon(1.0), GREY, 0.05, 20.0)
             return traj.shelf[-1].delta_phi1
 
         reference = delta_phi1(8 * 960)
         errors = [abs(delta_phi1(steps) - reference) for steps in (240, 480, 960)]
         assert errors[0] / errors[1] >= 12.0 and errors[1] / errors[2] >= 12.0
 
-    @pytest.mark.parametrize("epsilon", [0.0, 0.05])
-    def test_fewer_than_two_samples_rejected(self, epsilon):
-        with pytest.raises(ValueError, match="samples"):
-            evolve_core_parameters(two_photon(1.0), GREY, epsilon, 10.0, samples=1)
+    def test_one_background_evaluation_per_rhs(self, monkeypatch):
+        # F[u_inf] is evaluated once and shared by the rates and the forcing integrals.
+        calls = []
+        on_background = Perturbation.on_background
+        monkeypatch.setattr(Perturbation, "on_background", lambda pert, u: calls.append(u) or on_background(pert, u))
+        for pert in (dispersive_damping(1.0), linear_damping(0.5), two_photon(1.0)):
+            calls.clear()
+            grey_parameter_rhs(pert, GREY)
+            assert calls == [GREY.u_inf]
 
     def test_phase_asymmetric_forcing_rejected(self):
         # Re F[u_inf] = 0, but F[u e^{i theta}] = F[u] e^{-i theta}.
@@ -181,14 +225,16 @@ class TestEvolveCoreParameters:
         with pytest.raises(ValueError, match="skew"):
             evolve_core_parameters(skew, GREY, 0.05, 1.0)
 
-    def test_comoving_shift_linear_for_dispersive(self):
-        traj = evolve_core_parameters(dispersive_damping(1.0), GREY, 0.05, 20.0, steps=400)
+    def test_comoving_shift_linear_for_dispersive(self, monkeypatch):
+        use_steps(monkeypatch, 360, 0.05 * 20.0)
+        traj = evolve_core_parameters(dispersive_damping(1.0), GREY, 0.05, 20.0)
         assert traj.comoving_shift(20.0) == pytest.approx(GREY.A * 20.0, rel=1e-6)
 
-    def test_frame_and_edges_read_one_integral(self):
+    def test_frame_and_edges_read_one_integral(self, monkeypatch):
         # Linear damping: the comoving origin plus either edge is t0 +- int_0^z u_inf ds,
         # at the samples and halfway between them.
-        traj = evolve_core_parameters(linear_damping(0.5), replace(GREY, t0=0.7), 0.05, 20.0, steps=600)
+        use_steps(monkeypatch, 600, 0.05 * 20.0)
+        traj = evolve_core_parameters(linear_damping(0.5), replace(GREY, t0=0.7), 0.05, 20.0)
         travelled = cumulative_trapezoid([p.u_inf for p in traj.params], traj.z, initial=0.0)
         halfway = zip(0.5 * (traj.z[1:] + traj.z[:-1]), 0.5 * (travelled[1:] + travelled[:-1]))
         for z, dist in [*zip(traj.z, travelled), *halfway]:
@@ -205,12 +251,14 @@ class TestEvolveCoreParameters:
 
 
 class TestPhaseConservation:
-    def test_dispersive_grey(self):
-        traj = evolve_core_parameters(dispersive_damping(1.0), GREY, 0.05, 30.0, steps=600)
+    def test_dispersive_grey(self, monkeypatch):
+        use_steps(monkeypatch, 600, 0.05 * 30.0)
+        traj = evolve_core_parameters(dispersive_damping(1.0), GREY, 0.05, 30.0)
         assert phase_conservation_check(traj) < 1e-8
 
-    def test_linear_damping(self):
-        traj = evolve_core_parameters(linear_damping(0.5), GREY, 0.05, 20.0, steps=600)
+    def test_linear_damping(self, monkeypatch):
+        use_steps(monkeypatch, 600, 0.05 * 20.0)
+        traj = evolve_core_parameters(linear_damping(0.5), GREY, 0.05, 20.0)
         assert phase_conservation_check(traj) < 1e-8
 
     def test_unperturbed(self):
@@ -218,7 +266,7 @@ class TestPhaseConservation:
         assert phase_conservation_check(traj) == 0.0
 
     def test_too_few_samples(self):
-        traj = evolve_core_parameters(None, GREY, 0.0, 10.0, samples=2)
+        traj = ParameterTrajectory(0.0, np.array([0.0, 10.0]), [GREY] * 2, [ShelfParams(*(0.0,) * 9)] * 2)
         with pytest.raises(ValueError):
             phase_conservation_check(traj)
 

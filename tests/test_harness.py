@@ -1,13 +1,14 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darkshelf import cli, harness, simulator
+from darkshelf import asymptotics, cli, harness, simulator
 from darkshelf.soliton import CoreParams
 
 
@@ -252,9 +253,10 @@ def test_any_one_bad_field_is_experiment_or_config_error(field, value):
 
 
 class TestPredict:
-    def test_prediction_csv(self, tmp_path):
+    def test_prediction_csv(self, tmp_path, monkeypatch):
         exp = harness.validate(harness.load_config("grey_dispersive"))
-        traj = harness.predict(exp, samples=41)
+        monkeypatch.setattr(asymptotics, "SAMPLES", 41)
+        traj = harness.predict(exp)
         path = harness.write_prediction_csv(traj, tmp_path, "p")
         lines = open(path).read().splitlines()
         header = lines[0].split(",")
@@ -268,17 +270,19 @@ class TestPredict:
         np.testing.assert_allclose(cols["q1_plus"], -(2 / 3) * (1 + exp.params.A) * math.sin(a), rtol=1e-9)
         assert cols["S_R"][-1] == pytest.approx((1 - exp.params.A) * exp.z_max, rel=1e-9)
 
-    def test_black_prediction_rows(self, tmp_path):
+    def test_black_prediction_rows(self, tmp_path, monkeypatch):
         exp = harness.validate(harness.load_config("black_dispersive"))
-        traj = harness.predict(exp, samples=11)
+        monkeypatch.setattr(asymptotics, "SAMPLES", 11)
+        traj = harness.predict(exp)
         sh = traj.shelf[0]
         assert sh.q1_plus == pytest.approx(-(2.0 / 3.0), abs=1e-10)
         assert traj.params[-1].sigma0 == pytest.approx(-2.0, abs=1e-6)
 
-    def test_epsilon_zero_all_rates_zero(self):
+    def test_epsilon_zero_all_rates_zero(self, monkeypatch):
         cfg = harness.load_config("black_unperturbed")
         exp = harness.validate(cfg)
-        traj = harness.predict(exp, samples=11)
+        monkeypatch.setattr(asymptotics, "SAMPLES", 11)
+        traj = harness.predict(exp)
         assert all(s.sigma0_rate == 0.0 and s.q1_plus == 0.0 for s in traj.shelf)
 
 
@@ -579,6 +583,18 @@ class TestCli:
     def test_emit_unknown_kind_rejected_before_run(self, tmp_path, no_simulation):
         assert cli.main(["--config", "grey_dispersive", "--out-dir", str(tmp_path), "emit",
                          "--kinds", "profile", "histogram"]) == 2
+
+    def test_one_step_run(self, tmp_path):
+        # z_max = 5e-324 needs one PDE step, though z_max / (DZ_PER_DT2 dt^2) underflows to 0.
+        cfg = TestDeterminism()._tiny_cfg()
+        cfg["grid"], cfg["run"] = {"half_width": 300.0, "n_points": 256}, {"z_max": 5e-324}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for command in (["predict"], ["simulate"], ["emit", "--kinds", "profile"]):
+                assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), *command]) == 0
+        assert (tmp_path / "emit_profile.csv").exists()
 
     def test_validation_error_in_config_file(self, tmp_path):
         cfg = harness.load_config("grey_dispersive")

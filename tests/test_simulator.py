@@ -77,6 +77,10 @@ class TestGridAndConfig:
         dz, _, stride = SimConfig(snapshot_dz=1e-9).resolve(grid, 3.0)
         assert stride == 1 and dz == SimConfig(snapshot_dz=3.0).resolve(grid, 3.0)[0]
 
+    def test_a_run_takes_at_least_one_step(self):
+        # z_max / (DZ_PER_DT2 dt^2) underflows to 0 here; the run still needs its one step.
+        assert SimConfig().resolve(Grid(half_width=300.0, n_points=256), 5e-324) == (5e-324, 1, 1)
+
     @pytest.mark.parametrize("eps_gamma", [0.0, 0.05])  # eps gamma of dispersive damping
     def test_step_inside_rk4_stability_region(self, eps_gamma):
         grid = Grid(half_width=12.8, n_points=256)
