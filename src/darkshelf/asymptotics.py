@@ -79,13 +79,14 @@ class BackgroundTrajectory:
 
 @dataclass(frozen=True)
 class ParameterTrajectory:
-    """Sampled slow evolution of core and shelf parameters, and its kinematics:
-    the comoving origin and both shelf edges interpolate one pair of integrals."""
+    """Sampled slow evolution of core and shelf parameters, u_inf at every RK4 node (``background``, which
+    the PDE's boundary reads) and the kinematics: comoving origin and shelf edges share one pair of integrals."""
 
     epsilon: float
     z: np.ndarray
     params: list[CoreParams]
     shelf: list[ShelfParams]
+    background: BackgroundTrajectory
 
     @property
     def Z(self) -> np.ndarray:
@@ -124,8 +125,8 @@ def background_rate(pert: Perturbation, u_inf: float) -> float:
 
 
 def evolve_background(pert: Perturbation, u_inf0: float, Z_span: float) -> BackgroundTrajectory:
-    """Integrate the background magnitude ODE with fixed-step RK4 over the
-    cascade's slow_steps(Z_span) nodes, so it equals the cascade's u_inf there."""
+    """Reference RK4 integrator of the background ODE on the cascade's slow_steps(Z_span) nodes.  The package
+    never calls it; the tests check the closed forms and ParameterTrajectory.background against it."""
     if u_inf0 <= 0:
         raise ValueError("u_inf0 must be positive")
     steps = slow_steps(Z_span)
@@ -189,8 +190,8 @@ def grey_parameter_rhs(pert: Perturbation, params: CoreParams) -> ShelfParams:
 
 def evolve_core_parameters(pert: Perturbation, params0: CoreParams, epsilon: float,
                            z_span: float) -> ParameterTrajectory:
-    """RK4 integration of the cascade over Z in [0, eps*z_span] on evolve_background's
-    nodes, slow_steps(|eps| z_span) steps, sampled SAMPLES times.
+    """RK4 integration of the cascade over Z in [0, eps*z_span], slow_steps(|eps| z_span)
+    steps, sampled SAMPLES times; u_inf is kept at every node as the trajectory's background.
 
     The state is (u_inf, A, sigma0, delta_phi1); B follows from
     A^2 + B^2 = u_inf^2, which therefore holds exactly.  t0 is held at its
@@ -203,7 +204,8 @@ def evolve_core_parameters(pert: Perturbation, params0: CoreParams, epsilon: flo
     """
     if epsilon == 0.0:
         z = np.linspace(0.0, z_span, SAMPLES)
-        return ParameterTrajectory(0.0, z, [params0] * SAMPLES, [ShelfParams(*(0.0,) * 9)] * SAMPLES)
+        flat = BackgroundTrajectory(0.0 * z, np.full(SAMPLES, params0.u_inf))
+        return ParameterTrajectory(0.0, z, [params0] * SAMPLES, [ShelfParams(*(0.0,) * 9)] * SAMPLES, flat)
     u0, _, u0_TT = profile_with_derivatives(params0, np.linspace(-5.0, 5.0, 11))
     symmetric, deviation = check_phase_symmetry(pert, u0, u0_TT)
     if not symmetric:
@@ -228,8 +230,9 @@ def evolve_core_parameters(pert: Perturbation, params0: CoreParams, epsilon: flo
         return rate(state, Z)[0]
 
     state = np.array([params0.u_inf, params0.A, params0.sigma0, 0.0])
-    z, params, shelf = [], [], []
+    z, params, shelf, u_inf = [], [], [], np.empty(steps + 1)
     for n in range(steps + 1):
+        u_inf[n] = state[0]
         k1, p, sh = rate(state, n * h)
         if n % stride == 0:
             z.append(n * h / epsilon)
@@ -238,7 +241,8 @@ def evolve_core_parameters(pert: Perturbation, params0: CoreParams, epsilon: flo
         if n == steps:
             break
         state = rk4_step(stage, state, n * h, h, k1)
-    return ParameterTrajectory(epsilon, np.asarray(z), params, shelf)
+    background = BackgroundTrajectory(np.linspace(0.0, epsilon * z_span, steps + 1), u_inf)
+    return ParameterTrajectory(epsilon, np.asarray(z), params, shelf, background)
 
 
 def phase_conservation_check(traj: ParameterTrajectory) -> float:

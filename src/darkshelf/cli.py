@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from . import asymptotics, harness, simulator
+from . import asymptotics, harness, quadrature, simulator
 
 EXIT_OK = 0
 EXIT_COMPARE_FAILED = 1
@@ -85,7 +85,7 @@ def main(argv=None) -> int:
         print(f"validation error: config is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (simulator.SimulationError, asymptotics.ShallowSolitonError,
-            asymptotics.BackgroundCollapseError) as exc:
+            asymptotics.BackgroundCollapseError, quadrature.QuadratureError) as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except OSError as exc:

@@ -91,9 +91,6 @@ class ComparisonReport:
     def passed(self) -> bool:
         return all(r.passed for r in self.rows)
 
-    def sorted(self) -> "ComparisonReport":
-        return ComparisonReport(rows=sorted(self.rows, key=lambda r: r.name), notes=list(self.notes))
-
     def as_dict(self) -> dict[str, Any]:
         rows = [r.as_dict() for r in sorted(self.rows, key=lambda r: r.name)]
         return {"pass": self.passed, "rows": rows, "notes": sorted(self.notes)}
@@ -369,8 +366,7 @@ def simulate(exp: Experiment) -> Artifacts:
     if exp.epsilon == 0.0:
         background = simulator.SimBackground.constant(exp.params.u_inf)
     else:
-        background = simulator.SimBackground.from_perturbation(exp.perturbation, exp.epsilon,
-                                                               exp.params.u_inf, exp.z_max)
+        background = simulator.SimBackground.from_perturbation(exp.perturbation, traj)
     cfg = simulator.SimConfig(exp.epsilon, exp.perturbation, exp.snapshot_dz)
     initial = simulator.initial_state(exp.params, exp.grid)
     return Artifacts(exp, simulator.run(cfg, exp.grid, initial, background, exp.z_max), background, traj)
@@ -403,7 +399,7 @@ def compare(exp: Experiment) -> tuple[ComparisonReport, Artifacts]:
             report.notes.append(f"{declared[0].name}: {exc}")
             continue
         report.rows += [replace(r, measured=m) for r, m in zip(declared, measured, strict=True)]
-    return report.sorted(), art
+    return report, art
 
 
 # -- Observables -------------------------------------------------------------
@@ -696,7 +692,7 @@ def merge_sweep(results: dict[str, ComparisonReport]) -> ComparisonReport:
     for tag in sorted(results):
         combined.rows += [replace(row, name=f"{tag}.{row.name}") for row in results[tag].rows]
         combined.notes += [f"{tag}.{note}" for note in results[tag].notes]
-    return combined.sorted()
+    return combined
 
 
 def _sweep_worker(cfg: dict) -> ComparisonReport:

@@ -118,9 +118,9 @@ def soliton_integrals(densities: Callable[[np.ndarray], Sequence[np.ndarray]], B
 
     ``densities(T)`` returns any number of density arrays sampled at the
     nodes T of a fixed composite 15-point Kronrod rule on |T| <= 40/B, so
-    several densities share one evaluation of an expensive integrand.  The
-    embedded Gauss rule gives each integral an error estimate, which must stay
-    below 1e-9 of max(1, |integral|).
+    several densities share one evaluation of an expensive integrand.  Each
+    integral must be finite, and its error estimate from the embedded Gauss
+    rule must stay below 1e-9 of max(1, |integral|); QuadratureError otherwise.
     """
     if B <= 0:
         raise ValueError("B must be positive")
@@ -133,8 +133,8 @@ def soliton_integrals(densities: Callable[[np.ndarray], Sequence[np.ndarray]], B
         panels = np.asarray(density).reshape(half.size, _NODES.size)
         value = float(np.sum(half * (panels @ _WK)))
         err = float(np.sum(half * np.abs(panels @ _WERR)))
-        if err > 1e-9 * max(abs(value), 1.0):
-            raise QuadratureError(f"soliton-density error estimate {err:.2e} too large (B={B})")
+        if not (np.isfinite(value) and err <= 1e-9 * max(abs(value), 1.0)):  # a nan fails both
+            raise QuadratureError(f"soliton-density integral {value:.3g}, error estimate {err:.2e} (B={B})")
         values.append(value)
     return values
 

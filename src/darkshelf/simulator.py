@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .asymptotics import background_rate, evolve_background
+from .asymptotics import ParameterTrajectory, background_rate
 from .finitediff import first_derivative, second_derivative
 from .perturbations import Perturbation
 from .quadrature import rk4_step
@@ -114,14 +114,15 @@ class SimBackground:
         return cls(u_inf_fn=lambda z: u_inf, rate_fn=lambda z: 0.0)
 
     @classmethod
-    def from_perturbation(cls, pert: Perturbation, epsilon: float, u_inf0: float,
-                          z_max: float) -> "SimBackground":
-        """Background whose magnitude obeys du_inf/dz = eps Im F[u_inf], eps >= 0.
+    def from_perturbation(cls, pert: Perturbation, traj: ParameterTrajectory) -> "SimBackground":
+        """The cascade's background: u_inf_fn interpolates traj.background, u_inf at every RK4
+        node, at z = Z/eps, and du_inf/dz = eps Im F[u_inf], eps >= 0.
 
-        The scalar ODE is stepped once over [0, z_max] on the cascade's nodes, where u_inf_fn
-        equals the trajectory's u_inf, and interpolated.  Raises ValueError, naming the forcing,
-        unless Re F[u_inf0] = 0 to 1e-12 relative: otherwise the boundary phases would rotate.
+        eps, u_inf(0) and the span are the trajectory's, so the boundary cannot disagree with the
+        prediction.  Raises ValueError, naming the forcing, unless Re F[u_inf(0)] = 0 to 1e-12
+        relative: otherwise the boundary phases would rotate.
         """
+        epsilon, u_inf0 = traj.epsilon, traj.params[0].u_inf
         if epsilon < 0.0:
             raise ValueError("epsilon must be non-negative")
         if epsilon == 0.0:
@@ -129,11 +130,10 @@ class SimBackground:
         f_bg = pert.on_background(u_inf0)
         if abs(f_bg.real) > 1e-12 * abs(f_bg):
             raise ValueError(f"forcing {pert.label!r}: Re F[u_inf] = {f_bg.real:.3g} != 0 on the background")
-        traj = evolve_background(pert, u_inf0, epsilon * z_max)
-        zs = traj.Z / epsilon
+        zs, u_inf = traj.background.Z / epsilon, traj.background.u_inf
 
         def u_inf_fn(z: float) -> float:
-            return float(np.interp(z, zs, traj.u_inf))
+            return float(np.interp(z, zs, u_inf))
 
         def rate_fn(z: float) -> float:
             return epsilon * background_rate(pert, u_inf_fn(z))

@@ -8,6 +8,7 @@ from scipy.integrate import cumulative_trapezoid
 from darkshelf import asymptotics
 from darkshelf.asymptotics import (
     BackgroundCollapseError,
+    BackgroundTrajectory,
     ParameterTrajectory,
     ShallowSolitonError,
     ShelfParams,
@@ -136,10 +137,15 @@ class TestSlowSteps:
         assert steps >= asymptotics.SAMPLES - 1 and steps % (asymptotics.SAMPLES - 1) == 0
 
     @pytest.mark.parametrize("pert, z_span", [(linear_damping(0.5), 20.0), (linear_damping(0.5), 75.0),
-                                              (two_photon(1.0), 7.3)])
+                                              (two_photon(1.0), 7.3), (two_photon(1.0), 30.0),
+                                              (dispersive_damping(1.0), 30.0)])
     def test_pde_background_is_the_trajectory_at_every_sample(self, pert, z_span):
+        # The cascade's u_inf column is the reference integrator at every node, and the PDE reads it.
         traj = evolve_core_parameters(pert, GREY, 0.05, z_span)
-        background = SimBackground.from_perturbation(pert, 0.05, GREY.u_inf, z_span)
+        reference = evolve_background(pert, GREY.u_inf, 0.05 * z_span)
+        assert np.array_equal(traj.background.Z, reference.Z)
+        assert np.array_equal(traj.background.u_inf, reference.u_inf)
+        background = SimBackground.from_perturbation(pert, traj)
         for z, p in zip(traj.z, traj.params):
             assert background.u_inf_fn(z) == p.u_inf
 
@@ -266,7 +272,8 @@ class TestPhaseConservation:
         assert phase_conservation_check(traj) == 0.0
 
     def test_too_few_samples(self):
-        traj = ParameterTrajectory(0.0, np.array([0.0, 10.0]), [GREY] * 2, [ShelfParams(*(0.0,) * 9)] * 2)
+        flat = BackgroundTrajectory(np.zeros(2), np.ones(2))
+        traj = ParameterTrajectory(0.0, np.array([0.0, 10.0]), [GREY] * 2, [ShelfParams(*(0.0,) * 9)] * 2, flat)
         with pytest.raises(ValueError):
             phase_conservation_check(traj)
 

@@ -140,8 +140,8 @@ class TestConfigs:
         # The traced peak of a short dispersive run stays within what validate counts for it.
         exp = harness.validate(harness.load_config("black_dispersive"))
         sim = simulator.SimConfig(exp.epsilon, exp.perturbation, exp.snapshot_dz)
-        background = simulator.SimBackground.from_perturbation(exp.perturbation, exp.epsilon,
-                                                               exp.params.u_inf, 1e-3)
+        traj = asymptotics.evolve_core_parameters(exp.perturbation, exp.params, exp.epsilon, 1e-3)
+        background = simulator.SimBackground.from_perturbation(exp.perturbation, traj)
         initial = simulator.initial_state(exp.params, exp.grid)
         tracemalloc.start()
         try:
@@ -201,6 +201,16 @@ class TestConfigs:
         p.write_text(json.dumps(cfg), encoding="utf-8")
         for command in ("predict", "compare"):
             assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), command]) == 3
+
+    def test_quadrature_failure_is_runtime_error(self, tmp_path):
+        # At gamma3 = 1000 and delta_phi0 = 0.001 the cascade's soliton integrals stop converging.
+        cfg = {"perturbation": {"label": "two_photon", "gamma3": 1000.0}, "epsilon": 0.05,
+               "soliton": {"u_inf": 1.0, "delta_phi0": 0.001},
+               "grid": {"half_width": 15.0, "n_points": 256}, "run": {"z_max": 1.0}}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg), encoding="utf-8")
+        assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), "predict"]) == 3
+        assert not (tmp_path / "predict_prediction.csv").exists()
 
     def test_default_observables_from_table(self):
         black = harness.validate(harness.load_config("black_unperturbed") | {"observables": None})
@@ -319,6 +329,24 @@ def test_profile_prediction_uses_final_background(tmp_path):
     assert u_final == pytest.approx(math.exp(-0.5), rel=1e-9)
     for end in (predicted[0], predicted[-1]):
         assert end == pytest.approx(u_final, abs=0.01)  # the edge layers' Airy tails stay below 0.01
+
+
+def test_simulate_integrates_the_background_once(monkeypatch):
+    # The PDE's boundary reads the cascade's u_inf column; nothing steps the background ODE again.
+    calls = []
+    reference = asymptotics.evolve_background
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return reference(*args, **kwargs)
+
+    for module in (asymptotics, simulator, harness):
+        if getattr(module, "evolve_background", None) is reference:
+            monkeypatch.setattr(module, "evolve_background", counted)
+    cfg = dict(TestDeterminism()._tiny_cfg(), perturbation={"label": "linear_damping", "Gamma": 0.5})
+    art = harness.simulate(harness.validate(cfg))
+    assert calls == []
+    assert art.background.u_inf_fn(art.traj.z[-1]) == art.traj.params[-1].u_inf < 1.0
 
 
 def test_layer_window_predicts_the_composite_at_the_final_background():

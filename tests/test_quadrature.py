@@ -37,6 +37,19 @@ def test_soliton_rule_rejects_unresolved_density():
         integrate_soliton_density(lambda T: np.cos(40.0 * T) / np.cosh(T) ** 2, 1.0)
 
 
+def one_inf_node(T):
+    d = 1.0 / np.cosh(T) ** 2
+    d[7] = np.inf
+    return d
+
+
+@pytest.mark.parametrize("density", [lambda T: np.full_like(T, np.nan), one_inf_node], ids=["nan", "one_inf_node"])
+def test_soliton_rule_rejects_non_finite_density(density):
+    # A nan error estimate is not above the tolerance, and an inf integral's estimate is not above inf.
+    with pytest.raises(QuadratureError):
+        integrate_soliton_density(density, 1.0)
+
+
 def test_empty_interval():
     assert integrate(lambda x: x, 1.0, 1.0) == 0.0
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from darkshelf.asymptotics import evolve_core_parameters
 from darkshelf.finitediff import first_derivative, second_derivative
 from darkshelf.perturbations import dispersive_damping, linear_damping, local_forcing
 from darkshelf.soliton import CoreParams, grey_profile
@@ -192,21 +193,24 @@ class TestConservedQuantities:
 
 class TestBackground:
     def test_linear_damping_table_matches_closed_form(self):
-        # du_inf/dz = -eps Gamma u_inf: one table covers [0, z_max].
-        bg = SimBackground.from_perturbation(linear_damping(0.5), 0.05, 1.0, 20.0)
+        # du_inf/dz = -eps Gamma u_inf: the cascade's u_inf column covers [0, z_max].
+        traj = evolve_core_parameters(linear_damping(0.5), GREY, 0.05, 20.0)
+        bg = SimBackground.from_perturbation(linear_damping(0.5), traj)
         for z in (0.0, 0.7, 5.0, 20.0):
             assert bg.u_inf_fn(z) == pytest.approx(math.exp(-0.025 * z), abs=1e-8)
             assert bg.rate_fn(z) == pytest.approx(-0.025 * math.exp(-0.025 * z), abs=1e-9)
 
     def test_negative_epsilon_rejected(self):
+        traj = evolve_core_parameters(linear_damping(0.5), GREY, -0.05, 20.0)
         with pytest.raises(ValueError, match="epsilon"):
-            SimBackground.from_perturbation(linear_damping(0.5), -0.05, 1.0, 20.0)
+            SimBackground.from_perturbation(linear_damping(0.5), traj)
 
     def test_real_forcing_on_background_rejected(self):
         # Phase-symmetric, but Re F[u_inf] != 0 would rotate the boundary phases.
         gain = local_forcing("gain", lambda u, u_tt: 0.1 * u)
+        traj = evolve_core_parameters(gain, GREY, 0.05, 20.0)
         with pytest.raises(ValueError, match="gain"):
-            SimBackground.from_perturbation(gain, 0.05, 1.0, 20.0)
+            SimBackground.from_perturbation(gain, traj)
 
 
 class TestBoundaryHandling:
