@@ -199,14 +199,14 @@ def evolve_core_parameters(pert: Perturbation, params0: CoreParams, epsilon: flo
     dispersive case and leaves it undetermined otherwise.  A sample records
     the first RK4 stage of the step it starts (4 steps + 1 evaluations).
     eps = 0 is a constant path.  Raises ValueError, naming the forcing, when
-    F is not phase-symmetric on the initial profile; BackgroundCollapseError
-    when a stage drives u_inf to zero or non-finite.
+    F is not phase-symmetric on the initial profile at T in [-5, 5]/B;
+    BackgroundCollapseError when a stage drives u_inf to zero or non-finite.
     """
     if epsilon == 0.0:
         z = np.linspace(0.0, z_span, SAMPLES)
         flat = BackgroundTrajectory(0.0 * z, np.full(SAMPLES, params0.u_inf))
         return ParameterTrajectory(0.0, z, [params0] * SAMPLES, [ShelfParams(*(0.0,) * 9)] * SAMPLES, flat)
-    u0, _, u0_TT = profile_with_derivatives(params0, np.linspace(-5.0, 5.0, 11))
+    u0, _, u0_TT = profile_with_derivatives(params0, np.linspace(-5.0, 5.0, 11) / params0.B)
     symmetric, deviation = check_phase_symmetry(pert, u0, u0_TT)
     if not symmetric:
         raise ValueError(f"forcing {pert.label!r} is not phase-symmetric (deviation {deviation:.3g})")

@@ -272,9 +272,12 @@ def validate(cfg: dict) -> Experiment:
         grid = simulator.Grid(half_width, n_points)
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
+    if u_inf * grid.dt > simulator.MAX_UINF_DT:
+        raise ConfigError(f"grid.n_points: {grid.n_points} points give u_inf*dt = {u_inf * grid.dt:.4g} > "
+                          f"{simulator.MAX_UINF_DT:.4g}, where the PDE step is unstable")
     if grid.half_width < 3.0 * u_inf * z_max:
         raise ConfigError(f"grid.half_width: {grid.half_width} < 3*u_inf*z_max = {3 * u_inf * z_max}")
-    reach = abs(t0) + 0.5 * grid.dt + u_inf * z_max  # simulator.run's edge reach, background not growing
+    reach = abs(t0) + 0.5 * grid.dt + u_inf * z_max  # simulator.run's summed reach, with a half cell of slack
     if reach > 0.9 * grid.half_width:
         raise ConfigError(f"soliton.t0: shelf edges from t0 = {t0} reach {reach:.4g} by run.z_max, "
                           f"past 0.9*half_width = {0.9 * grid.half_width:.4g}")
@@ -309,9 +312,9 @@ def _check_run_size(sim: simulator.SimConfig, grid: simulator.Grid, z_max: float
 
 
 def auto_grid(params: CoreParams, z_max: float) -> dict:
-    """Grid sized so edges stay inside L/3 and dt is about 0.1 or finer."""
+    """Grid sized so edges stay inside L/3 and dt is min(0.1, 1/u_inf) or finer."""
     half = math.ceil(3.0 * params.u_inf * z_max * 1.05 + 5.0)
-    n = 512 * math.ceil(2.0 * half / 0.1 / 512)
+    n = 512 * math.ceil(2.0 * half / min(0.1, 1.0 / params.u_inf) / 512)
     return {"half_width": float(half), "n_points": int(max(n, 512))}
 
 
@@ -368,8 +371,7 @@ def simulate(exp: Experiment) -> Artifacts:
     else:
         background = simulator.SimBackground.from_perturbation(exp.perturbation, traj)
     cfg = simulator.SimConfig(exp.epsilon, exp.perturbation, exp.snapshot_dz)
-    initial = simulator.initial_state(exp.params, exp.grid)
-    return Artifacts(exp, simulator.run(cfg, exp.grid, initial, background, exp.z_max), background, traj)
+    return Artifacts(exp, simulator.run(cfg, exp.grid, exp.params, background, exp.z_max), background, traj)
 
 
 def _snapshot_at(snapshots, z: float):

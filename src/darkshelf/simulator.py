@@ -1,12 +1,12 @@
 """Direct integration of the background-phase-removed perturbed NLS.
 
-Method of lines: 4th-order central Laplacian (one-sided at the edges),
-classical RK4 in z at 3/4 of its stability limit on that stencil, snapshots
-on the exact grid k z_max / n_snap, and Dirichlet boundary values pinned to
-the adiabatically evolving background.  The field is not periodic (it
-carries the soliton phase jump), which rules out spectral wraparound.  The
-grid is cell-centered and symmetric about t = 0, so the discrete odd
-symmetry of a black soliton is exact.
+Method of lines from the exact soliton: 4th-order central Laplacian (one-sided
+at the edges), classical RK4 in z at 3/4 of its stability limit, snapshots on
+the exact grid k z_max / n_snap, and Dirichlet boundary values pinned to the
+adiabatically evolving background; the edges' reach t0 +- int u_inf dz is
+checked before the first step.  The field carries the soliton phase jump, so it
+is not periodic.  The grid is cell-centered and symmetric about t = 0, so the
+discrete odd symmetry of a black soliton is exact.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ D2_SPECTRAL_RADIUS = 16.0 / 3.0  # dt^2 max |eigenvalue| of D2 without its pinne
 RK4_IMAGINARY_LIMIT = 2.0 * math.sqrt(2.0)  # RK4 is stable on the imaginary axis to |dz lambda| = 2 sqrt 2
 STABILITY_MARGIN = 0.75  # fraction taken of the limit dz <= 1.0607 dt^2 that -i/2 D2 sets
 DZ_PER_DT2 = STABILITY_MARGIN * RK4_IMAGINARY_LIMIT / (0.5 * D2_SPECTRAL_RADIUS)
+# That step keeps the Bogoliubov modes sqrt(a (a + 2 u_inf^2)), a = 8/(3 dt^2), stable while u_inf dt <= 1.0184.
+MAX_UINF_DT = math.sqrt((1.0 / STABILITY_MARGIN**2 - 1.0) * D2_SPECTRAL_RADIUS / 4.0)
 MIN_PLATEAU_POINTS = 20  # samples a shelf plateau window must hold
 EDGE_LEVEL = 0.25  # fraction of the plateau deviation marking a tracked edge
 FMT = "{:.17g}"  # CSV number format: round-trips every float64
@@ -116,17 +118,15 @@ class SimBackground:
     @classmethod
     def from_perturbation(cls, pert: Perturbation, traj: ParameterTrajectory) -> "SimBackground":
         """The cascade's background: u_inf_fn interpolates traj.background, u_inf at every RK4
-        node, at z = Z/eps, and du_inf/dz = eps Im F[u_inf], eps >= 0.
+        node, at z = Z/eps, and du_inf/dz = eps Im F[u_inf], eps > 0 (eps = 0 is ``constant``).
 
         eps, u_inf(0) and the span are the trajectory's, so the boundary cannot disagree with the
-        prediction.  Raises ValueError, naming the forcing, unless Re F[u_inf(0)] = 0 to 1e-12
-        relative: otherwise the boundary phases would rotate.
+        prediction.  Raises ValueError unless eps > 0, and, naming the forcing, unless
+        Re F[u_inf(0)] = 0 to 1e-12 relative: otherwise the boundary phases would rotate.
         """
         epsilon, u_inf0 = traj.epsilon, traj.params[0].u_inf
-        if epsilon < 0.0:
-            raise ValueError("epsilon must be non-negative")
-        if epsilon == 0.0:
-            return cls.constant(u_inf0)
+        if epsilon <= 0.0:
+            raise ValueError(f"epsilon must be positive, got {epsilon}")
         f_bg = pert.on_background(u_inf0)
         if abs(f_bg.real) > 1e-12 * abs(f_bg):
             raise ValueError(f"forcing {pert.label!r}: Re F[u_inf] = {f_bg.real:.3g} != 0 on the background")
@@ -139,11 +139,6 @@ class SimBackground:
             return epsilon * background_rate(pert, u_inf_fn(z))
 
         return cls(u_inf_fn=u_inf_fn, rate_fn=rate_fn)
-
-
-def initial_state(params: CoreParams, grid: Grid) -> FieldState:
-    """Exact soliton at z = 0 (signed black form when A = 0)."""
-    return FieldState(z=0.0, samples=grey_profile(params, grid.t - params.t0))
 
 
 def nls_rate(u: np.ndarray, dt: float, u_inf: float, epsilon: float,
@@ -167,32 +162,34 @@ def nls_rate(u: np.ndarray, dt: float, u_inf: float, epsilon: float,
 def run(
     config: SimConfig,
     grid: Grid,
-    initial: FieldState,
+    params: CoreParams,
     background: SimBackground,
     z_max: float,
 ) -> list[FieldState]:
-    """Integrate to z_max in the lab frame, returning snapshots every
-    ``stride`` steps (see resolve), kept at z = k z_max / n_snap, the last at z_max.
+    """Integrate the exact soliton ``params`` (signed black form when A = 0) from z = 0 to
+    z_max in the lab frame, returning snapshots every ``stride`` steps (see resolve), kept
+    at z = k z_max / n_snap, the last at z_max.
 
-    Raises StabilityError on norm blow-up and BoundaryContaminationError
-    when the shelf edge tracks into the outer tenth of the domain.
+    Raises BoundaryContaminationError before the first step when the shelf edges' reach
+    |t0| + sum_n dz u_inf(n dz) passes 0.9 L, and StabilityError on norm blow-up.
     """
-    u_inf0 = background.u_inf_fn(0.0)
-    if grid.half_width < 3.0 * u_inf0 * z_max:
+    if grid.half_width < 3.0 * params.u_inf * z_max:
         raise ValueError(
-            f"half_width {grid.half_width} < 3 u_inf z_max = {3 * u_inf0 * z_max}: "
+            f"half_width {grid.half_width} < 3 u_inf z_max = {3 * params.u_inf * z_max}: "
             "shelf edges must stay within the inner third of the domain"
         )
     dz, n_steps, stride = config.resolve(grid, z_max)
+    reach = abs(params.t0) + sum(dz * background.u_inf_fn(n * dz) for n in range(n_steps))
+    if reach > 0.9 * grid.half_width:
+        raise BoundaryContaminationError(f"shelf edges reach {reach:.4g} by z={z_max:.3g}, "
+                                         "within L/10 of the boundary")
     dt = grid.dt
     eps = config.epsilon
     pert = config.perturbation
 
-    u = np.array(initial.samples, dtype=complex)
-    if u.size != grid.n_points:
-        raise ValueError("initial samples do not match the grid")
-    bc_unit_left = u[0] / u_inf0
-    bc_unit_right = u[-1] / u_inf0
+    u = grey_profile(params, grid.t - params.t0)
+    bc_unit_left = u[0] / params.u_inf
+    bc_unit_right = u[-1] / params.u_inf
 
     def rhs(f: np.ndarray, z: float) -> np.ndarray:
         w, _ = nls_rate(f, dt, background.u_inf_fn(z), eps, pert)
@@ -204,26 +201,18 @@ def run(
     max0 = float(np.max(np.abs(u)))
     snapshots = [FieldState(z=0.0, samples=u.copy())]
     z = 0.0
-    travelled = 0.0  # int u_inf dz: lab-frame distance covered by the edges
-    t0_lab = float(grid.t[np.argmin(np.abs(u))])
-    for n in range(n_steps):
-        u = rk4_step(rhs, u, z, dz, rhs(u, z))
-        travelled += dz * background.u_inf_fn(z)
-        z = (n + 1) * dz
-        uinf = background.u_inf_fn(z)
-        u[0] = uinf * bc_unit_left
-        u[-1] = uinf * bc_unit_right
-        if (n + 1) % stride == 0:
-            peak = float(np.max(np.abs(u)))
-            if not np.isfinite(peak) or peak > 10.0 * max0:
-                raise StabilityError(f"norm grew to {peak:.3e} at z={z:.3f}")
-            edge_reach = max(abs(t0_lab + travelled), abs(t0_lab - travelled))
-            if grid.half_width - edge_reach < 0.1 * grid.half_width:
-                raise BoundaryContaminationError(
-                    f"shelf edge within L/10 of the boundary at z={z:.3f}"
-                )
-            k, n_snap = (n + 1) // stride, n_steps // stride
-            snapshots.append(FieldState(z=z_max if k == n_snap else k * z_max / n_snap, samples=u.copy()))
+    n_snap = n_steps // stride
+    for k in range(1, n_snap + 1):
+        for n in range((k - 1) * stride, k * stride):
+            u = rk4_step(rhs, u, z, dz, rhs(u, z))
+            z = (n + 1) * dz
+            uinf = background.u_inf_fn(z)
+            u[0] = uinf * bc_unit_left
+            u[-1] = uinf * bc_unit_right
+        peak = float(np.max(np.abs(u)))
+        if not np.isfinite(peak) or peak > 10.0 * max0:
+            raise StabilityError(f"norm grew to {peak:.3e} at z={z:.3f}")
+        snapshots.append(FieldState(z=z_max if k == n_snap else k * z_max / n_snap, samples=u.copy()))
     return snapshots
 
 

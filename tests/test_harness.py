@@ -142,14 +142,24 @@ class TestConfigs:
         sim = simulator.SimConfig(exp.epsilon, exp.perturbation, exp.snapshot_dz)
         traj = asymptotics.evolve_core_parameters(exp.perturbation, exp.params, exp.epsilon, 1e-3)
         background = simulator.SimBackground.from_perturbation(exp.perturbation, traj)
-        initial = simulator.initial_state(exp.params, exp.grid)
         tracemalloc.start()
         try:
-            snapshots = simulator.run(sim, exp.grid, initial, background, 1e-3)
+            snapshots = simulator.run(sim, exp.grid, exp.params, background, 1e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= (harness.STEP_FIELDS + len(snapshots)) * exp.grid.n_points * 16
+
+    @pytest.mark.parametrize("uinf_dt, ok", [(1.0, True), (1.05, False)])
+    def test_grid_spacing_bounded_by_background(self, uinf_dt, ok):
+        # Past u_inf dt = MAX_UINF_DT the PDE step is unstable on the background's Bogoliubov modes.
+        cfg = harness.load_config("black_unperturbed")
+        cfg["grid"] = {"half_width": 128.0 * uinf_dt, "n_points": 256}
+        if ok:
+            assert harness.validate(cfg).grid.dt == uinf_dt
+        else:
+            with pytest.raises(harness.ConfigError, match="grid.n_points"):
+                harness.validate(cfg)
 
     def test_underflowing_grid_spacing_rejected(self):
         # dt = 1e-290 / 2048: dt**2 underflows to 0, where SimConfig.resolve divides by zero.
@@ -614,13 +624,47 @@ class TestCli:
 
     def test_one_step_run(self, tmp_path):
         # z_max = 5e-324 needs one PDE step, though z_max / (DZ_PER_DT2 dt^2) underflows to 0.
+        # u_inf = 0.3 keeps u_inf dt = 0.70 under MAX_UINF_DT at dt = 2.34.
         cfg = TestDeterminism()._tiny_cfg()
         cfg["grid"], cfg["run"] = {"half_width": 300.0, "n_points": 256}, {"z_max": 5e-324}
+        cfg["soliton"]["u_inf"] = 0.3
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg), encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for command in (["predict"], ["simulate"], ["emit", "--kinds", "profile"]):
+                assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), *command]) == 0
+        assert (tmp_path / "emit_profile.csv").exists()
+
+    @pytest.mark.parametrize("soliton, grid, z_max", [
+        ({"u_inf": 1.0}, {"half_width": 1e150, "n_points": 256}, 1e-300),  # dt = 7.8e147: no core sample
+        ({"u_inf": 1e100, "delta_phi0": 2.5}, {"half_width": 15.0, "n_points": 256}, 1e-300),
+        ({"u_inf": 1e60}, {"half_width": 15.0, "n_points": 256}, 4e-60),
+        ({"u_inf": 1.0}, {"half_width": 166.4, "n_points": 256}, 40.0),  # u_inf dt = 1.3
+    ], ids=["dt_7.8e147", "u_inf_1e100", "u_inf_1e60", "u_inf_dt_1.3"])
+    def test_unstable_grid_refused(self, soliton, grid, z_max, tmp_path, no_simulation):
+        cfg = TestDeterminism()._tiny_cfg()
+        cfg["soliton"].update(soliton)
+        cfg["grid"], cfg["run"] = grid, {"z_max": z_max}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for command in (["predict"], ["emit", "--kinds", "profile"]):
+                assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), *command]) == 2
+
+    def test_strong_background_runs_quietly(self, tmp_path):
+        # u_inf = 200: the automatic grid takes dt <= 1/u_inf, and the phase-symmetry
+        # probe sits at T/B, where cosh(B T) stays finite.
+        cfg = TestDeterminism()._tiny_cfg()
+        cfg["soliton"] = {"u_inf": 200.0, "delta_phi0": 2.5}
+        cfg["run"] = {"z_max": 0.01}
+        del cfg["grid"]
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for command in (["predict"], ["emit", "--kinds", "profile"]):
                 assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), *command]) == 0
         assert (tmp_path / "emit_profile.csv").exists()
 

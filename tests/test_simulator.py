@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from darkshelf import simulator
 from darkshelf.asymptotics import evolve_core_parameters
 from darkshelf.finitediff import first_derivative, second_derivative
 from darkshelf.perturbations import dispersive_damping, linear_damping, local_forcing
@@ -10,6 +11,7 @@ from darkshelf.soliton import CoreParams, grey_profile
 from darkshelf.simulator import (
     D2_SPECTRAL_RADIUS,
     DZ_PER_DT2,
+    MAX_UINF_DT,
     RK4_IMAGINARY_LIMIT,
     BoundaryContaminationError,
     FieldState,
@@ -19,7 +21,6 @@ from darkshelf.simulator import (
     SimConfig,
     conservation_residuals,
     conserved_quantities,
-    initial_state,
     measure_core_minimum,
     measure_shelf,
     measure_sigma0_rate,
@@ -42,7 +43,7 @@ def small_run(params, epsilon=0.0, pert=None, z_max=3.0, n=1024, L=50.0):
     grid = Grid(half_width=L, n_points=n)
     cfg = SimConfig(epsilon=epsilon, perturbation=pert)
     bg = SimBackground.constant(params.u_inf)
-    snaps = run(cfg, grid, initial_state(params, grid), bg, z_max)
+    snaps = run(cfg, grid, params, bg, z_max)
     return grid, cfg, bg, snaps
 
 
@@ -72,7 +73,7 @@ class TestGridAndConfig:
     def test_snapshots_on_exact_grid(self):
         grid = Grid(half_width=50.0, n_points=1024)
         cfg = SimConfig(snapshot_dz=0.7)  # 3.0 / 0.7 rounds to 4 intervals of 0.75
-        snaps = run(cfg, grid, initial_state(BLACK, grid), SimBackground.constant(1.0), 3.0)
+        snaps = run(cfg, grid, BLACK, SimBackground.constant(1.0), 3.0)
         np.testing.assert_allclose([s.z for s in snaps], 0.75 * np.arange(5), rtol=0.0, atol=1e-12)
         # A snapshot_dz below the step bound keeps every step, at the bound's dz.
         dz, _, stride = SimConfig(snapshot_dz=1e-9).resolve(grid, 3.0)
@@ -82,27 +83,47 @@ class TestGridAndConfig:
         # z_max / (DZ_PER_DT2 dt^2) underflows to 0 here; the run still needs its one step.
         assert SimConfig().resolve(Grid(half_width=300.0, n_points=256), 5e-324) == (5e-324, 1, 1)
 
+    GRID = Grid(half_width=12.8, n_points=256)
+
+    @staticmethod
+    def _pinned_d2(grid):
+        # The pinned boundary samples do not evolve: drop their rows and columns.
+        eye = np.eye(grid.n_points)
+        return np.column_stack([second_derivative(e, grid.dt) for e in eye])[1:-1, 1:-1]
+
+    @staticmethod
+    def _rk4_growth(dz, lam):
+        w = dz * lam
+        return np.max(np.abs(1.0 + w + w**2 / 2 + w**3 / 6 + w**4 / 24))
+
     @pytest.mark.parametrize("eps_gamma", [0.0, 0.05])  # eps gamma of dispersive damping
     def test_step_inside_rk4_stability_region(self, eps_gamma):
-        grid = Grid(half_width=12.8, n_points=256)
-        eye = np.eye(grid.n_points)
-        # The pinned boundary samples do not evolve: drop their rows and columns.
-        d2 = np.column_stack([second_derivative(e, grid.dt) for e in eye])[1:-1, 1:-1]
-        lam = (-0.5j + eps_gamma) * np.linalg.eigvals(d2)
-
-        def growth(dz):
-            w = dz * lam
-            return np.max(np.abs(1.0 + w + w**2 / 2 + w**3 / 6 + w**4 / 24))
-
-        assert growth(SimConfig().resolve(grid, 1.0)[0]) <= 1.0 + 1e-12  # roundoff in R
+        grid = self.GRID
+        lam = (-0.5j + eps_gamma) * np.linalg.eigvals(self._pinned_d2(grid))
+        assert self._rk4_growth(SimConfig().resolve(grid, 1.0)[0], lam) <= 1.0 + 1e-12  # roundoff in R
         # The margin is taken under the true limit: just past it, RK4 grows.
-        assert growth(1.07 * RK4_IMAGINARY_LIMIT / (0.5 * D2_SPECTRAL_RADIUS) * grid.dt**2) > 1.0
+        assert self._rk4_growth(1.07 * RK4_IMAGINARY_LIMIT / (0.5 * D2_SPECTRAL_RADIUS) * grid.dt**2, lam) > 1.0
+
+    def test_step_inside_rk4_stability_region_on_the_background(self):
+        # Linearized about u_inf, (Re, Im) of a perturbation evolve by [[0, D2/2], [2 u_inf^2 - D2/2, 0]]:
+        # Bogoliubov modes at sqrt(a (a + 2 u_inf^2)), a = D2/2, which the step holds up to MAX_UINF_DT.
+        grid = self.GRID
+        d2 = self._pinned_d2(grid)
+        dz = SimConfig().resolve(grid, 1.0)[0]
+
+        def growth(uinf_dt):
+            u2 = (uinf_dt / grid.dt) ** 2
+            op = np.block([[np.zeros_like(d2), 0.5 * d2], [2.0 * u2 * np.eye(len(d2)) - 0.5 * d2, np.zeros_like(d2)]])
+            return self._rk4_growth(dz, np.linalg.eigvals(op))
+
+        assert growth(MAX_UINF_DT) <= 1.0 + 1e-12
+        assert growth(1.01 * MAX_UINF_DT) > 1.0
 
     def test_domain_size_guard(self):
         grid = Grid(half_width=20.0, n_points=512)
         bg = SimBackground.constant(1.0)
         with pytest.raises(ValueError):
-            run(SimConfig(), grid, initial_state(BLACK, grid), bg, z_max=10.0)
+            run(SimConfig(), grid, BLACK, bg, z_max=10.0)
 
 
 class TestUnperturbedFidelity:
@@ -205,6 +226,12 @@ class TestBackground:
         with pytest.raises(ValueError, match="epsilon"):
             SimBackground.from_perturbation(linear_damping(0.5), traj)
 
+    def test_unperturbed_trajectory_rejected(self):
+        # eps = 0 has one background, SimBackground.constant.
+        traj = evolve_core_parameters(linear_damping(0.5), GREY, 0.0, 20.0)
+        with pytest.raises(ValueError, match="epsilon"):
+            SimBackground.from_perturbation(linear_damping(0.5), traj)
+
     def test_real_forcing_on_background_rejected(self):
         # Phase-symmetric, but Re F[u_inf] != 0 would rotate the boundary phases.
         gain = local_forcing("gain", lambda u, u_tt: 0.1 * u)
@@ -227,12 +254,16 @@ class TestBoundaryHandling:
         jumps = [np.angle(s.samples[-1]) - np.angle(s.samples[0]) for s in snaps]
         assert max(abs(j - jumps[0]) for j in jumps) < 1e-6
 
-    def test_contamination_detected_for_offset_soliton(self):
+    def test_contamination_detected_for_offset_soliton(self, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("stepped a run whose shelf edges reach the boundary")
+
+        monkeypatch.setattr(simulator, "rk4_step", no_step)  # refused before the first step
         params = CoreParams.from_background(1.0, math.pi, t0=40.0)
         grid = Grid(half_width=50.0, n_points=1024)
         bg = SimBackground.constant(1.0)
         with pytest.raises(BoundaryContaminationError):
-            run(SimConfig(), grid, initial_state(params, grid), bg, z_max=12.0)
+            run(SimConfig(), grid, params, bg, z_max=12.0)
 
 
 def synthetic_shelf(grid, eps, q1p, q1m, p1tp, p1tm, s_l, s_r, u_inf=1.0, B=1.0):
