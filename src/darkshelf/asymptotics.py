@@ -28,7 +28,7 @@ import numpy as np
 
 from .finitediff import first_derivative, second_derivative
 from .perturbations import Perturbation, check_phase_symmetry
-from .quadrature import rk4_step, soliton_integrals
+from .quadrature import SOLITON_SECH2, SOLITON_TANH, rk4_step, soliton_integrals
 from .soliton import CoreParams, profile_with_derivatives
 
 
@@ -37,7 +37,7 @@ class BackgroundCollapseError(RuntimeError):
 
 
 SHALLOW_LIMIT = 1e-9  # smallest u_inf - A the cascade accepts
-STEPS_PER_Z = 2000  # RK4 steps per unit slow distance Z, background and cascade
+STEPS_PER_Z = 640  # RK4 steps per unit slow distance Z, background and cascade; fixed by a convergence test
 SAMPLES = 121  # trajectory samples, each one an RK4 node of the slow scale
 
 
@@ -148,18 +148,16 @@ def evolve_background(pert: Perturbation, u_inf0: float, Z_span: float) -> Backg
 def _forcing_integrals(pert: Perturbation, params: CoreParams, f_inf: complex) -> tuple[float, float]:
     """(Re int F[u0] u0_T* dT,  Im int (F[u_inf]u_inf - F[u0]u0*) dT), given f_inf = F[u_inf]u_inf.
 
-    Both densities share one evaluation of F on the analytic profile at the
-    nodes of the fixed soliton-density rule.  The global soliton phase drops
-    out for phase-symmetric forcings, so sigma0 = 0 is used.
+    Both densities share one evaluation of F on the analytic profile, built
+    from the soliton rule's tabulated tanh and sech^2 at its nodes T = s/B.
+    The global soliton phase drops out for phase-symmetric forcings, so
+    sigma0 = 0 is used.
     """
-    base = replace(params, sigma0=0.0)
-
-    def densities(T):
-        u0, u0_T, u0_TT = profile_with_derivatives(base, T)
-        F = pert.point_eval(u0, u0_TT)
-        return np.real(F * np.conj(u0_T)), np.imag(f_inf - F * np.conj(u0))
-
-    return tuple(soliton_integrals(densities, params.B))
+    B = params.B
+    u0 = params.A + 1j * B * SOLITON_TANH
+    u0_T = 1j * B**2 * SOLITON_SECH2
+    F = pert.point_eval(u0, -2.0 * B * SOLITON_TANH * u0_T)  # u0_TT = -2i B^3 sech^2 tanh
+    return tuple(soliton_integrals((np.real(F * np.conj(u0_T)), np.imag(f_inf - F * np.conj(u0))), B))
 
 
 def grey_parameter_rhs(pert: Perturbation, params: CoreParams) -> ShelfParams:

@@ -258,7 +258,7 @@ def validate(cfg: dict) -> Experiment:
     for path, value in (("run.z_max", z_max), ("run.snapshot_dz", snapshot_dz)):
         if value <= 0.0:
             raise ConfigError(f"{path}: must be positive, got {value}")
-    cascade_steps = math.inf  # int() overflows when 2000 eps z_max is inf (z_max = 1e308)
+    cascade_steps = math.inf  # int() overflows when STEPS_PER_Z eps z_max is inf (z_max = 1e308)
     with contextlib.suppress(OverflowError):
         cascade_steps = asymptotics.slow_steps(eps * z_max)
     if cascade_steps > MAX_CASCADE_STEPS:
@@ -292,11 +292,13 @@ def validate(cfg: dict) -> Experiment:
 
 def _check_run_size(sim: simulator.SimConfig, grid: simulator.Grid, z_max: float) -> None:
     """Hold the PDE run to MAX_POINT_STEPS, and its snapshots plus one step's fields to MAX_SNAPSHOT_BYTES."""
-    n_steps, stride = math.inf, 1
     # n_points is bounded first; near 1e308 points, or on a tiny half_width, dt**2 underflows.
+    if grid.n_points > MAX_POINT_STEPS:
+        raise ConfigError(f"grid.n_points: {grid.n_points:.3g} points exceed the bound {MAX_POINT_STEPS:.0e} "
+                          f"point-steps in one step")
+    n_steps, stride = math.inf, 1
     with contextlib.suppress(ZeroDivisionError, OverflowError):
-        if grid.n_points <= MAX_POINT_STEPS:
-            _, n_steps, stride = sim.resolve(grid, z_max)
+        _, n_steps, stride = sim.resolve(grid, z_max)
     if n_steps * grid.n_points > MAX_POINT_STEPS:
         raise ConfigError(f"grid.n_points: {n_steps:.3g} steps x {grid.n_points:.3g} points exceed "
                           f"the bound {MAX_POINT_STEPS:.0e} point-steps")

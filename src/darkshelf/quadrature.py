@@ -4,10 +4,11 @@ Both quadrature rules are built on the 15-point Kronrod extension of
 7-point Gauss quadrature (the classic QUADPACK pair).  ``integrate``, which
 serves the Airy bridge, splits intervals where the embedded error estimate is
 largest until the global estimate meets tolerance.  ``soliton_integrals``
-applies one fixed composite panel grid scaled by the soliton width 1/B, which
-resolves every sech^2-localized density of the theory; the embedded estimate
-is checked, not refined.  ``rk4_step`` is the one RK4 step of the PDE
-stepper, the background ODE and the slow-parameter cascade.
+applies one fixed composite panel rule, tabulated at import at unit width
+(nodes s_k, weights, tanh s_k and sech^2 s_k) and scaled by the soliton
+width 1/B, which resolves every sech^2-localized density of the theory; the
+embedded estimate is checked, not refined.  ``rk4_step`` is the one RK4 step
+of the PDE stepper, the background ODE and the slow-parameter cascade.
 """
 
 from __future__ import annotations
@@ -111,37 +112,35 @@ def integrate(
 # truncation at |T| = 40/B leaves less than 1e-27 of the mass outside.
 _PANEL_EDGES = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.5, 8.0, 10.0, 14.0, 20.0, 28.0, 40.0])
 _PANEL_EDGES = np.concatenate((-_PANEL_EDGES[:0:-1], _PANEL_EDGES))
+_PANEL_HALF = 0.5 * np.diff(_PANEL_EDGES)
+# The rule at B = 1, built once: nodes s_k and the profile's tanh s_k, sech^2 s_k there.
+SOLITON_NODES = (0.5 * (_PANEL_EDGES[1:] + _PANEL_EDGES[:-1])[:, None] + _PANEL_HALF[:, None] * _NODES).ravel()
+SOLITON_TANH = np.tanh(SOLITON_NODES)
+SOLITON_SECH2 = 1.0 / np.cosh(SOLITON_NODES) ** 2
 
 
-def soliton_integrals(densities: Callable[[np.ndarray], Sequence[np.ndarray]], B: float) -> list[float]:
+def soliton_integrals(densities: Sequence[np.ndarray], B: float) -> list[float]:
     """Integrate soliton-localized densities over the line with one fixed rule.
 
-    ``densities(T)`` returns any number of density arrays sampled at the
-    nodes T of a fixed composite 15-point Kronrod rule on |T| <= 40/B, so
-    several densities share one evaluation of an expensive integrand.  Each
-    integral must be finite, and its error estimate from the embedded Gauss
-    rule must stay below 1e-9 of max(1, |integral|); QuadratureError otherwise.
+    Each density is sampled at the nodes T = SOLITON_NODES / B of a fixed
+    composite 15-point Kronrod rule on |T| <= 40/B.  Each integral must be
+    finite, and its error estimate from the embedded Gauss rule must stay
+    below 1e-9 of max(1, |integral|); QuadratureError otherwise.
     """
     if B <= 0:
         raise ValueError("B must be positive")
-    edges = _PANEL_EDGES / B
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * np.diff(edges)
-    T = (mid[:, None] + half[:, None] * _NODES).ravel()
-    values = []
-    for density in densities(T):
-        panels = np.asarray(density).reshape(half.size, _NODES.size)
-        value = float(np.sum(half * (panels @ _WK)))
-        err = float(np.sum(half * np.abs(panels @ _WERR)))
+    panels = np.asarray(densities).reshape(len(densities), _PANEL_HALF.size, _NODES.size)
+    values = (panels @ _WK) @ _PANEL_HALF / B
+    errs = np.abs(panels @ _WERR) @ _PANEL_HALF / B
+    for value, err in zip(values, errs):
         if not (np.isfinite(value) and err <= 1e-9 * max(abs(value), 1.0)):  # a nan fails both
             raise QuadratureError(f"soliton-density integral {value:.3g}, error estimate {err:.2e} (B={B})")
-        values.append(value)
-    return values
+    return values.tolist()
 
 
 def integrate_soliton_density(f: Callable[[np.ndarray], np.ndarray], B: float) -> float:
-    """Integrate one soliton-localized density over the line (see soliton_integrals)."""
-    (value,) = soliton_integrals(lambda T: (f(T),), B)
+    """Integrate one soliton-localized density f(T) over the line (see soliton_integrals)."""
+    (value,) = soliton_integrals((f(SOLITON_NODES / B),), B)
     return value
 
 

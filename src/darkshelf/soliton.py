@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import integrate_soliton_density
+from .quadrature import SOLITON_SECH2, SOLITON_TANH, soliton_integrals
 
 _REL_TOL = 1e-12
 
@@ -145,11 +145,6 @@ def soliton_invariants(params: CoreParams) -> ConservedQuantities:
     B = params.B
     if B <= 0:
         raise InvalidParamsError("B must be positive")
-
-    def density(T: np.ndarray) -> np.ndarray:
-        _, u0_T, _ = profile_with_derivatives(params, T)
-        q0sq = params.A**2 + B**2 * np.tanh(B * T) ** 2
-        return 0.5 * np.abs(u0_T) ** 2 + 0.5 * (params.u_inf**2 - q0sq) ** 2
-
-    H = integrate_soliton_density(density, B)
+    q0sq = params.A**2 + (B * SOLITON_TANH) ** 2
+    (H,) = soliton_integrals((0.5 * (B**2 * SOLITON_SECH2) ** 2 + 0.5 * (params.u_inf**2 - q0sq) ** 2,), B)
     return ConservedQuantities(H=H, E=2.0 * B, I=-2.0 * params.A * B, R=2.0 * B * params.t0)

@@ -85,7 +85,7 @@ class TestConfigs:
         ("run.snapshot_dz", -0.5),
         ("grid.n_points", 1e308),  # dt**2 would underflow to 0 in SimConfig.resolve
         ("grid.n_points", 1e7),  # 3.75e11 RK4 steps
-        ("run.z_max", 1e5),  # 1e7 cascade steps
+        ("run.z_max", 1e5),  # 3.2e6 cascade steps
     ])
     def test_bad_field_rejected_before_simulation(self, key, value, tmp_path, no_simulation):
         cfg = harness.load_config("grey_dispersive")
@@ -652,6 +652,21 @@ class TestCli:
             warnings.simplefilter("error", RuntimeWarning)
             for command in (["predict"], ["emit", "--kinds", "profile"]):
                 assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), *command]) == 2
+
+    def test_point_count_alone_refused_by_name(self, tmp_path, capsys, no_simulation):
+        # u_inf = 1e100 with no grid: the automatic grid has about 1e101 points, past the bound before any step.
+        cfg = TestDeterminism()._tiny_cfg()
+        cfg["soliton"] = {"u_inf": 1e100, "delta_phi0": 2.5}
+        cfg["run"] = {"z_max": 1e-300}
+        del cfg["grid"]
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), "predict"]) == 2
+        err = capsys.readouterr().err
+        assert "grid.n_points: 1e+101 points exceed the bound 1e+10 point-steps" in err
+        assert "inf steps" not in err
 
     def test_strong_background_runs_quietly(self, tmp_path):
         # u_inf = 200: the automatic grid takes dt <= 1/u_inf, and the phase-symmetry

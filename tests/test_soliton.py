@@ -121,6 +121,13 @@ class TestInvariants:
         q = soliton_invariants(p)
         assert q.I == pytest.approx(-0.587785252292473, abs=1e-12)
 
+    @pytest.mark.parametrize("B", [1e-3, 1.0, 200.0])
+    @pytest.mark.parametrize("dphi", [math.pi, 4 * math.pi / 5, 2 * math.pi / 5])
+    def test_tabulated_rule_scales_with_width(self, B, dphi):
+        # The unit-width rule scaled by 1/B integrates H = (4/3) B^3 at widths far apart.
+        p = CoreParams.from_background(B / math.sin(dphi / 2), dphi)
+        assert soliton_invariants(p).H == pytest.approx((4.0 / 3.0) * p.B**3, rel=1e-12)
+
     @given(st.floats(0.3, 2.0), st.floats(0.3, math.pi), st.floats(-3.0, 3.0))
     @settings(max_examples=25, deadline=None)
     def test_quadrature_matches_closed_forms(self, u_inf, dphi, t0):
