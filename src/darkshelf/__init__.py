@@ -9,15 +9,11 @@ validates the predictions against direct simulation of the perturbed PDE.
 from .soliton import ConservedQuantities, CoreParams, ab_from_background, grey_profile
 from .perturbations import Perturbation, check_phase_symmetry, dispersive_damping, linear_damping, two_photon
 from .asymptotics import (
-    BlackFirstOrder,
     ParameterTrajectory,
     ShelfParams,
-    black_first_order,
     evolve_background,
     evolve_core_parameters,
     grey_parameter_rhs,
-    homogeneous_solutions,
-    linearized_apply,
     phase_conservation_check,
 )
 from .boundary_layer import LayerProfile, shelf_magnitude_profile, shelf_phase_profile
@@ -29,9 +25,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ConservedQuantities", "CoreParams", "ab_from_background", "grey_profile",
     "Perturbation", "check_phase_symmetry", "dispersive_damping", "linear_damping", "two_photon",
-    "BlackFirstOrder", "ParameterTrajectory", "ShelfParams", "black_first_order",
-    "evolve_background", "evolve_core_parameters", "grey_parameter_rhs",
-    "homogeneous_solutions", "linearized_apply", "phase_conservation_check",
+    "ParameterTrajectory", "ShelfParams",
+    "evolve_background", "evolve_core_parameters", "grey_parameter_rhs", "phase_conservation_check",
     "LayerProfile", "shelf_magnitude_profile",
     "shelf_phase_profile", "airy_ai", "airy_ai_integral",
     "FieldState", "Grid", "SimBackground", "SimConfig", "run",

@@ -26,7 +26,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .finitediff import first_derivative, second_derivative
 from .perturbations import Perturbation, check_phase_symmetry
 from .quadrature import SOLITON_SECH2, SOLITON_TANH, rk4_step, soliton_integrals
 from .soliton import CoreParams, profile_with_derivatives
@@ -160,6 +159,20 @@ def _forcing_integrals(pert: Perturbation, params: CoreParams, f_inf: complex) -
     return tuple(soliton_integrals((np.real(F * np.conj(u0_T)), np.imag(f_inf - F * np.conj(u0))), B))
 
 
+def check_forcing(pert: Perturbation, params: CoreParams) -> None:
+    """The one probe of F on the soliton ``params``, at T in [-5, 5]/B: raises ValueError, naming the forcing,
+    when F or the densities F u0_T* and F u0* that the cascade integrates are not finite there (a strength the
+    floats cannot carry), or when F is not phase-symmetric."""
+    u0, u0_T, u0_TT = profile_with_derivatives(params, np.linspace(-5.0, 5.0, 11) / params.B)
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = pert.point_eval(u0, u0_TT)
+        if not np.isfinite([F * np.conj(u0_T), F * np.conj(u0)]).all():
+            raise ValueError(f"forcing {pert.label!r} is not finite on the soliton")
+    symmetric, deviation = check_phase_symmetry(pert, u0, u0_TT)
+    if not symmetric:
+        raise ValueError(f"forcing {pert.label!r} is not phase-symmetric (deviation {deviation:.3g})")
+
+
 def grey_parameter_rhs(pert: Perturbation, params: CoreParams) -> ShelfParams:
     """One evaluation of the boxed parameter cascade at the given state.
 
@@ -196,18 +209,15 @@ def evolve_core_parameters(pert: Perturbation, params0: CoreParams, epsilon: flo
     initial value: first-order theory gives it zero drift in the black
     dispersive case and leaves it undetermined otherwise.  A sample records
     the first RK4 stage of the step it starts (4 steps + 1 evaluations).
-    eps = 0 is a constant path.  Raises ValueError, naming the forcing, when
-    F is not phase-symmetric on the initial profile at T in [-5, 5]/B;
-    BackgroundCollapseError when a stage drives u_inf to zero or non-finite.
+    eps = 0 is a constant path.  Raises ValueError from check_forcing on the
+    initial profile; BackgroundCollapseError when a stage drives u_inf to
+    zero or non-finite.
     """
     if epsilon == 0.0:
         z = np.linspace(0.0, z_span, SAMPLES)
         flat = BackgroundTrajectory(0.0 * z, np.full(SAMPLES, params0.u_inf))
         return ParameterTrajectory(0.0, z, [params0] * SAMPLES, [ShelfParams(*(0.0,) * 9)] * SAMPLES, flat)
-    u0, _, u0_TT = profile_with_derivatives(params0, np.linspace(-5.0, 5.0, 11) / params0.B)
-    symmetric, deviation = check_phase_symmetry(pert, u0, u0_TT)
-    if not symmetric:
-        raise ValueError(f"forcing {pert.label!r} is not phase-symmetric (deviation {deviation:.3g})")
+    check_forcing(pert, params0)
     steps = slow_steps(abs(epsilon) * z_span)
     h = epsilon * z_span / steps  # signed slow-scale step
     stride = steps // (SAMPLES - 1)
@@ -254,131 +264,3 @@ def phase_conservation_check(traj: ParameterTrajectory) -> float:
     if len(traj.params) < 3:
         raise ValueError("need at least 3 trajectory samples")
     return max(abs(sh.delta_phi0_rate + edge_phase_flux(p, sh)) for p, sh in zip(traj.params, traj.shelf))
-
-
-@dataclass(frozen=True)
-class BlackFirstOrder:
-    """Explicit first-order correction for a black soliton under i*gamma*u_tt.
-
-    q1 is in the signed convention of the black representation; its
-    asymptotes are +-sigma0_rate/(2 u_inf) (right/left).  phi1 is defined up
-    to a constant, fixed here by phi1(t0) = 0.
-    """
-
-    gamma: float
-    u_inf: float
-    t0: float
-    sigma0_rate: float
-    q1_plus: float
-    q1_minus: float
-    phi1t_plus: float
-    phi1t_minus: float
-
-    def q1(self, t):
-        x = self.u_inf * (np.asarray(t, dtype=float) - self.t0)
-        # sinh(2x) sech^2(x) == 2 tanh(x): overflow-free form.
-        return self.sigma0_rate / (2.0 * self.u_inf) * (np.tanh(x) + x / np.cosh(x) ** 2)
-
-    def phi1(self, t):
-        x = self.u_inf * (np.asarray(t, dtype=float) - self.t0)
-        # log(cosh) via |x| + log1p(exp(-2|x|)) - log 2 to avoid overflow.
-        logcosh = np.abs(x) + np.log1p(np.exp(-2.0 * np.abs(x))) - math.log(2.0)
-        return (4.0 / 3.0) * self.gamma * logcosh
-
-    def phi1_t(self, t):
-        x = self.u_inf * (np.asarray(t, dtype=float) - self.t0)
-        return (4.0 / 3.0) * self.gamma * self.u_inf * np.tanh(x)
-
-
-def black_first_order(gamma: float, u_inf: float, t0: float = 0.0) -> BlackFirstOrder:
-    """Bounded, antisymmetry-preserving first-order black solution.
-
-    sigma0_rate = -(4/3) gamma u_inf^2 and t0_rate = 0; the free constants
-    of the reduction-of-order solution are fixed by boundedness and by
-    q1(t0) = 0.
-    """
-    if gamma <= 0 or u_inf <= 0:
-        raise ValueError("gamma and u_inf must be positive")
-    s_rate = -(4.0 / 3.0) * gamma * u_inf**2
-    return BlackFirstOrder(
-        gamma=gamma,
-        u_inf=u_inf,
-        t0=t0,
-        sigma0_rate=s_rate,
-        q1_plus=s_rate / (2.0 * u_inf),
-        q1_minus=-s_rate / (2.0 * u_inf),
-        phi1t_plus=(4.0 / 3.0) * gamma * u_inf,
-        phi1t_minus=-(4.0 / 3.0) * gamma * u_inf,
-    )
-
-
-# -- Linearized operator about the soliton ---------------------------------
-
-def linearized_apply(
-    params: CoreParams,
-    U: np.ndarray,
-    W: np.ndarray,
-    T: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the 2x2 linearization L to the real field pair (U, W) = (Re, Im).
-
-    Derivatives use the package's 4th-order stencils on the uniform grid T.
-    The diagonal potentials read the printed matrix's tanh as tanh^2, the
-    form obtained by linearizing the NLS about (A + iB tanh), because the
-    printed form does not annihilate the homogeneous solutions.
-    """
-    T = np.asarray(T, dtype=float)
-    dT = T[1] - T[0]
-    A, B, u2 = params.A, params.B, params.u_inf**2
-    tau = np.tanh(B * T)
-    pot1 = 3.0 * A**2 + B**2 * tau**2 - u2
-    pot2 = A**2 + 3.0 * B**2 * tau**2 - u2
-    cross = 2.0 * A * B * tau
-    r1 = -0.5 * second_derivative(U, dT) + pot1 * U + A * first_derivative(W, dT) + cross * W
-    r2 = -0.5 * second_derivative(W, dT) + pot2 * W - A * first_derivative(U, dT) + cross * U
-    return r1, r2
-
-
-def homogeneous_solutions(params: CoreParams, T: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The four homogeneous solution pairs of the linearized system.
-
-    The first two are bounded; the third grows linearly and the fourth like
-    cosh^2, so residual checks should stay within |T| <= 10/B.  Requires
-    |A^2 - B^2| >= 1e-9 for the fourth solution.
-    """
-    A, B = params.A, params.B
-    if abs(A**2 - B**2) < 1e-9:
-        raise ValueError("A^2 - B^2 degenerate: fourth homogeneous solution undefined")
-    T = np.asarray(T, dtype=float)
-    s = B * T
-    tau = np.tanh(s)
-    sech2 = 1.0 / np.cosh(s) ** 2
-    z = np.zeros_like(T)
-    u11 = (z, sech2)
-    u12 = (B * tau, np.full_like(T, -A))
-    u13 = (
-        B * (s * tau - 1.0),
-        A * (-s + 1.5 * s * sech2 + 1.5 * tau),
-    )
-    u14 = (
-        -4.0 * A * B / (A**2 - B**2) * np.cosh(s) ** 2,
-        3.0 * s * sech2 + 4.0 * tau + tau * np.cosh(2.0 * s),
-    )
-    return [u11, u12, u13, u14]
-
-
-def linearized_residual(
-    params: CoreParams,
-    pair: tuple[np.ndarray, np.ndarray],
-    T: np.ndarray,
-    margin: int = 4,
-) -> float:
-    """Sup-norm residual of L*pair, normalized by the pair's window sup.
-
-    The outermost ``margin`` samples are discarded (one-sided stencils meet
-    growing solutions there).
-    """
-    r1, r2 = linearized_apply(params, pair[0], pair[1], T)
-    sl = slice(margin, -margin if margin else None)
-    scale = max(np.max(np.abs(pair[0][sl])), np.max(np.abs(pair[1][sl])), 1.0)
-    return float(max(np.max(np.abs(r1[sl])), np.max(np.abs(r2[sl]))) / scale)

@@ -142,9 +142,7 @@ PRESETS: dict[str, dict] = {
 
 
 def load_config(source) -> dict:
-    """Load a config dict from a preset name, path, or dict."""
-    if isinstance(source, dict):
-        return json.loads(json.dumps(source))
+    """Load a config dict from a preset name or a JSON file path."""
     if source in PRESETS:
         return json.loads(json.dumps(PRESETS[source]))
     if os.path.exists(source):
@@ -237,8 +235,8 @@ def validate(cfg: dict) -> Experiment:
     if unknown:
         raise ConfigError(f"{unknown[0]}: unknown field (have {list(_TOP_KEYS)})")
     eps = _field(cfg, "epsilon")
-    if eps < 0.0:
-        raise ConfigError(f"epsilon: must be finite and non-negative, got {eps}")
+    if eps < 0.0 or (eps != 0.0 and not math.isfinite(1.0 / eps)):  # 1/eps: z = Z/eps and the shelf scale
+        raise ConfigError(f"epsilon: must be finite and non-negative, with 1/epsilon finite, got {eps}")
     pert = _perturbation(cfg)
     if eps != 0.0 and pert is None:
         raise ConfigError("perturbation: required when epsilon != 0")
@@ -282,6 +280,12 @@ def validate(cfg: dict) -> Experiment:
         raise ConfigError(f"soliton.t0: shelf edges from t0 = {t0} reach {reach:.4g} by run.z_max, "
                           f"past 0.9*half_width = {0.9 * grid.half_width:.4g}")
     _check_run_size(simulator.SimConfig(eps, pert, snapshot_dz), grid, z_max)
+    if eps != 0.0:
+        try:
+            asymptotics.check_forcing(pert, params)
+        except ValueError as exc:
+            strength = next(k for k in cfg["perturbation"] if k != "label")
+            raise ConfigError(f"perturbation.{strength}: {exc}") from exc
     core = "black" if params.is_black else "grey"
     defaults = dict.fromkeys(o.name for o in OBSERVABLES if core in o.default_for)
     outputs = _names(cfg, "outputs", ("report", *PLOT_KINDS), ())  # compare always writes the report

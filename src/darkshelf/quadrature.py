@@ -138,12 +138,6 @@ def soliton_integrals(densities: Sequence[np.ndarray], B: float) -> list[float]:
     return values.tolist()
 
 
-def integrate_soliton_density(f: Callable[[np.ndarray], np.ndarray], B: float) -> float:
-    """Integrate one soliton-localized density f(T) over the line (see soliton_integrals)."""
-    (value,) = soliton_integrals((f(SOLITON_NODES / B),), B)
-    return value
-
-
 def rk4_step(f: Callable, y, z: float, h: float, k1):
     """One classical RK4 step of dy/dz = f(y, z) from (y, z) over h.
 

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import SOLITON_SECH2, SOLITON_TANH, soliton_integrals
-
 _REL_TOL = 1e-12
 
 
@@ -120,11 +118,8 @@ def grey_profile(params: CoreParams, T) -> np.ndarray | complex:
 
 
 def profile_with_derivatives(params: CoreParams, T):
-    """(u0, u0_T, u0_TT) of the complex soliton form (A + iB tanh) e^{i sigma0}.
-
-    This analytic representation is smooth for every A including the black
-    limit and is the one fed to perturbation functionals inside quadratures.
-    """
+    """(u0, u0_T, u0_TT) of the complex soliton form (A + iB tanh) e^{i sigma0}, smooth for every A
+    including the black limit: the profile on which asymptotics.check_forcing probes F."""
     T = np.asarray(T, dtype=float)
     B = params.B
     tau = np.tanh(B * T)
@@ -134,17 +129,3 @@ def profile_with_derivatives(params: CoreParams, T):
     u0_T = 1j * B**2 * sech2 * rot
     u0_TT = -2j * B**3 * sech2 * tau * rot
     return u0, u0_T, u0_TT
-
-
-def soliton_invariants(params: CoreParams) -> ConservedQuantities:
-    """Exact unperturbed values: E = 2B, I = -2AB, R = 2B t0, H by quadrature.
-
-    H integrates the Hamiltonian density (1/2)|u_T|^2 + (1/2)(u_inf^2-q0^2)^2
-    over the analytic profile; the closed form is (4/3)B^3.
-    """
-    B = params.B
-    if B <= 0:
-        raise InvalidParamsError("B must be positive")
-    q0sq = params.A**2 + (B * SOLITON_TANH) ** 2
-    (H,) = soliton_integrals((0.5 * (B**2 * SOLITON_SECH2) ** 2 + 0.5 * (params.u_inf**2 - q0sq) ** 2,), B)
-    return ConservedQuantities(H=H, E=2.0 * B, I=-2.0 * params.A * B, R=2.0 * B * params.t0)

@@ -12,7 +12,6 @@ from darkshelf.asymptotics import (
     ParameterTrajectory,
     ShallowSolitonError,
     ShelfParams,
-    black_first_order,
     evolve_background,
     evolve_core_parameters,
     grey_parameter_rhs,
@@ -20,9 +19,10 @@ from darkshelf.asymptotics import (
     slow_steps,
 )
 from darkshelf.perturbations import Perturbation, dispersive_damping, linear_damping, local_forcing, two_photon
-from darkshelf.quadrature import QuadratureError, integrate_soliton_density
+from darkshelf.quadrature import SOLITON_NODES, QuadratureError, soliton_integrals
 from darkshelf.simulator import SimBackground
 from darkshelf.soliton import CoreParams, profile_with_derivatives
+from theory_reference import black_phi1, black_phi1_t, black_q1
 
 GREY = CoreParams.from_background(1.0, 4 * math.pi / 5)
 BLACK = CoreParams.from_background(1.0, math.pi)
@@ -87,14 +87,15 @@ class TestGreyParameterRhs:
         assert sh.phi1t_minus == 2.0 * sh.q1_minus
 
     def test_black_limit_matches_first_order_solution(self):
-        # Signed <-> positive-magnitude conversion flips q1 on the left.
+        # The black first-order solution at gamma = u_inf = 1: sigma0_Z = -(4/3) gamma u^2, signed plateaus
+        # q1+- = -+(2/3) gamma u and phase slopes phi1t+- = +-(4/3) gamma u.  The cascade reports q1- in the
+        # positive-magnitude convention, which flips the signed q1 on the left.
         sh = grey_parameter_rhs(dispersive_damping(1.0), BLACK)
-        bl = black_first_order(1.0, 1.0)
-        assert sh.sigma0_rate == pytest.approx(bl.sigma0_rate, abs=1e-10)
-        assert sh.q1_plus == pytest.approx(bl.q1_plus, abs=1e-10)
-        assert sh.q1_minus == pytest.approx(-bl.q1_minus, abs=1e-10)
-        assert sh.phi1t_plus == pytest.approx(bl.phi1t_plus, abs=1e-10)
-        assert sh.phi1t_minus == pytest.approx(bl.phi1t_minus, abs=1e-10)
+        assert sh.sigma0_rate == pytest.approx(-4.0 / 3.0, abs=1e-10)
+        assert sh.q1_plus == pytest.approx(-2.0 / 3.0, abs=1e-10)
+        assert sh.q1_minus == pytest.approx(-2.0 / 3.0, abs=1e-10)
+        assert sh.phi1t_plus == pytest.approx(4.0 / 3.0, abs=1e-10)
+        assert sh.phi1t_minus == pytest.approx(-4.0 / 3.0, abs=1e-10)
 
     def test_zero_perturbation_is_quiescent(self):
         null = local_forcing("null", lambda u, u_tt: 0.0 * u)
@@ -196,7 +197,7 @@ class TestEvolveCoreParameters:
             F = pert.point_eval(u0, u0_TT)
             return np.real(F * np.conj(u0_T)), np.imag(f_inf - F * np.conj(u0))
 
-        reference = [integrate_soliton_density(lambda T, k=k: densities(T)[k], params.B) for k in (0, 1)]
+        reference = soliton_integrals(densities(SOLITON_NODES / params.B), params.B)
         got = asymptotics._forcing_integrals(pert, params, f_inf)
         np.testing.assert_allclose(got, reference, rtol=0, atol=1e-13 * max(1.0, *map(abs, reference)))
 
@@ -333,40 +334,37 @@ class TestPhaseConservation:
 
 
 class TestBlackFirstOrder:
+    """The closed-form black solution of theory_reference against its own equations."""
+
     def test_vanishes_at_center(self):
-        bl = black_first_order(1.0, 1.0, t0=0.3)
-        assert bl.q1(0.3) == 0.0
+        assert black_q1(0.3, 1.0, 1.0, t0=0.3) == 0.0
 
     def test_signed_asymptotes(self):
-        bl = black_first_order(1.0, 1.0)
-        assert bl.q1(25.0) == pytest.approx(-(2.0 / 3.0), abs=1e-10)
-        assert bl.q1(-25.0) == pytest.approx(+(2.0 / 3.0), abs=1e-10)
-        assert bl.q1_plus == pytest.approx(bl.sigma0_rate / 2.0, abs=1e-14)
+        assert black_q1(25.0, 1.0, 1.0) == pytest.approx(-(2.0 / 3.0), abs=1e-10)
+        assert black_q1(-25.0, 1.0, 1.0) == pytest.approx(+(2.0 / 3.0), abs=1e-10)
 
     def test_phase_slope_asymptotes(self):
-        bl = black_first_order(0.7, 1.2)
         expect = (4.0 / 3.0) * 0.7 * 1.2
-        assert bl.phi1_t(30.0) == pytest.approx(expect, abs=1e-10)
-        assert bl.phi1_t(-30.0) == pytest.approx(-expect, abs=1e-10)
+        assert black_phi1_t(30.0, 0.7, 1.2) == pytest.approx(expect, abs=1e-10)
+        assert black_phi1_t(-30.0, 0.7, 1.2) == pytest.approx(-expect, abs=1e-10)
 
     def test_amplitude_equation_residual(self):
-        # -(1/2) q1'' + (3 q0^2 - u_inf^2) q1 - sigma0_Z q0 = 0.
-        bl = black_first_order(1.0, 1.0)
+        # -(1/2) q1'' + (3 q0^2 - u_inf^2) q1 - sigma0_Z q0 = 0, sigma0_Z = -(4/3) gamma u_inf^2.
+        sigma0_rate = -4.0 / 3.0
         t = np.linspace(-8, 8, 4001)
         h = t[1] - t[0]
-        q1 = bl.q1(t)
+        q1 = black_q1(t, 1.0, 1.0)
         q0 = np.tanh(t)
         d2 = (q1[:-2] - 2 * q1[1:-1] + q1[2:]) / h**2
-        resid = -0.5 * d2 + (3 * q0[1:-1] ** 2 - 1.0) * q1[1:-1] - bl.sigma0_rate * q0[1:-1]
+        resid = -0.5 * d2 + (3 * q0[1:-1] ** 2 - 1.0) * q1[1:-1] - sigma0_rate * q0[1:-1]
         assert np.max(np.abs(resid)) < 1e-5
 
     def test_phase_equation_residual(self):
         # q0_t phi1_t + (1/2) q0 phi1_tt + gamma q0_tt = 0 (t0_Z = 0).
         gamma = 0.8
-        bl = black_first_order(gamma, 1.0)
         t = np.linspace(-8, 8, 4001)
         h = t[1] - t[0]
-        p1t = bl.phi1_t(t)
+        p1t = black_phi1_t(t, gamma, 1.0)
         q0 = np.tanh(t)
         q0t = 1 / np.cosh(t) ** 2
         q0tt = -2 * np.tanh(t) / np.cosh(t) ** 2
@@ -375,12 +373,5 @@ class TestBlackFirstOrder:
         assert np.max(np.abs(resid)) < 1e-6
 
     def test_phi1_matches_log_cosh(self):
-        bl = black_first_order(1.0, 1.0)
-        assert bl.phi1(2.0) == pytest.approx((4.0 / 3.0) * math.log(math.cosh(2.0)), rel=1e-12)
-        assert bl.phi1(700.0) == pytest.approx((4.0 / 3.0) * (700.0 - math.log(2.0)), rel=1e-12)
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            black_first_order(0.0, 1.0)
-        with pytest.raises(ValueError):
-            black_first_order(1.0, -1.0)
+        assert black_phi1(2.0, 1.0, 1.0) == pytest.approx((4.0 / 3.0) * math.log(math.cosh(2.0)), rel=1e-12)
+        assert black_phi1(700.0, 1.0, 1.0) == pytest.approx((4.0 / 3.0) * (700.0 - math.log(2.0)), rel=1e-12)

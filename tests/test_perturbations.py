@@ -12,7 +12,7 @@ from darkshelf.perturbations import (
     two_photon,
 )
 from darkshelf.finitediff import second_derivative
-from darkshelf.quadrature import integrate_soliton_density
+from darkshelf.quadrature import SOLITON_NODES, soliton_integrals
 from darkshelf.soliton import CoreParams, profile_with_derivatives
 
 T = np.linspace(-20, 20, 2001)
@@ -56,7 +56,7 @@ def test_dispersive_black_energy_integral():
         u0, u0_T, u0_TT = profile_with_derivatives(p, TT)
         return np.imag(pert.point_eval(u0, u0_TT) * np.conj(u0))
 
-    val = integrate_soliton_density(density, p.B)
+    (val,) = soliton_integrals((density(SOLITON_NODES / p.B),), p.B)
     assert val == pytest.approx(-(4.0 / 3.0), rel=1e-10)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate as sci
 
-from darkshelf.quadrature import QuadratureError, integrate, integrate_soliton_density
+from darkshelf.quadrature import SOLITON_NODES, QuadratureError, integrate, soliton_integrals
 
 
 def test_polynomial_exact():
@@ -15,26 +15,33 @@ def test_oscillatory_against_scipy():
     assert integrate(f, 0.0, 20.0, tol=1e-12) == pytest.approx(ref, abs=1e-11)
 
 
+def soliton_integral(f, B):
+    """The soliton rule's integral of one density f(T), sampled at its nodes T = SOLITON_NODES / B."""
+    (value,) = soliton_integrals((f(SOLITON_NODES / B),), B)
+    return value
+
+
 @pytest.mark.parametrize("B", [0.05, 0.3, 0.5, 1.0, 2.0])
 def test_sech2_closed_form(B):
     # int B^2 sech^2(BT) dT = 2B
-    val = integrate_soliton_density(lambda T: B**2 / np.cosh(B * T) ** 2, B)
+    val = soliton_integral(lambda T: B**2 / np.cosh(B * T) ** 2, B)
     assert val == pytest.approx(2 * B, rel=1e-10)
 
 
-@pytest.mark.parametrize("B", [0.05, 0.3, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("B", [1e-3, 0.05, 0.3, 0.5, 1.0, 2.0, 200.0])
 def test_profile_gradient_closed_form(B):
-    # int |u0_T|^2 dT = int B^4 sech^4 = (4/3) B^3
-    val = integrate_soliton_density(lambda T: B**4 / np.cosh(B * T) ** 4, B)
-    assert val == pytest.approx((4.0 / 3.0) * B**3, rel=1e-10)
-    ref, _ = sci.quad(lambda T: B**4 / np.cosh(B * T) ** 4, -40 / B, 40 / B)
+    # int |u0_T|^2 dT = int B^4 sech^4 = (4/3) B^3, also the soliton's Hamiltonian H.
+    # B = 1e-3 and 200: the unit-width rule scaled by 1/B holds at widths far apart.
+    val = soliton_integral(lambda T: B**4 / np.cosh(B * T) ** 4, B)
+    assert val == pytest.approx((4.0 / 3.0) * B**3, rel=1e-12)
+    ref, _ = sci.quad(lambda T: B**4 / np.cosh(B * T) ** 4, -40 / B, 40 / B, epsabs=0.0)
     assert val == pytest.approx(ref, rel=1e-10)
 
 
 def test_soliton_rule_rejects_unresolved_density():
     # The fixed panels cannot resolve a fast oscillation; the embedded estimate says so.
     with pytest.raises(QuadratureError):
-        integrate_soliton_density(lambda T: np.cos(40.0 * T) / np.cosh(T) ** 2, 1.0)
+        soliton_integral(lambda T: np.cos(40.0 * T) / np.cosh(T) ** 2, 1.0)
 
 
 def one_inf_node(T):
@@ -47,7 +54,7 @@ def one_inf_node(T):
 def test_soliton_rule_rejects_non_finite_density(density):
     # A nan error estimate is not above the tolerance, and an inf integral's estimate is not above inf.
     with pytest.raises(QuadratureError):
-        integrate_soliton_density(density, 1.0)
+        soliton_integral(density, 1.0)
 
 
 def test_empty_interval():

@@ -1,0 +1,107 @@
+"""Closed forms of the theory that the tests check the engine against.
+
+No run of the package uses them: the explicit first-order solution of a
+black soliton under dispersive damping, and the linearized operator about
+the soliton with its four homogeneous solutions.  Derivatives use the
+package's 4th-order stencils.
+"""
+
+import math
+
+import numpy as np
+
+from darkshelf.finitediff import first_derivative, second_derivative
+from darkshelf.soliton import CoreParams
+
+# -- Black soliton under F = i gamma u_tt, first order ---------------------
+# sigma0_Z = -(4/3) gamma u_inf^2 and t0_Z = 0; the free constants of the
+# reduction-of-order solution are fixed by boundedness and by q1(t0) = 0.
+# q1 is in the signed convention of the black representation, and phi1 is
+# fixed by phi1(t0) = 0.
+
+
+def black_q1(t, gamma: float, u_inf: float, t0: float = 0.0):
+    """q1(t), with asymptotes -+(2/3) gamma u_inf (right/left)."""
+    x = u_inf * (np.asarray(t, dtype=float) - t0)
+    # sinh(2x) sech^2(x) == 2 tanh(x): overflow-free form.
+    return -(2.0 / 3.0) * gamma * u_inf * (np.tanh(x) + x / np.cosh(x) ** 2)
+
+
+def black_phi1(t, gamma: float, u_inf: float, t0: float = 0.0):
+    """phi1(t) = (4/3) gamma log cosh(u_inf (t - t0))."""
+    x = u_inf * (np.asarray(t, dtype=float) - t0)
+    # log(cosh) via |x| + log1p(exp(-2|x|)) - log 2 to avoid overflow.
+    logcosh = np.abs(x) + np.log1p(np.exp(-2.0 * np.abs(x))) - math.log(2.0)
+    return (4.0 / 3.0) * gamma * logcosh
+
+
+def black_phi1_t(t, gamma: float, u_inf: float, t0: float = 0.0):
+    """phi1_t(t), with asymptotes +-(4/3) gamma u_inf (right/left)."""
+    x = u_inf * (np.asarray(t, dtype=float) - t0)
+    return (4.0 / 3.0) * gamma * u_inf * np.tanh(x)
+
+
+# -- Linearized operator about the soliton ---------------------------------
+
+LINEARIZED_MARGIN = 4  # samples dropped at each end: one-sided stencils meet growing solutions there
+
+
+def linearized_apply(
+    params: CoreParams,
+    U: np.ndarray,
+    W: np.ndarray,
+    T: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the 2x2 linearization L to the real field pair (U, W) = (Re, Im).
+
+    Derivatives use the package's 4th-order stencils on the uniform grid T.
+    The diagonal potentials read the printed matrix's tanh as tanh^2, the
+    form obtained by linearizing the NLS about (A + iB tanh), because the
+    printed form does not annihilate the homogeneous solutions.
+    """
+    T = np.asarray(T, dtype=float)
+    dT = T[1] - T[0]
+    A, B, u2 = params.A, params.B, params.u_inf**2
+    tau = np.tanh(B * T)
+    pot1 = 3.0 * A**2 + B**2 * tau**2 - u2
+    pot2 = A**2 + 3.0 * B**2 * tau**2 - u2
+    cross = 2.0 * A * B * tau
+    r1 = -0.5 * second_derivative(U, dT) + pot1 * U + A * first_derivative(W, dT) + cross * W
+    r2 = -0.5 * second_derivative(W, dT) + pot2 * W - A * first_derivative(U, dT) + cross * U
+    return r1, r2
+
+
+def homogeneous_solutions(params: CoreParams, T: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The four homogeneous solution pairs of the linearized system.
+
+    The first two are bounded; the third grows linearly and the fourth like
+    cosh^2, so residual checks should stay within |T| <= 10/B.  Requires
+    |A^2 - B^2| >= 1e-9 for the fourth solution.
+    """
+    A, B = params.A, params.B
+    if abs(A**2 - B**2) < 1e-9:
+        raise ValueError("A^2 - B^2 degenerate: fourth homogeneous solution undefined")
+    T = np.asarray(T, dtype=float)
+    s = B * T
+    tau = np.tanh(s)
+    sech2 = 1.0 / np.cosh(s) ** 2
+    z = np.zeros_like(T)
+    u11 = (z, sech2)
+    u12 = (B * tau, np.full_like(T, -A))
+    u13 = (
+        B * (s * tau - 1.0),
+        A * (-s + 1.5 * s * sech2 + 1.5 * tau),
+    )
+    u14 = (
+        -4.0 * A * B / (A**2 - B**2) * np.cosh(s) ** 2,
+        3.0 * s * sech2 + 4.0 * tau + tau * np.cosh(2.0 * s),
+    )
+    return [u11, u12, u13, u14]
+
+
+def linearized_residual(params: CoreParams, pair: tuple[np.ndarray, np.ndarray], T: np.ndarray) -> float:
+    """Sup-norm residual of L*pair, normalized by the pair's window sup, inside LINEARIZED_MARGIN."""
+    r1, r2 = linearized_apply(params, pair[0], pair[1], T)
+    sl = slice(LINEARIZED_MARGIN, -LINEARIZED_MARGIN)
+    scale = max(np.max(np.abs(pair[0][sl])), np.max(np.abs(pair[1][sl])), 1.0)
+    return float(max(np.max(np.abs(r1[sl])), np.max(np.abs(r2[sl]))) / scale)
