@@ -12,8 +12,10 @@ their terms do not cancel and a plain sum is exact to rounding.
 Outside the table Ai and Ai' come from the classical asymptotic expansions
 (DLMF 9.7) and AiI from an integration-by-parts tail series, each a
 fixed-length sum whose terms still decrease at the switch point.  On
-[-12, -8.4), where the tail series is not yet accurate, AiI is the table's
-value at -8.4 minus an adaptive Gauss-Kronrod bridge.  The second
+[-12, -8.4), where the tail series is not yet accurate, AiI is bridged by
+adaptive Gauss-Kronrod quadrature from the nearest of the anchors -12,
+-11.75, ..., -8.5, -8.4, whose values are integrated once, on first use,
+from the table's value at -8.4.  The second
 antiderivative reduces exactly to x*AiI(x) - Ai'(x).  Past |x| = 1e100 Ai
 and Ai' are 0 and AiI is 1 on the right (exact in float64) and 0 on the left
 (within the amplitude bound; float64 no longer resolves the phase there).
@@ -25,6 +27,7 @@ right of 6.5, where the tail series stops at its smallest term.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -66,17 +69,21 @@ def _asym_right(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             -amp * np.polyval((_ALT * _VK)[::-1], w) * x**0.25)
 
 
+# The oscillatory side's four series in w^2, highest power first: each of u_k and v_k splits into even and
+# odd powers of w, alternating in sign pairwise.
+_LEFT_SERIES = (_ALT[:13] * np.array([_UK[0::2], _UK[1::2], _VK[0::2], _VK[1::2]]))[:, ::-1]
+
+
 def _asym_left(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Ai, Ai') for x <= -8.4 (oscillatory side)."""
     y = -x
     zeta = (2.0 / 3.0) * y**1.5
     w = 1.0 / zeta
-    # Each series splits into even and odd powers of w, alternating in sign pairwise.
-    alt = _ALT[:13]
-    ceven = np.polyval((alt * _UK[0::2])[::-1], w * w)
-    codd = w * np.polyval((alt * _UK[1::2])[::-1], w * w)
-    seven = np.polyval((alt * _VK[0::2])[::-1], w * w)
-    sodd = w * np.polyval((alt * _VK[1::2])[::-1], w * w)
+    ww = w * w
+    series = np.zeros((4, *ww.shape))
+    for c in _LEFT_SERIES.T:  # Horner, all four at once: np.polyval's multiply-adds
+        series = series * ww + c[:, None]
+    ceven, codd, seven, sodd = series[0], w * series[1], series[2], w * series[3]
     c = np.cos(zeta - 0.25 * math.pi)
     s = np.sin(zeta - 0.25 * math.pi)
     return (c * ceven + s * codd) / (_SQRTPI * y**0.25), (s * seven - c * sodd) * y**0.25 / _SQRTPI
@@ -168,9 +175,23 @@ def _ai(x: np.ndarray) -> np.ndarray:
     ), rows=(2,))
 
 
+_BRIDGE_ANCHORS = np.append(np.arange(_BRIDGE_LO, _TABLE_LO, _SPACING), _TABLE_LO)  # -12, -11.75, ..., -8.5, -8.4
+
+
+def _left_ai(x: np.ndarray) -> np.ndarray:
+    return _asym_left(x)[0]
+
+
+@functools.cache
+def _bridge_anchors() -> np.ndarray:
+    """AiI at _BRIDGE_ANCHORS: the table's value at -8.4 minus the integral up to it, built on first use."""
+    return np.array([_AII_LO - integrate(_left_ai, a, _TABLE_LO, tol=1e-13) for a in _BRIDGE_ANCHORS])
+
+
 def _bridge(x: np.ndarray) -> list[float]:
-    """AiI on [-12, -8.4): the table's value at -8.4 minus the integral up to it."""
-    return [_AII_LO - integrate(lambda s: _asym_left(s)[0], v, _TABLE_LO, tol=1e-13) for v in x]
+    """AiI on [-12, -8.4): the nearest bridge anchor's value plus the integral from it, point by point."""
+    i = np.abs(x[:, None] - _BRIDGE_ANCHORS).argmin(axis=1)
+    return [F + integrate(_left_ai, a, v, tol=1e-13) for F, a, v in zip(_bridge_anchors()[i], _BRIDGE_ANCHORS[i], x)]
 
 
 def _ai_integral(x: np.ndarray) -> np.ndarray:

@@ -16,37 +16,45 @@ balances that cascade top to bottom:
 
 Shelf amplitudes are always reported in the positive-magnitude convention;
 on the left of a black core the signed representation flips the sign of q1.
+
+evolve_core_parameters solves the cascade by Chebyshev collocation: Picard
+iteration on the 16 Lobatto nodes of each segment, all of them evaluated by
+one call of grey_parameter_rhs, which takes a batch of states as readily as
+one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
 
 from .perturbations import Perturbation, check_phase_symmetry
-from .quadrature import SOLITON_SECH2, SOLITON_TANH, rk4_step, soliton_integrals
+from .quadrature import SOLITON_SECH2, SOLITON_TANH, QuadratureError, rk4_step, soliton_integrals
 from .soliton import CoreParams, profile_with_derivatives
 
 
 class BackgroundCollapseError(RuntimeError):
-    """Background magnitude driven to zero within the requested span."""
+    """Background magnitude driven to zero, or the cascade's iteration diverging, within the requested span."""
 
 
 SHALLOW_LIMIT = 1e-9  # smallest u_inf - A the cascade accepts
-STEPS_PER_Z = 640  # RK4 steps per unit slow distance Z, background and cascade; fixed by a convergence test
-SAMPLES = 121  # trajectory samples, each one an RK4 node of the slow scale
+STEPS_PER_Z = 640  # background-table intervals per unit slow distance Z; the shortest cascade segment is one
+SAMPLES = 121  # trajectory samples, each one a background-table node
+_CHUNK = 8  # states per soliton-integral evaluation, which bounds its temporaries
 
 
 class ShallowSolitonError(RuntimeError):
     """u_inf - A below SHALLOW_LIMIT: vanishing soliton, shelf amplitudes blow up."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShelfParams:
-    """Shelf plateau amplitudes and slow parameter rates at one Z sample.
+    """Shelf plateau amplitudes and slow parameter rates at one Z sample, or
+    arrays of them at a batch of states (see grey_parameter_rhs).
 
     ``delta_phi1`` is the phase change accumulated across the shelf along a
     trajectory; standalone rate evaluations report 0.
@@ -78,13 +86,14 @@ class BackgroundTrajectory:
 
 @dataclass(frozen=True)
 class ParameterTrajectory:
-    """Sampled slow evolution of core and shelf parameters, u_inf at every RK4 node (``background``, which
-    the PDE's boundary reads) and the kinematics: comoving origin and shelf edges share one pair of integrals."""
+    """Sampled slow evolution of core and shelf parameters, u_inf at every background-table node
+    (``background``, which the PDE's boundary reads) and the kinematics: comoving origin and shelf edges
+    share one pair of integrals."""
 
     epsilon: float
     z: np.ndarray
-    params: list[CoreParams]
-    shelf: list[ShelfParams]
+    params: Sequence[CoreParams]
+    shelf: Sequence[ShelfParams]
     background: BackgroundTrajectory
 
     @property
@@ -94,7 +103,7 @@ class ParameterTrajectory:
     @cached_property
     def _integrals(self) -> np.ndarray:
         """Rows int_0^z u_inf ds and int_0^z A ds at the samples: cumulative trapezoid, built once."""
-        f = np.array([[p.u_inf for p in self.params], [p.A for p in self.params]])
+        f = np.array([(p.u_inf, p.A) for p in self.params]).T
         steps = 0.5 * (f[:, 1:] + f[:, :-1]) * np.diff(self.z)
         return np.hstack((np.zeros((2, 1)), np.cumsum(steps, axis=1)))
 
@@ -113,7 +122,7 @@ class ParameterTrajectory:
 
 
 def slow_steps(Z_span: float) -> int:
-    """RK4 steps over Z_span: STEPS_PER_Z per unit Z, at least SAMPLES - 1 and a multiple of it."""
+    """Background-table intervals over Z_span: STEPS_PER_Z per unit Z, at least SAMPLES - 1 and a multiple of it."""
     steps = max(SAMPLES - 1, int(STEPS_PER_Z * Z_span))
     return steps - steps % (SAMPLES - 1)
 
@@ -124,8 +133,8 @@ def background_rate(pert: Perturbation, u_inf: float) -> float:
 
 
 def evolve_background(pert: Perturbation, u_inf0: float, Z_span: float) -> BackgroundTrajectory:
-    """Reference RK4 integrator of the background ODE on the cascade's slow_steps(Z_span) nodes.  The package
-    never calls it; the tests check the closed forms and ParameterTrajectory.background against it."""
+    """Reference RK4 integrator of the background ODE on the slow_steps(Z_span) table nodes.  The package
+    never calls it; the tests check it against the closed forms."""
     if u_inf0 <= 0:
         raise ValueError("u_inf0 must be positive")
     steps = slow_steps(Z_span)
@@ -144,19 +153,23 @@ def evolve_background(pert: Perturbation, u_inf0: float, Z_span: float) -> Backg
     return BackgroundTrajectory(Z=np.linspace(0.0, Z_span, steps + 1), u_inf=u)
 
 
-def _forcing_integrals(pert: Perturbation, params: CoreParams, f_inf: complex) -> tuple[float, float]:
-    """(Re int F[u0] u0_T* dT,  Im int (F[u_inf]u_inf - F[u0]u0*) dT), given f_inf = F[u_inf]u_inf.
+def _forcing_integrals(pert: Perturbation, params: CoreParams, f_inf) -> np.ndarray:
+    """Rows Re int F[u0] u0_T* dT and Im int (F[u_inf]u_inf - F[u0]u0*) dT, given f_inf = F[u_inf]u_inf,
+    one column per state of ``params`` (a scalar state gives the pair alone).
 
     Both densities share one evaluation of F on the analytic profile, built
-    from the soliton rule's tabulated tanh and sech^2 at its nodes T = s/B.
-    The global soliton phase drops out for phase-symmetric forcings, so
-    sigma0 = 0 is used.
+    from the soliton rule's tabulated tanh and sech^2 at its nodes T = s/B,
+    _CHUNK states at a time.  The global soliton phase drops out for
+    phase-symmetric forcings, so sigma0 = 0 is used.
     """
-    B = params.B
-    u0 = params.A + 1j * B * SOLITON_TANH
-    u0_T = 1j * B**2 * SOLITON_SECH2
-    F = pert.point_eval(u0, -2.0 * B * SOLITON_TANH * u0_T)  # u0_TT = -2i B^3 sech^2 tanh
-    return tuple(soliton_integrals((np.real(F * np.conj(u0_T)), np.imag(f_inf - F * np.conj(u0))), B))
+    A, B, f_inf = (np.atleast_1d(v)[:, None] for v in np.broadcast_arrays(params.A, params.B, f_inf))
+    out = []
+    for a, b, f in zip(*(np.split(v, range(_CHUNK, len(v), _CHUNK)) for v in (A, B, f_inf))):
+        tanh, sech2 = b * SOLITON_TANH, b * b * SOLITON_SECH2  # B tanh s and B^2 sech^2 s
+        F = pert.point_eval(a + 1j * tanh, -2j * tanh * sech2)  # u0 = A + iB tanh, u0_TT = -2i B^3 sech^2 tanh
+        # u0_T = iB^2 sech^2 is imaginary: Re F u0_T* = B^2 sech^2 Im F, and Im F u0* = A Im F - B tanh Re F.
+        out.append(soliton_integrals((sech2 * F.imag, f.imag - (a * F.imag - tanh * F.real)), b[:, 0]))
+    return np.concatenate(out, axis=1).reshape(2, *np.shape(params.B))
 
 
 def check_forcing(pert: Perturbation, params: CoreParams) -> None:
@@ -174,17 +187,18 @@ def check_forcing(pert: Perturbation, params: CoreParams) -> None:
 
 
 def grey_parameter_rhs(pert: Perturbation, params: CoreParams) -> ShelfParams:
-    """One evaluation of the boxed parameter cascade at the given state.
+    """One evaluation of the boxed parameter cascade at the given state, or at
+    every state of a batch (CoreParams of arrays give ShelfParams of arrays).
 
     Solved strictly top to bottom; raises ShallowSolitonError when
     u_inf - A < SHALLOW_LIMIT (the plateau amplitude q1+ diverges as the
     soliton vanishes; the black limit A -> 0 is perfectly regular).
     """
     u, A, B = params.u_inf, params.A, params.B
-    if not 0.0 < params.delta_phi0 <= math.pi + 1e-12:
+    if not np.all((0.0 < params.delta_phi0) & (params.delta_phi0 <= math.pi + 1e-12)):
         raise ValueError("delta_phi0 must lie in (0, pi]")
-    if u - A < SHALLOW_LIMIT:
-        raise ShallowSolitonError(f"u_inf - A = {u - A:.3e}: shallow-soliton breakdown")
+    if np.any(u - A < SHALLOW_LIMIT):
+        raise ShallowSolitonError(f"u_inf - A = {np.min(u - A):.3e}: shallow-soliton breakdown")
     f_bg = pert.on_background(u)
     u_rate = f_bg.imag
     m_i, m_e = _forcing_integrals(pert, params, f_bg * u)
@@ -199,19 +213,115 @@ def grey_parameter_rhs(pert: Perturbation, params: CoreParams) -> ShelfParams:
                        delta_phi0_rate=dphi0_rate, sigma0_rate=sigma0_rate)
 
 
+# Chebyshev collocation on the 16 Lobatto nodes tau_j = cos(theta_j) of [-1, 1], ascending.  _ANTIDERIVATIVE
+# takes values at the nodes to the Chebyshev coefficients of the antiderivative from -1 of their interpolant:
+# the discrete cosine transform, then int T_k = T_{k+1}/(2(k+1)) - T_{k-1}/(2(k-1)).  _AT_NODES evaluates
+# such coefficients at the nodes.  Both are closed forms in cosines.
+_DEGREE = 15
+_THETA = math.pi * np.arange(_DEGREE, -1, -1) / _DEGREE
+_NODES = np.cos(_THETA)
+
+
+def _collocation_tables() -> tuple[np.ndarray, np.ndarray]:
+    n, k = _DEGREE, np.arange(_DEGREE + 2)
+    at_nodes = np.cos(np.outer(_THETA, k))  # T_k(tau_j), k up to the antiderivative's degree n + 1
+    to_coeffs = (2.0 / n) * at_nodes[:, :n + 1].T
+    to_coeffs[:, [0, n]] *= 0.5
+    to_coeffs[[0, n]] *= 0.5
+    integrate = np.zeros((n + 2, n + 1))
+    integrate[1, 0] = 1.0
+    integrate[k[2:], k[1:-1]] = 1.0 / (2.0 * k[2:])
+    integrate[k[1:-2], k[2:-1]] -= 1.0 / (2.0 * k[1:-2])
+    integrate[0] = -((-1.0) ** k[1:]) @ integrate[1:]  # zero at tau = -1
+    return integrate @ to_coeffs, at_nodes
+
+
+_ANTIDERIVATIVE, _AT_NODES = _collocation_tables()
+_TOL = 1e-13  # Picard change and Chebyshev tail accepted, relative to max(1, |state|)
+_SWEEPS = 32  # Picard sweeps a segment may take
+
+
+def _chebyshev(coeffs: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] T_k(tau) by Clenshaw's recurrence: one row per tau, the columns of ``coeffs``."""
+    t = tau.reshape(tau.shape + (1,) * (coeffs.ndim - 1))
+    b1 = b2 = 0.0
+    for c in coeffs[:0:-1]:
+        b1, b2 = c + 2.0 * t * b1 - b2, b1
+    return coeffs[0] + t * b1 - b2
+
+
+def _check_background(u: np.ndarray, Z: np.ndarray) -> None:
+    collapsed = ~((0.0 < u) & (u < math.inf))
+    if collapsed.any():
+        i = np.argmax(collapsed)
+        raise BackgroundCollapseError(f"u_inf reached {u[i]} at Z={Z[i]:.4g}")
+
+
+def _states(Y: np.ndarray, t0: float, Z: np.ndarray) -> CoreParams:
+    """The cascade states (u_inf, A, sigma0) in the rows of Y as one batch; BackgroundCollapseError
+    where u_inf is not positive and finite, ShallowSolitonError where |A| reaches u_inf."""
+    u, A, s0 = Y[:, 0], Y[:, 1], Y[:, 2]
+    _check_background(u, Z)
+    b2 = u * u - A * A
+    if not np.all(b2 > 0):
+        raise ShallowSolitonError("A reached u_inf while stepping")
+    return CoreParams(u_inf=u, A=A, B=np.sqrt(b2), t0=t0, sigma0=s0)
+
+
+class _Records(Sequence):
+    """The scalar CoreParams or ShelfParams of a batch of n states, each built when it is read: a
+    trajectory keeps its samples as arrays, not as objects of boxed floats (0.6 MiB per 121 samples)."""
+
+    def __init__(self, batch, n: int):
+        self._cls = type(batch)
+        self._cols = [np.broadcast_to(getattr(batch, f.name), n) for f in fields(batch)]
+
+    def __len__(self) -> int:
+        return len(self._cols[0])
+
+    def __getitem__(self, i: int):
+        return self._cls(*(c[i].item() for c in self._cols))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+def _picard(rates, y0: np.ndarray, Z0: float, H: float, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The collocation solution on [Z0, Z0 + H] from y0, by Picard iteration from the node values Y:
+    D <- (H/2) _ANTIDERIVATIVE rates(Y, Z), Y <- y0 + _AT_NODES D.  Returns (Y, D); y0 + sum_k D_k T_k
+    is the solution's interpolant.  Raises BackgroundCollapseError when a sweep does not shrink the
+    change of the one before, or after _SWEEPS sweeps."""
+    Z, last = Z0 + 0.5 * H * (_NODES + 1.0), math.inf
+    for _ in range(_SWEEPS):
+        D = 0.5 * H * (_ANTIDERIVATIVE @ rates(Y, Z))
+        Y_next = y0 + _AT_NODES @ D
+        change = np.max(np.abs(Y_next - Y)) / max(1.0, np.max(np.abs(Y_next)))
+        Y = Y_next
+        if change <= _TOL:
+            return Y, D
+        if not change < last:
+            break
+        last = change
+    raise BackgroundCollapseError(f"the cascade's iteration does not converge on Z in [{Z0:.4g}, {Z0 + H:.4g}]")
+
+
 def evolve_core_parameters(pert: Perturbation, params0: CoreParams, epsilon: float,
                            z_span: float) -> ParameterTrajectory:
-    """RK4 integration of the cascade over Z in [0, eps*z_span], slow_steps(|eps| z_span)
-    steps, sampled SAMPLES times; u_inf is kept at every node as the trajectory's background.
+    """The cascade over Z in [0, eps*z_span] by Chebyshev collocation, sampled SAMPLES times on the
+    slow_steps(|eps| z_span) + 1 background-table nodes; u_inf is kept at every table node as the
+    trajectory's background.
 
-    The state is (u_inf, A, sigma0, delta_phi1); B follows from
-    A^2 + B^2 = u_inf^2, which therefore holds exactly.  t0 is held at its
-    initial value: first-order theory gives it zero drift in the black
-    dispersive case and leaves it undetermined otherwise.  A sample records
-    the first RK4 stage of the step it starts (4 steps + 1 evaluations).
-    eps = 0 is a constant path.  Raises ValueError from check_forcing on the
-    initial profile; BackgroundCollapseError when a stage drives u_inf to
-    zero or non-finite.
+    The state is (u_inf, A, sigma0) and the flux integral int_0^Z edge_phase_flux dZ', which is
+    delta_phi1 times eps; B follows from A^2 + B^2 = u_inf^2, which therefore holds exactly.  t0 is
+    held at its initial value: first-order theory gives it zero drift in the black dispersive case and
+    leaves it undetermined otherwise.  Each segment is a whole number of table intervals, solved on
+    16 Lobatto nodes (_picard) and read off its interpolant at the table nodes it covers.  The first
+    segment is the whole span; a segment halves when its iteration stops contracting, a state leaves
+    the valid region (see _states, grey_parameter_rhs and soliton_integrals) or the last two
+    Chebyshev coefficients exceed the tolerance, and the next one doubles.  A one-interval segment
+    needs no interior read-off and takes no tail test; a failure there raises, and the samples'
+    rates come from one batched evaluation at the end.  eps = 0 is a constant path.  Raises ValueError
+    from check_forcing on the initial profile.
     """
     if epsilon == 0.0:
         z = np.linspace(0.0, z_span, SAMPLES)
@@ -219,38 +329,51 @@ def evolve_core_parameters(pert: Perturbation, params0: CoreParams, epsilon: flo
         return ParameterTrajectory(0.0, z, [params0] * SAMPLES, [ShelfParams(*(0.0,) * 9)] * SAMPLES, flat)
     check_forcing(pert, params0)
     steps = slow_steps(abs(epsilon) * z_span)
-    h = epsilon * z_span / steps  # signed slow-scale step
+    h = epsilon * z_span / steps  # signed table interval
     stride = steps // (SAMPLES - 1)
 
-    def rate(state, Z):
-        u, A, s0, _ = state
-        if not 0.0 < u < math.inf:
-            raise BackgroundCollapseError(f"u_inf reached {u} at Z={Z:.4g}")
-        b2 = u**2 - A**2
-        if b2 <= 0:
-            raise ShallowSolitonError("A reached u_inf while stepping")
-        p = CoreParams(u_inf=u, A=A, B=math.sqrt(b2), t0=params0.t0, sigma0=s0)
-        sh = grey_parameter_rhs(pert, p)
-        # The edge phase flux is a rate per unit fast distance z = Z/eps.
-        return np.array([sh.u_inf_rate, sh.A_rate, sh.sigma0_rate, edge_phase_flux(p, sh) / epsilon]), p, sh
+    def background(Y, Z):
+        _check_background(Y[:, 0], Z)
+        return background_rate(pert, Y)
 
-    def stage(state, Z):
-        return rate(state, Z)[0]
+    def rates(Y, Z):
+        p = _states(Y, params0.t0, Z)
+        sh = grey_parameter_rhs(pert, p)
+        return np.column_stack(np.broadcast_arrays(sh.u_inf_rate, sh.A_rate, sh.sigma0_rate,
+                                                   edge_phase_flux(p, sh)))
+
+    def segment(y0, Z0, H):
+        """The background column converges first, since it depends on nothing else; then all four."""
+        u, _ = _picard(background, y0[:1], Z0, H, np.full((_NODES.size, 1), y0[0]))
+        return _picard(rates, y0, Z0, H, np.column_stack((u, np.tile(y0[1:], (_NODES.size, 1)))))
 
     state = np.array([params0.u_inf, params0.A, params0.sigma0, 0.0])
-    z, params, shelf, u_inf = [], [], [], np.empty(steps + 1)
-    for n in range(steps + 1):
-        u_inf[n] = state[0]
-        k1, p, sh = rate(state, n * h)
-        if n % stride == 0:
-            z.append(n * h / epsilon)
-            params.append(p)
-            shelf.append(replace(sh, delta_phi1=float(state[3])))
-        if n == steps:
-            break
-        state = rk4_step(stage, state, n * h, h, k1)
+    u_inf, samples = np.empty(steps + 1), np.empty((SAMPLES, 4))
+    u_inf[0], samples[0] = state[0], state
+    n, length = 0, steps
+    while n < steps:
+        length = min(length, steps - n)
+        try:
+            Y, D = segment(state, n * h, length * h)
+        except (BackgroundCollapseError, ShallowSolitonError, QuadratureError):
+            if length == 1:
+                raise
+            length //= 2
+            continue
+        if length > 1 and np.max(np.abs(D[-2:])) > _TOL * max(1.0, np.max(np.abs(Y))):
+            length //= 2
+            continue
+        tau = np.arange(1, length + 1) * (2.0 / length) - 1.0  # table nodes n + 1 .. n + length
+        u_inf[n + 1:n + length + 1] = state[0] + _chebyshev(D[:, 0], tau)
+        k = np.arange(n // stride + 1, (n + length) // stride + 1)  # the samples among them
+        samples[k] = state + _chebyshev(D, tau[k * stride - n - 1])
+        state, n, length = Y[-1], n + length, 2 * length
+    samples[:, 0] = u_inf[::stride]
+    z = np.arange(0, steps + 1, stride) * h / epsilon
+    p = _states(samples, params0.t0, epsilon * z)
+    sh = replace(grey_parameter_rhs(pert, p), delta_phi1=samples[:, 3] / epsilon)
     background = BackgroundTrajectory(np.linspace(0.0, epsilon * z_span, steps + 1), u_inf)
-    return ParameterTrajectory(epsilon, np.asarray(z), params, shelf, background)
+    return ParameterTrajectory(epsilon, z, _Records(p, SAMPLES), _Records(sh, SAMPLES), background)
 
 
 def phase_conservation_check(traj: ParameterTrajectory) -> float:

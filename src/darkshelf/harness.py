@@ -34,14 +34,14 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from . import asymptotics, boundary_layer, simulator
+from . import asymptotics, boundary_layer, quadrature, simulator
 from .perturbations import BUILTINS, Perturbation
 from .soliton import CoreParams, grey_profile
 
 MAX_POINT_STEPS = 1e10  # PDE steps x grid points
 MAX_SNAPSHOT_BYTES = 2**30  # (kept snapshots + STEP_FIELDS) x grid points x 16 B
 STEP_FIELDS = 11  # complex fields live in one simulator.run RK4 step (tracemalloc: 10.03 at N = 4096)
-MAX_CASCADE_STEPS = 10**6  # slow-parameter RK4 steps
+MAX_CASCADE_STEPS = 10**6  # background-table intervals of the slow-parameter cascade
 
 
 class ConfigError(ValueError):
@@ -280,18 +280,27 @@ def validate(cfg: dict) -> Experiment:
         raise ConfigError(f"soliton.t0: shelf edges from t0 = {t0} reach {reach:.4g} by run.z_max, "
                           f"past 0.9*half_width = {0.9 * grid.half_width:.4g}")
     _check_run_size(simulator.SimConfig(eps, pert, snapshot_dz), grid, z_max)
-    if eps != 0.0:
-        try:
-            asymptotics.check_forcing(pert, params)
-        except ValueError as exc:
-            strength = next(k for k in cfg["perturbation"] if k != "label")
-            raise ConfigError(f"perturbation.{strength}: {exc}") from exc
     core = "black" if params.is_black else "grey"
     defaults = dict.fromkeys(o.name for o in OBSERVABLES if core in o.default_for)
+    observables = _names(cfg, "observables", {o.name for o in OBSERVABLES}, defaults)
+    if eps != 0.0:
+        strength = "perturbation." + next(k for k in cfg["perturbation"] if k != "label")
+        graded_shelf = {"shelf", "a_constancy"} & set(observables)  # both place their window by the plateaus
+        try:
+            asymptotics.check_forcing(pert, params)
+            sh = asymptotics.grey_parameter_rhs(pert, params) if graded_shelf else None
+        except (ValueError, quadrature.QuadratureError) as exc:
+            raise ConfigError(f"{strength}: {exc}") from exc
+        if graded_shelf:
+            for side, q1 in (("q1_plus", sh.q1_plus), ("q1_minus", sh.q1_minus)):
+                plateau = abs(eps * float(q1))
+                if not np.finfo(float).tiny <= plateau < math.inf:
+                    raise ConfigError(f"{strength}: the shelf plateau |eps*{side}| = {plateau:.3g} is not a normal "
+                                      f"float, so the shelf has no measurement window")
     outputs = _names(cfg, "outputs", ("report", *PLOT_KINDS), ())  # compare always writes the report
     return Experiment(params=params, perturbation=pert, epsilon=eps, grid=grid, z_max=z_max,
                       snapshot_dz=snapshot_dz, outputs=tuple(k for k in outputs if k != "report"),
-                      observables=_names(cfg, "observables", {o.name for o in OBSERVABLES}, defaults))
+                      observables=observables)
 
 
 def _check_run_size(sim: simulator.SimConfig, grid: simulator.Grid, z_max: float) -> None:

@@ -34,8 +34,8 @@ class Perturbation:
     point_eval: Callable
 
     def on_background(self, u_inf: float) -> complex:
-        """F evaluated on the constant background u = u_inf (real phase)."""
-        return self.point_eval(complex(u_inf), 0.0)
+        """F evaluated on the constant background u = u_inf (real phase), or on each of an array of them."""
+        return self.point_eval(u_inf + 0j, 0.0 * u_inf)
 
 
 def local_forcing(label: str, formula: Callable) -> Perturbation:

@@ -8,7 +8,9 @@ applies one fixed composite panel rule, tabulated at import at unit width
 (nodes s_k, weights, tanh s_k and sech^2 s_k) and scaled by the soliton
 width 1/B, which resolves every sech^2-localized density of the theory; the
 embedded estimate is checked, not refined.  ``rk4_step`` is the one RK4 step
-of the PDE stepper, the background ODE and the slow-parameter cascade.
+of the PDE stepper and of the background ODE's reference integrator; the
+slow-parameter cascade is solved by Chebyshev collocation instead
+(asymptotics).
 """
 
 from __future__ import annotations
@@ -119,23 +121,30 @@ SOLITON_TANH = np.tanh(SOLITON_NODES)
 SOLITON_SECH2 = 1.0 / np.cosh(SOLITON_NODES) ** 2
 
 
-def soliton_integrals(densities: Sequence[np.ndarray], B: float) -> list[float]:
+def soliton_integrals(densities: Sequence[np.ndarray], B: float | np.ndarray) -> np.ndarray:
     """Integrate soliton-localized densities over the line with one fixed rule.
 
     Each density is sampled at the nodes T = SOLITON_NODES / B of a fixed
-    composite 15-point Kronrod rule on |T| <= 40/B.  Each integral must be
-    finite, and its error estimate from the embedded Gauss rule must stay
-    below 1e-9 of max(1, |integral|); QuadratureError otherwise.
+    composite 15-point Kronrod rule on |T| <= 40/B.  B may be an array of
+    widths, one per state, with each density's samples along its last axis:
+    the result has one row per density and one column per state.  Each
+    integral must be finite, and its error estimate from the embedded Gauss
+    rule must stay below 1e-9 of max(1, |integral|); QuadratureError otherwise.
     """
-    if B <= 0:
+    if np.any(B <= 0):
         raise ValueError("B must be positive")
-    panels = np.asarray(densities).reshape(len(densities), _PANEL_HALF.size, _NODES.size)
-    values = (panels @ _WK) @ _PANEL_HALF / B
-    errs = np.abs(panels @ _WERR) @ _PANEL_HALF / B
-    for value, err in zip(values, errs):
-        if not (np.isfinite(value) and err <= 1e-9 * max(abs(value), 1.0)):  # a nan fails both
-            raise QuadratureError(f"soliton-density integral {value:.3g}, error estimate {err:.2e} (B={B})")
-    return values.tolist()
+    panels = np.asarray(densities).reshape(len(densities), *np.shape(B), _PANEL_HALF.size, _NODES.size)
+    # Sums along the last axis, not matmul, whose rounding would depend on the number of states; a sum
+    # that overflows fails the finiteness test below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = ((panels * _WK).sum(-1) * _PANEL_HALF).sum(-1) / B
+        errs = (np.abs((panels * _WERR).sum(-1)) * _PANEL_HALF).sum(-1) / B
+    bad = ~(np.isfinite(values) & (errs <= 1e-9 * np.maximum(np.abs(values), 1.0)))  # a nan fails both
+    if bad.any():
+        d, *k = np.argwhere(bad)[0]
+        raise QuadratureError(f"soliton-density integral {values[(d, *k)]:.3g}, error estimate "
+                              f"{errs[(d, *k)]:.2e} (B={np.asarray(B)[tuple(k)]})")
+    return values
 
 
 def rk4_step(f: Callable, y, z: float, h: float, k1):

@@ -20,19 +20,23 @@ from dataclasses import dataclass
 import numpy as np
 
 _REL_TOL = 1e-12
+_INVALID = ("u_inf must be positive and finite", "B must be non-negative", "|A| must not exceed u_inf",
+            "A^2 + B^2 = u_inf^2 violated beyond 1e-12")
 
 
 class InvalidParamsError(ValueError):
     """Core-parameter invariants violated."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoreParams:
     """Slowly varying soliton and background parameters.
 
     A is the soliton velocity (grey depth parameter), B the inverse width
     (darkness), t0 the position offset and sigma0 the soliton phase.  The
     core phase change delta_phi0 and ``is_black`` are derived from A and B.
+    The fields may also be equal-length arrays, one state per entry: the
+    slow-parameter cascade evaluates a batch of states at once.
     """
 
     u_inf: float
@@ -42,14 +46,13 @@ class CoreParams:
     sigma0: float = 0.0
 
     def __post_init__(self):
-        if not (self.u_inf > 0 and np.isfinite(self.u_inf)):
-            raise InvalidParamsError("u_inf must be positive and finite")
-        if self.B < 0:
-            raise InvalidParamsError("B must be non-negative")
-        if abs(self.A) > self.u_inf * (1 + _REL_TOL):
-            raise InvalidParamsError("|A| must not exceed u_inf")
-        if abs(self.A**2 + self.B**2 - self.u_inf**2) > _REL_TOL * self.u_inf**2:
-            raise InvalidParamsError("A^2 + B^2 = u_inf^2 violated beyond 1e-12")
+        # Each test is a bool for a scalar state and an array for a batch; one np.asarray(...).all()
+        # passes a valid state.
+        u, A, B = self.u_inf, self.A, self.B
+        tests = ((0.0 < u) & (u < math.inf), B >= 0, abs(A) <= u * (1 + _REL_TOL),
+                 abs(A**2 + B**2 - u**2) <= _REL_TOL * u**2)
+        if not np.asarray(tests[0] & tests[1] & tests[2] & tests[3]).all():
+            raise InvalidParamsError(next(message for message, ok in zip(_INVALID, tests) if not np.asarray(ok).all()))
 
     @classmethod
     def from_background(
@@ -61,8 +64,8 @@ class CoreParams:
 
     @property
     def delta_phi0(self) -> float:
-        """Phase change across the core, 2 atan2(B, A) (exactly pi when black)."""
-        return math.pi if self.is_black else 2.0 * math.atan2(self.B, self.A)
+        """Phase change across the core, 2 atan2(B, A): exactly pi when black, as atan2(B, 0) is pi/2."""
+        return 2.0 * np.arctan2(self.B, self.A)
 
     @property
     def is_black(self) -> bool:

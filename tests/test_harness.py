@@ -705,6 +705,36 @@ class TestCli:
         if code == 2:
             assert f"validation error: perturbation.{key}:" in capsys.readouterr().err
 
+    def test_tiny_epsilon_predict_never_exits_1(self, tmp_path, capsys):
+        # eps = 1e-308: the cascade carries eps * delta_phi1, the flux integral per unit Z, and divides by eps
+        # once; the default observables grade the shelf, whose plateau eps*q1 is subnormal there (refused).
+        cfg = dict(TestDeterminism()._tiny_cfg(), epsilon=1e-308, soliton={"u_inf": 1.0, "delta_phi0": 2.5})
+        cfg["perturbation"] = {"label": "two_photon", "gamma3": 1.0}
+        for observables, want in ((None, 2), (["sigma0"], 0)):
+            cfg["observables"] = observables
+            p = tmp_path / "cfg.json"
+            p.write_text(json.dumps(cfg), encoding="utf-8")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), "predict"]) == want
+        rows = np.genfromtxt(tmp_path / "predict_prediction.csv", delimiter=",", names=True)
+        flux = rows["u_inf"][0] * (rows["phi1t_plus"][0] + rows["phi1t_minus"][0]) \
+            - rows["A"][0] * (rows["phi1t_plus"][0] - rows["phi1t_minus"][0])
+        assert rows["delta_phi1"][-1] == pytest.approx(flux * 2.0, rel=1e-9)  # Z reaches 2e-308: the state holds
+        assert "perturbation.gamma3: the shelf plateau" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label, key", [("dispersive_damping", "gamma"), ("linear_damping", "Gamma")])
+    def test_zero_plateau_refused_by_name(self, label, key, tmp_path, capsys, no_simulation):
+        # Strength 5e-324 at eps = 0.05: q1 is 0, and the shelf's measurement distance took log(1/0).
+        cfg = dict(TestDeterminism()._tiny_cfg(), soliton={"u_inf": 1.0, "delta_phi0": 2.5})
+        cfg["perturbation"] = {"label": label, key: 5e-324}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), "compare"]) == 2
+        assert f"validation error: perturbation.{key}: the shelf plateau |eps*q1_plus| = 0" in capsys.readouterr().err
+
     def test_strong_background_runs_quietly(self, tmp_path):
         # u_inf = 200: the automatic grid takes dt <= 1/u_inf, and the phase-symmetry
         # probe sits at T/B, where cosh(B T) stays finite.

@@ -26,7 +26,7 @@ from pathlib import Path
 # Definitions no run enters, kept in src/ on purpose.
 ALLOWED = {
     "asymptotics.evolve_background":
-        "reference integrator of the background ODE that the tests check the cascade's background against; "
+        "RK4 reference integrator of the background ODE, which the tests check against the closed forms; "
         "bench/ wraps it in a span",
     "asymptotics.phase_conservation_check": "phase-conservation residual that bench/ grades in cascade_layers",
     "boundary_layer.shelf_phase_profile": "the layer's phase profile, which bench/ evaluates in cascade_layers",

@@ -1,16 +1,19 @@
-"""Closed forms of the theory that the tests check the engine against.
+"""Closed forms and reference integrators of the theory that the tests check the engine against.
 
 No run of the package uses them: the explicit first-order solution of a
-black soliton under dispersive damping, and the linearized operator about
-the soliton with its four homogeneous solutions.  Derivatives use the
-package's 4th-order stencils.
+black soliton under dispersive damping, the linearized operator about the
+soliton with its four homogeneous solutions, and the slow-parameter cascade
+stepped by classical RK4.  Derivatives use the package's 4th-order stencils.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
+from darkshelf.asymptotics import SAMPLES, edge_phase_flux, grey_parameter_rhs
 from darkshelf.finitediff import first_derivative, second_derivative
+from darkshelf.quadrature import rk4_step
 from darkshelf.soliton import CoreParams
 
 # -- Black soliton under F = i gamma u_tt, first order ---------------------
@@ -105,3 +108,33 @@ def linearized_residual(params: CoreParams, pair: tuple[np.ndarray, np.ndarray],
     sl = slice(LINEARIZED_MARGIN, -LINEARIZED_MARGIN)
     scale = max(np.max(np.abs(pair[0][sl])), np.max(np.abs(pair[1][sl])), 1.0)
     return float(max(np.max(np.abs(r1[sl])), np.max(np.abs(r2[sl]))) / scale)
+
+
+# -- The slow-parameter cascade by classical RK4 ----------------------------
+
+
+def rk4_cascade(pert, params0: CoreParams, epsilon: float, z_span: float, steps: int):
+    """(z, params, shelf) at SAMPLES evenly spaced samples of the cascade, stepped by RK4 in ``steps``
+    steps (a multiple of SAMPLES - 1) over Z in [0, eps*z_span].  The state is (u_inf, A, sigma0,
+    delta_phi1), with delta_phi1 integrated as the edge phase flux per unit z; B follows from
+    A^2 + B^2 = u_inf^2.  A sample records the state a step starts from and its rates."""
+    h = epsilon * z_span / steps
+    stride = steps // (SAMPLES - 1)
+
+    def rate(state):
+        u, A, s0, _ = state
+        p = CoreParams(u_inf=u, A=A, B=math.sqrt(u**2 - A**2), t0=params0.t0, sigma0=s0)
+        sh = grey_parameter_rhs(pert, p)
+        return np.array([sh.u_inf_rate, sh.A_rate, sh.sigma0_rate, edge_phase_flux(p, sh) / epsilon]), p, sh
+
+    state = np.array([params0.u_inf, params0.A, params0.sigma0, 0.0])
+    z, params, shelf = [], [], []
+    for n in range(steps + 1):
+        k1, p, sh = rate(state)
+        if n % stride == 0:
+            z.append(n * h / epsilon)
+            params.append(p)
+            shelf.append(replace(sh, delta_phi1=float(state[3])))
+        if n < steps:
+            state = rk4_step(lambda y, _z: rate(y)[0], state, n * h, h, k1)
+    return np.array(z), params, shelf
