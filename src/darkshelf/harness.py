@@ -285,13 +285,18 @@ def validate(cfg: dict) -> Experiment:
     observables = _names(cfg, "observables", {o.name for o in OBSERVABLES}, defaults)
     if eps != 0.0:
         strength = "perturbation." + next(k for k in cfg["perturbation"] if k != "label")
-        graded_shelf = {"shelf", "a_constancy"} & set(observables)  # both place their window by the plateaus
+        damping = eps * pert.point_eval(0j, 1.0).imag  # eps gamma of a forcing i gamma u_tt, else 0
+        growth = simulator.step_growth(damping, u_inf * grid.dt) if damping else 1.0
+        if not growth <= simulator.MAX_STEP_GROWTH:
+            raise ConfigError(f"{strength}: the u_tt coefficient eps*Im F(0, 1) = {damping:.4g} at u_inf*dt = "
+                              f"{u_inf * grid.dt:.4g} makes the PDE step unstable (growth {growth:.4g} per step)")
+        graded_perturbed = any(o.perturbed_only for o in OBSERVABLES if o.name in observables)
         try:
             asymptotics.check_forcing(pert, params)
-            sh = asymptotics.grey_parameter_rhs(pert, params) if graded_shelf else None
+            sh = asymptotics.grey_parameter_rhs(pert, params) if graded_perturbed else None
         except (ValueError, quadrature.QuadratureError) as exc:
             raise ConfigError(f"{strength}: {exc}") from exc
-        if graded_shelf:
+        if graded_perturbed:  # every perturbed-only row measures an O(eps) shelf effect
             for side, q1 in (("q1_plus", sh.q1_plus), ("q1_minus", sh.q1_minus)):
                 plateau = abs(eps * float(q1))
                 if not np.finfo(float).tiny <= plateau < math.inf:

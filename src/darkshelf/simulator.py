@@ -30,6 +30,7 @@ STABILITY_MARGIN = 0.75  # fraction taken of the limit dz <= 1.0607 dt^2 that -i
 DZ_PER_DT2 = STABILITY_MARGIN * RK4_IMAGINARY_LIMIT / (0.5 * D2_SPECTRAL_RADIUS)
 # That step keeps the Bogoliubov modes sqrt(a (a + 2 u_inf^2)), a = 8/(3 dt^2), stable while u_inf dt <= 1.0184.
 MAX_UINF_DT = math.sqrt((1.0 / STABILITY_MARGIN**2 - 1.0) * D2_SPECTRAL_RADIUS / 4.0)
+MAX_STEP_GROWTH = 1.0 + 1e-12  # step_growth allowed: 1 up to the rounding of the RK4 polynomial
 MIN_PLATEAU_POINTS = 20  # samples a shelf plateau window must hold
 EDGE_LEVEL = 0.25  # fraction of the plateau deviation marking a tracked edge
 FMT = "{:.17g}"  # CSV number format: round-trips every float64
@@ -139,6 +140,20 @@ class SimBackground:
             return epsilon * background_rate(pert, u_inf_fn(z))
 
         return cls(u_inf_fn=u_inf_fn, rate_fn=rate_fn)
+
+
+def step_growth(damping: float, uinf_dt: float) -> float:
+    """The largest |R(dz lambda)| of one RK4 step at dz = DZ_PER_DT2 dt^2, R the RK4 polynomial.
+
+    lambda runs over the PDE linearized about the background u_inf with a u_tt term of coefficient
+    ``damping`` (eps Im F(0, 1)): -2 damping a +- i sqrt(a (a + 2 u_inf^2)), a = -eig(D2)/2 in
+    [0, 8/3] dt^-2.  The step holds while this is at most 1, as it is at damping = 0 for every
+    u_inf dt <= MAX_UINF_DT; it is inf or nan where the damping overflows it.
+    """
+    s = np.linspace(0.0, 0.5 * D2_SPECTRAL_RADIUS, 65)  # a dt^2
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = DZ_PER_DT2 * (-2.0 * damping * s + 1j * np.sqrt(s * (s + 2.0 * uinf_dt**2)))
+        return float(np.max(np.abs(1.0 + x * (1.0 + x / 2.0 * (1.0 + x / 3.0 * (1.0 + x / 4.0))))))
 
 
 def nls_rate(u: np.ndarray, dt: float, u_inf: float, epsilon: float,

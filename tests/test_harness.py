@@ -1,7 +1,6 @@
 import json
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -124,7 +123,7 @@ class TestConfigs:
         assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), "compare"]) == 2
 
     @pytest.mark.parametrize("t0, ok", [(69.8, True), (70.0, False), (-70.0, False), (150.0, False)])
-    def test_shelf_edges_must_stay_off_the_boundary(self, t0, ok, no_simulation):
+    def test_shelf_edges_must_stay_off_the_boundary(self, t0, ok, tmp_path, capsys, no_simulation):
         # Edges from t0 travel u_inf z_max = 20 on L = 100; run's guard stops them at 0.9 L.
         cfg = harness.load_config("grey_dispersive")
         cfg["soliton"]["t0"] = t0
@@ -135,6 +134,10 @@ class TestConfigs:
         else:
             with pytest.raises(harness.ConfigError, match="soliton.t0"):
                 harness.validate(cfg)
+            p = tmp_path / "cfg.json"
+            p.write_text(json.dumps(cfg), encoding="utf-8")
+            assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), "predict"]) == 2
+            assert "validation error: soliton.t0:" in capsys.readouterr().err
 
     def test_step_fields_cover_a_traced_run(self):
         # The traced peak of a short dispersive run stays within what validate counts for it.
@@ -161,6 +164,35 @@ class TestConfigs:
             with pytest.raises(harness.ConfigError, match="grid.n_points"):
                 harness.validate(cfg)
 
+    @pytest.mark.parametrize("uinf_dt, limit", [(1e-9, 0.364), (0.5, 0.297), (1.0, 0.170),
+                                                (simulator.MAX_UINF_DT, 0.162)],
+                             ids=["uinf_dt_0", "uinf_dt_0.5", "uinf_dt_1", "uinf_dt_max"])
+    def test_dispersive_damping_bounded_by_the_step(self, uinf_dt, limit, no_simulation):
+        # Linearized about u_inf, eps gamma u_tt damps each mode a = -eig(D2)/2 in [0, 8/3] dt^-2 by 2 eps gamma a:
+        # lambda = -2 eps gamma a +- i sqrt(a (a + 2 u_inf^2)).  RK4 at dz = DZ_PER_DT2 dt^2 holds these up to an
+        # eps gamma found here on a fine sweep of a; validate accepts just inside it and refuses just outside.
+        # u_inf dt = 1e-9 stands for 0, which no grid has.
+        a = np.linspace(0.0, 8.0 / 3.0, 100_001)
+
+        def holds(eps_gamma):
+            x = simulator.DZ_PER_DT2 * (-2.0 * eps_gamma * a + 1j * np.sqrt(a * (a + 2.0 * uinf_dt**2)))
+            return np.max(np.abs(1.0 + x + x**2 / 2 + x**3 / 6 + x**4 / 24)) <= 1.0 + 1e-12
+
+        lo, hi = 0.01, 1.0
+        assert holds(lo) and not holds(hi)
+        while hi - lo > 1e-9:
+            lo, hi = ((lo + hi) / 2, hi) if holds((lo + hi) / 2) else (lo, (lo + hi) / 2)
+        assert lo == pytest.approx(limit, abs=5e-4)
+        cfg = harness.load_config("grey_dispersive")
+        cfg["grid"], cfg["run"] = {"half_width": 128.0 * uinf_dt, "n_points": 256}, {"z_max": 1e-12}
+        for eps_gamma, ok in ((lo * (1 - 1e-6), True), (hi * (1 + 1e-6), False)):
+            cfg["perturbation"]["gamma"] = eps_gamma / cfg["epsilon"]
+            if ok:
+                assert harness.validate(cfg).grid.dt == pytest.approx(uinf_dt, rel=1e-12)
+            else:
+                with pytest.raises(harness.ConfigError, match="perturbation.gamma: the u_tt coefficient"):
+                    harness.validate(cfg)
+
     def test_underflowing_grid_spacing_rejected(self):
         # dt = 1e-290 / 2048: dt**2 underflows to 0, where SimConfig.resolve divides by zero.
         cfg = harness.load_config("black_unperturbed")
@@ -172,6 +204,7 @@ class TestConfigs:
         ("grey_dispersive", {"epsilon": 0.0, "observables": None}),  # defaults need epsilon != 0
         ("black_unperturbed", {"observables": ["shelf"]}),
         ("grey_dispersive", {"observables": []}),
+        ("grey_dispersive", {"epsilon": 0.0, "observables": ["shelf"]}),  # a forcing, but no shelf at epsilon = 0
     ])
     def test_compare_needs_an_applicable_observable(self, preset, changes, tmp_path, no_simulation):
         cfg = harness.load_config(preset) | changes
@@ -203,7 +236,9 @@ class TestConfigs:
         assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), "predict"]) == 3
 
     def test_background_collapse_is_runtime_error(self, tmp_path):
-        # Two-photon absorption at gamma3 = 1e4 passes validation, then drives u_inf through zero.
+        # Two-photon absorption at gamma3 = 1e4 passes validation.  The exact background (1 + 2 gamma3 Z)^(-1/2)
+        # stays positive (0.0316 at Z = 0.05), but the cascade's Picard iteration diverges on a segment one
+        # table interval long, so the cascade stops there.
         cfg = {"perturbation": {"label": "two_photon", "gamma3": 1e4}, "epsilon": 0.05,
                "soliton": {"u_inf": 1.0, "delta_phi0": 4 * math.pi / 5},
                "grid": {"half_width": 15.0, "n_points": 256}, "run": {"z_max": 1.0}}
@@ -509,7 +544,68 @@ class TestSweep:
         assert cfg["grid"] == {"half_width": 242.0, "n_points": 5120}
 
 
+def _console_cfg(perturbation, delta_phi0=math.pi, grid=(15.0, 256), z_max=1.0, **top):
+    """A unit-background config with epsilon = 0.05 (``top`` overrides top-level keys)."""
+    return {"perturbation": perturbation, "epsilon": 0.05, "soliton": {"u_inf": 1.0, "delta_phi0": delta_phi0},
+            "grid": {"half_width": grid[0], "n_points": grid[1]}, "run": {"z_max": z_max}, **top}
+
+
+_FORCINGS = {"dispersive_damping": {"label": "dispersive_damping", "gamma": 1.0},
+             "linear_damping": {"label": "linear_damping", "Gamma": 0.5},
+             "two_photon": {"label": "two_photon", "gamma3": 1.0}}
+_PDE_FILES = ("simulate_z0.csv", "simulate_z1.csv", "emit_profile.csv", "emit_contour.csv",
+              "emit_contour_edges.csv", "emit_layer.csv", "emit_trajectory.csv")
+_TINY_EPS = dict(epsilon=1e-308, delta_phi0=2.5, grid=(40.0, 512), z_max=12.0)
+
+# One row per console case: config, commands, exit code, text stderr holds, files written non-empty.
+# Exit 2 must come before any cascade or PDE step.
+CONSOLE_CASES = [
+    *(pytest.param(_console_cfg(pert, math.pi if label == "dispersive_damping" else 4 * math.pi / 5),
+                   ["simulate", "emit --kinds profile contour layer trajectory"], 0, "", _PDE_FILES,
+                   id=f"pde_{label}") for label, pert in _FORCINGS.items()),
+    # At z_max = 1e-306 the edge layers' similarity variable reaches 1e104.
+    pytest.param(_console_cfg(_FORCINGS["dispersive_damping"], z_max=1e-306), ["emit --kinds profile"], 0, "",
+                 ["emit_profile.csv"], id="thin_layer"),
+    # At gamma3 = 2000 the background falls to 0.07 by z_max = 1; the cascade shortens its segments there.
+    pytest.param(_console_cfg({"label": "two_photon", "gamma3": 2000.0}, 2.5), ["predict"], 0, "",
+                 ["predict_prediction.csv"], id="strong_two_photon"),
+    # eps gamma = 0.5 and 0.3 at u_inf dt = 0.098 and 1.0: past what RK4 at dz = DZ_PER_DT2 dt^2 holds, so the
+    # PDE's norm would blow up mid-run.
+    pytest.param(harness.load_config("grey_dispersive") | {"perturbation": {"label": "dispersive_damping",
+                                                                            "gamma": 10.0}},
+                 ["compare"], 2, "validation error: perturbation.gamma: the u_tt coefficient", [],
+                 id="eps_gamma_0.5"),
+    pytest.param(_console_cfg({"label": "dispersive_damping", "gamma": 6.0}, 4 * math.pi / 5, (128.0, 256), 42.0),
+                 ["compare"], 2, "validation error: perturbation.gamma: the u_tt coefficient", [],
+                 id="eps_gamma_0.3_uinf_dt_1"),
+    # Rows that eps scales have nothing to measure when eps*q1 is subnormal or zero (sigma0 would read 5e+302).
+    *(pytest.param(_console_cfg(_FORCINGS["two_photon"], observables=[obs], **_TINY_EPS), ["compare"], 2,
+                   "validation error: perturbation.gamma3: the shelf plateau |eps*q1_plus|", [],
+                   id=f"eps_1e-308_{obs}") for obs in ("edges", "sigma0", "black_balance")),
+    pytest.param(_console_cfg({"label": "dispersive_damping", "gamma": 5e-324}, 2.5, (40.0, 512), 12.0,
+                              observables=["edges"]), ["compare"], 2,
+                 "validation error: perturbation.gamma: the shelf plateau |eps*q1_plus| = 0", [],
+                 id="gamma_5e-324_edges"),
+]
+
+
 class TestCli:
+    @pytest.mark.parametrize("cfg, commands, code, err, files", CONSOLE_CASES)
+    def test_console_case(self, cfg, commands, code, err, files, tmp_path, capsys, monkeypatch):
+        if code == 2:
+            def fail(*args, **kwargs):
+                raise AssertionError("ran the cascade or the PDE for a config that should have been rejected")
+
+            monkeypatch.setattr(asymptotics, "evolve_core_parameters", fail)
+            monkeypatch.setattr(simulator, "run", fail)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg), encoding="utf-8")
+        for command in commands:
+            assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), *command.split()]) == code
+            assert err in capsys.readouterr().err
+        for name in files:
+            assert (tmp_path / name).stat().st_size > 0
+
     def test_seedless_rejected(self):
         # Unknown flags are argparse usage errors: exit code 2.
         with pytest.raises(SystemExit) as exc:
@@ -519,8 +615,10 @@ class TestCli:
     def test_missing_config(self):
         assert cli.main(["predict"]) == 2
 
-    def test_bad_preset(self):
-        assert cli.main(["--config", "nonexistent", "compare"]) == 2
+    def test_bad_preset(self, capsys):
+        for command in ("predict", "compare"):
+            assert cli.main(["--config", "no_such_preset", command]) == 2
+            assert "validation error: config: no preset or file named 'no_such_preset'" in capsys.readouterr().err
 
     def test_invalid_json_file(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -560,7 +658,7 @@ class TestCli:
         ("grey_dispersive", "7"), ("grey_dispersive", "0"), ("grey_dispersive", "nan"),
         ("black_unperturbed", "2.5"),
         # Angles sharing a tag (dphi2.5, dphi2.51327) would drop each other's rows.
-        ("grey_dispersive", "2.5"), ("grey_dispersive", "2.5132741 2.5132742"),
+        ("grey_dispersive", "2.5"), ("grey_dispersive", "2.0 2.0"), ("grey_dispersive", "2.5132741 2.5132742"),
         # Valid as given, but the run length and grid the sweep sets for it are not.
         ("grey_dispersive", "0.5"),
     ])
@@ -630,11 +728,10 @@ class TestCli:
         cfg["soliton"]["u_inf"] = 0.3
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg), encoding="utf-8")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            for command in (["predict"], ["simulate"], ["emit", "--kinds", "profile"]):
-                assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), *command]) == 0
-        assert (tmp_path / "emit_profile.csv").exists()
+        for command in (["predict"], ["simulate"], ["emit", "--kinds", "profile"]):
+            assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), *command]) == 0
+        for name in ("predict_prediction.csv", "simulate_z0.csv", "emit_profile.csv"):
+            assert (tmp_path / name).stat().st_size > 0
 
     @pytest.mark.parametrize("soliton, grid, z_max", [
         ({"u_inf": 1.0}, {"half_width": 1e150, "n_points": 256}, 1e-300),  # dt = 7.8e147: no core sample
@@ -648,10 +745,8 @@ class TestCli:
         cfg["grid"], cfg["run"] = grid, {"z_max": z_max}
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg), encoding="utf-8")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            for command in (["predict"], ["emit", "--kinds", "profile"]):
-                assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), *command]) == 2
+        for command in (["predict"], ["emit", "--kinds", "profile"]):
+            assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), *command]) == 2
 
     def test_point_count_alone_refused_by_name(self, tmp_path, capsys, no_simulation):
         # u_inf = 1e100 with no grid: the automatic grid has about 1e101 points, past the bound before any step.
@@ -661,9 +756,7 @@ class TestCli:
         del cfg["grid"]
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg), encoding="utf-8")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), "predict"]) == 2
+        assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), "predict"]) == 2
         err = capsys.readouterr().err
         assert "grid.n_points: 1e+101 points exceed the bound 1e+10 point-steps" in err
         assert "inf steps" not in err
@@ -679,11 +772,9 @@ class TestCli:
         cfg["soliton"]["delta_phi0"] = 4 * math.pi / 5
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg), encoding="utf-8")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            for command in (["predict"], ["compare"], ["emit", "--kinds", "profile"]):
-                assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), *command]) == 2
-                assert "validation error: epsilon:" in capsys.readouterr().err
+        for command in (["predict"], ["compare"], ["emit", "--kinds", "profile"]):
+            assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), *command]) == 2
+            assert "validation error: epsilon:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("strength", [5e-324, 1e300])
     @pytest.mark.parametrize("label, key", [("dispersive_damping", "gamma"), ("linear_damping", "Gamma"),
@@ -698,25 +789,22 @@ class TestCli:
         cfg["perturbation"] = {"label": label, key: strength}
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg), encoding="utf-8")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code = cli.main(["--config", str(p), "--out-dir", str(tmp_path), "predict"])
+        code = cli.main(["--config", str(p), "--out-dir", str(tmp_path), "predict"])
         assert code in (0, 2, 3)
         if code == 2:
             assert f"validation error: perturbation.{key}:" in capsys.readouterr().err
 
     def test_tiny_epsilon_predict_never_exits_1(self, tmp_path, capsys):
         # eps = 1e-308: the cascade carries eps * delta_phi1, the flux integral per unit Z, and divides by eps
-        # once; the default observables grade the shelf, whose plateau eps*q1 is subnormal there (refused).
+        # once; the default observables grade the shelf, whose plateau eps*q1 is subnormal there (refused),
+        # while t0, which eps does not scale, is graded.
         cfg = dict(TestDeterminism()._tiny_cfg(), epsilon=1e-308, soliton={"u_inf": 1.0, "delta_phi0": 2.5})
         cfg["perturbation"] = {"label": "two_photon", "gamma3": 1.0}
-        for observables, want in ((None, 2), (["sigma0"], 0)):
+        for observables, want in ((None, 2), (["t0"], 0)):
             cfg["observables"] = observables
             p = tmp_path / "cfg.json"
             p.write_text(json.dumps(cfg), encoding="utf-8")
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), "predict"]) == want
+            assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), "predict"]) == want
         rows = np.genfromtxt(tmp_path / "predict_prediction.csv", delimiter=",", names=True)
         flux = rows["u_inf"][0] * (rows["phi1t_plus"][0] + rows["phi1t_minus"][0]) \
             - rows["A"][0] * (rows["phi1t_plus"][0] - rows["phi1t_minus"][0])
@@ -730,9 +818,7 @@ class TestCli:
         cfg["perturbation"] = {"label": label, key: 5e-324}
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg), encoding="utf-8")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), "compare"]) == 2
+        assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), "compare"]) == 2
         assert f"validation error: perturbation.{key}: the shelf plateau |eps*q1_plus| = 0" in capsys.readouterr().err
 
     def test_strong_background_runs_quietly(self, tmp_path):
@@ -744,11 +830,10 @@ class TestCli:
         del cfg["grid"]
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg), encoding="utf-8")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            for command in (["predict"], ["emit", "--kinds", "profile"]):
-                assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), *command]) == 0
-        assert (tmp_path / "emit_profile.csv").exists()
+        for command in (["predict"], ["emit", "--kinds", "profile"]):
+            assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), *command]) == 0
+        for name in ("predict_prediction.csv", "emit_profile.csv"):
+            assert (tmp_path / name).stat().st_size > 0
 
     def test_validation_error_in_config_file(self, tmp_path):
         cfg = harness.load_config("grey_dispersive")
