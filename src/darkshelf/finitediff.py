@@ -45,7 +45,8 @@ _E2 = [fd_weights(np.arange(6) - i, 2) for i in range(2)]
 _E1 = [fd_weights(np.arange(5) - i, 1) for i in range(2)]
 
 
-def _apply(u: np.ndarray, interior: np.ndarray, edge: list[np.ndarray], dx: float, order: int) -> np.ndarray:
+def _apply(u: np.ndarray, interior: np.ndarray, edge: list[np.ndarray], dx: float, order: int,
+           out: np.ndarray | None = None) -> np.ndarray:
     u = np.asarray(u)
     n = u.size
     half = interior.size // 2
@@ -53,17 +54,19 @@ def _apply(u: np.ndarray, interior: np.ndarray, edge: list[np.ndarray], dx: floa
         raise ValueError("grid too small for the stencil")
     scale = dx ** -order
     pair = np.subtract if order % 2 else np.add  # mirrored interior taps share |weight|
-    out = np.empty_like(u)
+    out = np.empty_like(u) if out is None else out
     acc = out[half:n - half]
     np.multiply(u[half:n - half], interior[half] * scale, out=acc)
+    tap = np.empty_like(acc)
     for k in range(1, half + 1):
-        tap = pair(u[half + k:n - half + k], u[half - k:n - half - k])
+        pair(u[half + k:n - half + k], u[half - k:n - half - k], out=tap)
         tap *= interior[half + k] * scale
         acc += tap
     m = edge[0].size
+    head, tail = u[:m], u[n - m:]
     for i in range(half):
-        out[i] = np.dot(edge[i], u[:m]) * scale
-        out[n - 1 - i] = np.dot(edge[i][::-1], u[n - m:]) * (scale * (-1.0) ** order)
+        out[i] = np.dot(edge[i], head) * scale
+        out[n - 1 - i] = np.dot(edge[i][::-1], tail) * (scale * (-1.0) ** order)
     return out
 
 
@@ -72,6 +75,6 @@ def first_derivative(u: np.ndarray, dx: float) -> np.ndarray:
     return _apply(u, _C1, _E1, dx, 1)
 
 
-def second_derivative(u: np.ndarray, dx: float) -> np.ndarray:
-    """d2/dx2 of samples ``u`` on a uniform grid, 4th order."""
-    return _apply(u, _C2, _E2, dx, 2)
+def second_derivative(u: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndarray:
+    """d2/dx2 of samples ``u`` on a uniform grid, 4th order, written into ``out`` when given."""
+    return _apply(u, _C2, _E2, dx, 2, out)

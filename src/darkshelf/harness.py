@@ -39,8 +39,9 @@ from .perturbations import BUILTINS, Perturbation
 from .soliton import CoreParams, grey_profile
 
 MAX_POINT_STEPS = 1e10  # PDE steps x grid points
-MAX_SNAPSHOT_BYTES = 2**30  # (kept snapshots + STEP_FIELDS) x grid points x 16 B
-STEP_FIELDS = 11  # complex fields live in one simulator.run RK4 step (tracemalloc: 10.03 at N = 4096)
+MAX_SNAPSHOT_BYTES = 2**30  # (kept snapshots + STEP_FIELDS) x grid points x 16 B + the background table
+STEP_FIELDS = 9  # complex fields live in one simulator.run RK4 step (tracemalloc at N = 4096: 7.1, two-photon 8.6)
+TABLE_BYTES_PER_STEP = 256  # simulator.run's background table, 3 z per step, as built (tracemalloc: 200-224)
 MAX_CASCADE_STEPS = 10**6  # background-table intervals of the slow-parameter cascade
 
 
@@ -272,14 +273,14 @@ def validate(cfg: dict) -> Experiment:
         raise ConfigError(f"grid: {exc}") from exc
     if u_inf * grid.dt > simulator.MAX_UINF_DT:
         raise ConfigError(f"grid.n_points: {grid.n_points} points give u_inf*dt = {u_inf * grid.dt:.4g} > "
-                          f"{simulator.MAX_UINF_DT:.4g}, where the PDE step is unstable")
+                          f"{simulator.MAX_UINF_DT:.4g}, coarser than a point per 1/u_inf, the core's least width")
     if grid.half_width < 3.0 * u_inf * z_max:
         raise ConfigError(f"grid.half_width: {grid.half_width} < 3*u_inf*z_max = {3 * u_inf * z_max}")
     reach = abs(t0) + 0.5 * grid.dt + u_inf * z_max  # simulator.run's summed reach, with a half cell of slack
     if reach > 0.9 * grid.half_width:
         raise ConfigError(f"soliton.t0: shelf edges from t0 = {t0} reach {reach:.4g} by run.z_max, "
                           f"past 0.9*half_width = {0.9 * grid.half_width:.4g}")
-    _check_run_size(simulator.SimConfig(eps, pert, snapshot_dz), grid, z_max)
+    _check_run_size(simulator.SimConfig(eps, pert, snapshot_dz), grid, z_max, u_inf)
     core = "black" if params.is_black else "grey"
     defaults = dict.fromkeys(o.name for o in OBSERVABLES if core in o.default_for)
     observables = _names(cfg, "observables", {o.name for o in OBSERVABLES}, defaults)
@@ -308,15 +309,16 @@ def validate(cfg: dict) -> Experiment:
                       observables=observables)
 
 
-def _check_run_size(sim: simulator.SimConfig, grid: simulator.Grid, z_max: float) -> None:
-    """Hold the PDE run to MAX_POINT_STEPS, and its snapshots plus one step's fields to MAX_SNAPSHOT_BYTES."""
+def _check_run_size(sim: simulator.SimConfig, grid: simulator.Grid, z_max: float, u_inf: float) -> None:
+    """Hold the PDE run to MAX_POINT_STEPS, and its snapshots, one step's fields and its background table
+    to MAX_SNAPSHOT_BYTES."""
     # n_points is bounded first; near 1e308 points, or on a tiny half_width, dt**2 underflows.
     if grid.n_points > MAX_POINT_STEPS:
         raise ConfigError(f"grid.n_points: {grid.n_points:.3g} points exceed the bound {MAX_POINT_STEPS:.0e} "
                           f"point-steps in one step")
     n_steps, stride = math.inf, 1
     with contextlib.suppress(ZeroDivisionError, OverflowError):
-        _, n_steps, stride = sim.resolve(grid, z_max)
+        _, n_steps, stride = sim.resolve(grid, z_max, u_inf)
     if n_steps * grid.n_points > MAX_POINT_STEPS:
         raise ConfigError(f"grid.n_points: {n_steps:.3g} steps x {grid.n_points:.3g} points exceed "
                           f"the bound {MAX_POINT_STEPS:.0e} point-steps")
@@ -328,6 +330,11 @@ def _check_run_size(sim: simulator.SimConfig, grid: simulator.Grid, z_max: float
     if kept + step > MAX_SNAPSHOT_BYTES:
         raise ConfigError(f"grid.n_points: {grid.n_points} points need {step / 2**20:.0f} MiB for one step "
                           f"on top of {kept / 2**20:.0f} MiB of snapshots "
+                          f"(bound {MAX_SNAPSHOT_BYTES / 2**20:.0f} MiB)")
+    table = TABLE_BYTES_PER_STEP * n_steps
+    if kept + step + table > MAX_SNAPSHOT_BYTES:
+        raise ConfigError(f"run.z_max: {n_steps:.3g} PDE steps need {table / 2**20:.0f} MiB of background table "
+                          f"on top of {(kept + step) / 2**20:.0f} MiB of fields "
                           f"(bound {MAX_SNAPSHOT_BYTES / 2**20:.0f} MiB)")
 
 

@@ -150,10 +150,24 @@ def soliton_integrals(densities: Sequence[np.ndarray], B: float | np.ndarray) ->
 def rk4_step(f: Callable, y, z: float, h: float, k1):
     """One classical RK4 step of dy/dz = f(y, z) from (y, z) over h.
 
-    ``k1 = f(y, z)`` is passed in: the cascade records its samples from
-    the first stage, and f is still evaluated once per stage.
+    ``k1 = f(y, z)`` is passed in, so a caller can keep the first stage's
+    rate, and f is evaluated once per later stage.  Each rate is consumed
+    before f is called again, so f may return one buffer it reuses; the
+    stage states share one buffer too.  The sum is y + h/6 (k1 + 2 k2 +
+    2 k3 + k4), rounded term by term in that order.
     """
-    k2 = f(y + 0.5 * h * k1, z + 0.5 * h)
-    k3 = f(y + 0.5 * h * k2, z + 0.5 * h)
-    k4 = f(y + h * k3, z + h)
-    return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    acc = np.array(k1)
+    stage = np.empty_like(acc)
+    k = k1
+    for _ in range(2):
+        np.multiply(0.5 * h, k, out=stage)
+        stage += y
+        k = f(stage, z + 0.5 * h)
+        np.multiply(2.0, k, out=stage)
+        acc += stage
+    np.multiply(h, k, out=stage)
+    stage += y
+    acc += f(stage, z + h)
+    acc *= h / 6.0
+    acc += y
+    return acc

@@ -1,12 +1,13 @@
 """Direct integration of the background-phase-removed perturbed NLS.
 
 Method of lines from the exact soliton: 4th-order central Laplacian (one-sided
-at the edges), classical RK4 in z at 3/4 of its stability limit, snapshots on
-the exact grid k z_max / n_snap, and Dirichlet boundary values pinned to the
-adiabatically evolving background; the edges' reach t0 +- int u_inf dz is
-checked before the first step.  The field carries the soliton phase jump, so it
-is not periodic.  The grid is cell-centered and symmetric about t = 0, so the
-discrete odd symmetry of a black soliton is exact.
+at the edges), classical RK4 in z at 0.9 of its stability limit on the spectrum
+linearized about the background, snapshots on the exact grid k z_max / n_snap,
+and Dirichlet boundary values pinned to the adiabatically evolving background;
+the edges' reach t0 +- int u_inf dz is checked before the first step.  The
+field carries the soliton phase jump, so it is not periodic.  The grid is
+cell-centered and symmetric about t = 0, so the discrete odd symmetry of a
+black soliton is exact.
 """
 
 from __future__ import annotations
@@ -26,10 +27,8 @@ from .soliton import ConservedQuantities, CoreParams, grey_profile
 
 D2_SPECTRAL_RADIUS = 16.0 / 3.0  # dt^2 max |eigenvalue| of D2 without its pinned rows (all real, <= 0)
 RK4_IMAGINARY_LIMIT = 2.0 * math.sqrt(2.0)  # RK4 is stable on the imaginary axis to |dz lambda| = 2 sqrt 2
-STABILITY_MARGIN = 0.75  # fraction taken of the limit dz <= 1.0607 dt^2 that -i/2 D2 sets
-DZ_PER_DT2 = STABILITY_MARGIN * RK4_IMAGINARY_LIMIT / (0.5 * D2_SPECTRAL_RADIUS)
-# That step keeps the Bogoliubov modes sqrt(a (a + 2 u_inf^2)), a = 8/(3 dt^2), stable while u_inf dt <= 1.0184.
-MAX_UINF_DT = math.sqrt((1.0 / STABILITY_MARGIN**2 - 1.0) * D2_SPECTRAL_RADIUS / 4.0)
+STABILITY_MARGIN = 0.9  # fraction of that limit that dz times the top linearized frequency reaches (dz_per_dt2)
+MAX_UINF_DT = 1.018350154434631  # coarsest u_inf dt: about a point per 1/u_inf, the core's least width
 MAX_STEP_GROWTH = 1.0 + 1e-12  # step_growth allowed: 1 up to the rounding of the RK4 polynomial
 MIN_PLATEAU_POINTS = 20  # samples a shelf plateau window must hold
 EDGE_LEVEL = 0.25  # fraction of the plateau deviation marking a tracked edge
@@ -92,10 +91,12 @@ class SimConfig:
         if self.epsilon != 0.0 and self.perturbation is None:
             raise ValueError("epsilon != 0 requires a perturbation")
 
-    def resolve(self, grid: Grid, z_max: float) -> tuple[float, int, int]:
+    def resolve(self, grid: Grid, z_max: float, u_inf: float) -> tuple[float, int, int]:
         """(dz, n_snap * stride, stride): n_snap = z_max / snapshot_dz rounded, at most the fewest steps
-        (at least one) with dz <= DZ_PER_DT2 dt^2, and the fewest steps per interval.  Kept z: k z_max / n_snap."""
-        fewest = max(1, math.ceil(z_max / (DZ_PER_DT2 * grid.dt**2)))
+        (at least one) with dz <= dz_per_dt2(u_inf dt) dt^2, and the fewest steps per interval.  Kept z:
+        k z_max / n_snap.  u_inf is the largest background of the run: the soliton's, as no built-in
+        forcing grows it."""
+        fewest = max(1, math.ceil(z_max / (dz_per_dt2(u_inf * grid.dt) * grid.dt**2)))
         n_snap = max(1, round(min(z_max / self.snapshot_dz, fewest)))
         stride = -(-fewest // n_snap)
         return z_max / (n_snap * stride), n_snap * stride, stride
@@ -103,18 +104,18 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimBackground:
-    """Adiabatic background seen by the simulator: u_inf(z) and its rate.
+    """Adiabatic background seen by the simulator: u_inf(z) and its rate, at a z or an array of them.
 
     Boundary phases are constant in the background-phase-removed frame for
     forcings with Re F[u_inf] = 0, which ``from_perturbation`` checks.
     """
 
-    u_inf_fn: Callable[[float], float]
-    rate_fn: Callable[[float], float]
+    u_inf_fn: Callable
+    rate_fn: Callable
 
     @classmethod
     def constant(cls, u_inf: float) -> "SimBackground":
-        return cls(u_inf_fn=lambda z: u_inf, rate_fn=lambda z: 0.0)
+        return cls(u_inf_fn=lambda z: np.full(np.shape(z), u_inf)[()], rate_fn=lambda z: np.zeros(np.shape(z))[()])
 
     @classmethod
     def from_perturbation(cls, pert: Perturbation, traj: ParameterTrajectory) -> "SimBackground":
@@ -133,45 +134,69 @@ class SimBackground:
             raise ValueError(f"forcing {pert.label!r}: Re F[u_inf] = {f_bg.real:.3g} != 0 on the background")
         zs, u_inf = traj.background.Z / epsilon, traj.background.u_inf
 
-        def u_inf_fn(z: float) -> float:
-            return float(np.interp(z, zs, u_inf))
+        def u_inf_fn(z):
+            return np.interp(z, zs, u_inf)
 
-        def rate_fn(z: float) -> float:
-            return epsilon * background_rate(pert, u_inf_fn(z))
+        def rate_fn(z):
+            # F is evaluated on an array even for one z: numpy squares a scalar by pow and an array by
+            # a product, and these can differ in the last bit.
+            return (epsilon * background_rate(pert, np.atleast_1d(u_inf_fn(z)))).reshape(np.shape(z))[()]
 
         return cls(u_inf_fn=u_inf_fn, rate_fn=rate_fn)
 
 
+def dz_per_dt2(uinf_dt: float) -> float:
+    """The step rule dz / dt^2: STABILITY_MARGIN of RK4's imaginary-axis limit over the top frequency of the
+    PDE linearized about u_inf, undamped.  Its modes, a = -eig(D2)/2 in [0, 8/3] dt^-2, oscillate at
+    sqrt(a (a + 2 u_inf^2)), at most omega_max = (8/3) dt^-2 sqrt(1 + 3/4 (u_inf dt)^2)."""
+    a = 0.5 * D2_SPECTRAL_RADIUS
+    return STABILITY_MARGIN * RK4_IMAGINARY_LIMIT / math.sqrt(a * (a + 2.0 * uinf_dt**2))
+
+
 def step_growth(damping: float, uinf_dt: float) -> float:
-    """The largest |R(dz lambda)| of one RK4 step at dz = DZ_PER_DT2 dt^2, R the RK4 polynomial.
+    """The largest |R(dz lambda)| of one RK4 step at dz = dz_per_dt2(u_inf dt) dt^2, R the RK4 polynomial.
 
     lambda runs over the PDE linearized about the background u_inf with a u_tt term of coefficient
     ``damping`` (eps Im F(0, 1)): -2 damping a +- i sqrt(a (a + 2 u_inf^2)), a = -eig(D2)/2 in
-    [0, 8/3] dt^-2.  The step holds while this is at most 1, as it is at damping = 0 for every
-    u_inf dt <= MAX_UINF_DT; it is inf or nan where the damping overflows it.
+    [0, 8/3] dt^-2.  The step holds while this is at most 1, as it is at damping = 0 by construction;
+    it is inf or nan where the damping overflows it.
     """
     s = np.linspace(0.0, 0.5 * D2_SPECTRAL_RADIUS, 65)  # a dt^2
     with np.errstate(over="ignore", invalid="ignore"):
-        x = DZ_PER_DT2 * (-2.0 * damping * s + 1j * np.sqrt(s * (s + 2.0 * uinf_dt**2)))
+        x = dz_per_dt2(uinf_dt) * (-2.0 * damping * s + 1j * np.sqrt(s * (s + 2.0 * uinf_dt**2)))
         return float(np.max(np.abs(1.0 + x * (1.0 + x / 2.0 * (1.0 + x / 3.0 * (1.0 + x / 4.0))))))
 
 
-def nls_rate(u: np.ndarray, dt: float, u_inf: float, epsilon: float,
-             pert: Perturbation | None) -> tuple[np.ndarray, np.ndarray | None]:
+def rate_buffers(n: int) -> tuple[np.ndarray, ...]:
+    """The arrays nls_rate writes on an n-point grid: three complex, two real."""
+    return (*np.empty((3, n), complex), *np.empty((2, n)))
+
+
+def nls_rate(u: np.ndarray, dt: float, u_inf: float, epsilon: float, pert: Perturbation | None,
+             work: tuple[np.ndarray, ...] | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """(u_z, F[u]) of the perturbed NLS on a grid of spacing dt:
 
         u_z = -i (1/2 u_tt - (|u|^2 - u_inf^2) u + eps F[u])
 
-    F is evaluated (and added) only when eps != 0; it is None otherwise.
-    ``run`` overwrites the boundary rows with the background's rate.
+    F is evaluated (and added) only when eps != 0; it is None otherwise.  Given ``work`` (from
+    ``rate_buffers``), u_z and its temporaries are written there, u_z into work[0], which the next
+    call overwrites.  ``run`` overwrites the boundary rows with the background's rate.
     """
-    u_tt = second_derivative(u, dt)
-    total = 0.5 * u_tt - (u.real**2 + u.imag**2 - u_inf**2) * u
+    w, u_tt, nonlinear, density, imag2 = work or rate_buffers(u.size)
+    second_derivative(u, dt, out=u_tt)
+    np.multiply(0.5, u_tt, out=w)
+    np.square(u.real, out=density)
+    np.square(u.imag, out=imag2)
+    density += imag2
+    density -= u_inf**2
+    np.multiply(density, u, out=nonlinear)
+    w -= nonlinear
     F = None
     if epsilon != 0.0:
         F = pert.grid_eval(u, u_tt)
-        total = total + epsilon * F
-    return -1j * total, F
+        w += np.multiply(epsilon, F, out=nonlinear)
+    np.multiply(-1j, w, out=w)
+    return w, F
 
 
 def run(
@@ -185,6 +210,10 @@ def run(
     z_max in the lab frame, returning snapshots every ``stride`` steps (see resolve), kept
     at z = k z_max / n_snap, the last at z_max.
 
+    The background is read once, at every z a step reads: n dz (its first stage, and the
+    boundary after the step before), n dz + dz/2 and n dz + dz.  Each stage's rate is
+    written into one set of buffers.
+
     Raises BoundaryContaminationError before the first step when the shelf edges' reach
     |t0| + sum_n dz u_inf(n dz) passes 0.9 L, and StabilityError on norm blow-up.
     """
@@ -193,8 +222,12 @@ def run(
             f"half_width {grid.half_width} < 3 u_inf z_max = {3 * params.u_inf * z_max}: "
             "shelf edges must stay within the inner third of the domain"
         )
-    dz, n_steps, stride = config.resolve(grid, z_max)
-    reach = abs(params.t0) + sum(dz * background.u_inf_fn(n * dz) for n in range(n_steps))
+    dz, n_steps, stride = config.resolve(grid, z_max, params.u_inf)
+    z_step = np.arange(n_steps + 1) * dz
+    zs = np.concatenate((z_step, z_step[:-1] + 0.5 * dz, z_step[:-1] + dz))
+    u_inf, rate = background.u_inf_fn(zs), background.rate_fn(zs)
+    half, full = n_steps + 1, 2 * n_steps + 1  # where the n dz + dz/2 and n dz + dz entries start
+    reach = abs(params.t0) + sum(dz * u for u in u_inf[:n_steps].tolist())
     if reach > 0.9 * grid.half_width:
         raise BoundaryContaminationError(f"shelf edges reach {reach:.4g} by z={z_max:.3g}, "
                                          "within L/10 of the boundary")
@@ -205,12 +238,14 @@ def run(
     u = grey_profile(params, grid.t - params.t0)
     bc_unit_left = u[0] / params.u_inf
     bc_unit_right = u[-1] / params.u_inf
+    work = rate_buffers(grid.n_points)
+    stage = {}  # z -> (u_inf, rate) at the stages of the current step
 
     def rhs(f: np.ndarray, z: float) -> np.ndarray:
-        w, _ = nls_rate(f, dt, background.u_inf_fn(z), eps, pert)
-        rate = background.rate_fn(z)
-        w[0] = rate * bc_unit_left
-        w[-1] = rate * bc_unit_right
+        u_inf_z, rate_z = stage[z]
+        w, _ = nls_rate(f, dt, u_inf_z, eps, pert, work)
+        w[0] = rate_z * bc_unit_left
+        w[-1] = rate_z * bc_unit_right
         return w
 
     max0 = float(np.max(np.abs(u)))
@@ -219,11 +254,11 @@ def run(
     n_snap = n_steps // stride
     for k in range(1, n_snap + 1):
         for n in range((k - 1) * stride, k * stride):
+            stage = {zs[i]: (u_inf[i], rate[i]) for i in (n, half + n, full + n)}
             u = rk4_step(rhs, u, z, dz, rhs(u, z))
             z = (n + 1) * dz
-            uinf = background.u_inf_fn(z)
-            u[0] = uinf * bc_unit_left
-            u[-1] = uinf * bc_unit_right
+            u[0] = u_inf[n + 1] * bc_unit_left
+            u[-1] = u_inf[n + 1] * bc_unit_right
         peak = float(np.max(np.abs(u)))
         if not np.isfinite(peak) or peak > 10.0 * max0:
             raise StabilityError(f"norm grew to {peak:.3e} at z={z:.3f}")

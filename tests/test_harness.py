@@ -97,7 +97,7 @@ class TestConfigs:
         assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), "compare"]) == 2
 
     def test_snapshot_memory_bounded(self, tmp_path, no_simulation):
-        # Stride 1 keeps every step: 63,272 x 8192 complex samples, about 7.7 GiB.
+        # Stride 1 keeps every step: 52,739 x 8192 complex samples, about 6.4 GiB.
         cfg = harness.load_config("black_dispersive")
         cfg["grid"]["n_points"] = 8192
         cfg["run"]["snapshot_dz"] = 1e-12
@@ -106,7 +106,7 @@ class TestConfigs:
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg), encoding="utf-8")
         assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), "compare"]) == 2
-        # grey_dispersive keeps all 3,956 states at 2048 points: 124 MiB, inside the bound.
+        # grey_dispersive keeps all 3,309 states at 2048 points: 103 MiB, inside the bound.
         cfg = harness.load_config("grey_dispersive")
         cfg["run"]["snapshot_dz"] = 1e-12
         assert harness.validate(cfg).snapshot_dz == 1e-12
@@ -121,6 +121,22 @@ class TestConfigs:
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg), encoding="utf-8")
         assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), "compare"]) == 2
+
+    @pytest.mark.parametrize("z_max, ok", [(3e4, True), (1e5, False)])
+    def test_background_table_memory_bounded(self, z_max, ok, tmp_path, capsys, no_simulation):
+        # u_inf = 1e-6 lets a 256-point grid run 7.6e6 steps (2e9 point-steps) at z_max = 1e5: its background
+        # table, 256 B per step, passes the bound before any step.  z_max = 3e4 needs 2.3e6 steps, 559 MiB.
+        cfg = harness.load_config("black_unperturbed")
+        cfg["soliton"]["u_inf"] = 1e-6
+        cfg["grid"] = {"half_width": 15.0, "n_points": 256}
+        cfg["run"] = {"z_max": z_max, "snapshot_dz": z_max / 2}
+        if ok:
+            assert harness.validate(cfg).z_max == z_max
+            return
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg), encoding="utf-8")
+        assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), "compare"]) == 2
+        assert "run.z_max: 7.63e+06 PDE steps need 1862 MiB of background table" in capsys.readouterr().err
 
     @pytest.mark.parametrize("t0, ok", [(69.8, True), (70.0, False), (-70.0, False), (150.0, False)])
     def test_shelf_edges_must_stay_off_the_boundary(self, t0, ok, tmp_path, capsys, no_simulation):
@@ -155,7 +171,7 @@ class TestConfigs:
 
     @pytest.mark.parametrize("uinf_dt, ok", [(1.0, True), (1.05, False)])
     def test_grid_spacing_bounded_by_background(self, uinf_dt, ok):
-        # Past u_inf dt = MAX_UINF_DT the PDE step is unstable on the background's Bogoliubov modes.
+        # Past u_inf dt = MAX_UINF_DT the grid samples the core under once per width 1/u_inf.
         cfg = harness.load_config("black_unperturbed")
         cfg["grid"] = {"half_width": 128.0 * uinf_dt, "n_points": 256}
         if ok:
@@ -164,18 +180,18 @@ class TestConfigs:
             with pytest.raises(harness.ConfigError, match="grid.n_points"):
                 harness.validate(cfg)
 
-    @pytest.mark.parametrize("uinf_dt, limit", [(1e-9, 0.364), (0.5, 0.297), (1.0, 0.170),
-                                                (simulator.MAX_UINF_DT, 0.162)],
+    @pytest.mark.parametrize("uinf_dt, limit", [(1e-9, 0.1987), (0.5, 0.2165), (1.0, 0.2629),
+                                                (simulator.MAX_UINF_DT, 0.2649)],
                              ids=["uinf_dt_0", "uinf_dt_0.5", "uinf_dt_1", "uinf_dt_max"])
     def test_dispersive_damping_bounded_by_the_step(self, uinf_dt, limit, no_simulation):
         # Linearized about u_inf, eps gamma u_tt damps each mode a = -eig(D2)/2 in [0, 8/3] dt^-2 by 2 eps gamma a:
-        # lambda = -2 eps gamma a +- i sqrt(a (a + 2 u_inf^2)).  RK4 at dz = DZ_PER_DT2 dt^2 holds these up to an
+        # lambda = -2 eps gamma a +- i sqrt(a (a + 2 u_inf^2)).  RK4 at dz = dz_per_dt2 dt^2 holds these up to an
         # eps gamma found here on a fine sweep of a; validate accepts just inside it and refuses just outside.
         # u_inf dt = 1e-9 stands for 0, which no grid has.
         a = np.linspace(0.0, 8.0 / 3.0, 100_001)
 
         def holds(eps_gamma):
-            x = simulator.DZ_PER_DT2 * (-2.0 * eps_gamma * a + 1j * np.sqrt(a * (a + 2.0 * uinf_dt**2)))
+            x = simulator.dz_per_dt2(uinf_dt) * (-2.0 * eps_gamma * a + 1j * np.sqrt(a * (a + 2.0 * uinf_dt**2)))
             return np.max(np.abs(1.0 + x + x**2 / 2 + x**3 / 6 + x**4 / 24)) <= 1.0 + 1e-12
 
         lo, hi = 0.01, 1.0
@@ -569,7 +585,7 @@ CONSOLE_CASES = [
     # At gamma3 = 2000 the background falls to 0.07 by z_max = 1; the cascade shortens its segments there.
     pytest.param(_console_cfg({"label": "two_photon", "gamma3": 2000.0}, 2.5), ["predict"], 0, "",
                  ["predict_prediction.csv"], id="strong_two_photon"),
-    # eps gamma = 0.5 and 0.3 at u_inf dt = 0.098 and 1.0: past what RK4 at dz = DZ_PER_DT2 dt^2 holds, so the
+    # eps gamma = 0.5 and 0.3 at u_inf dt = 0.098 and 1.0: past what RK4 at dz = dz_per_dt2 dt^2 holds, so the
     # PDE's norm would blow up mid-run.
     pytest.param(harness.load_config("grey_dispersive") | {"perturbation": {"label": "dispersive_damping",
                                                                             "gamma": 10.0}},
@@ -721,7 +737,7 @@ class TestCli:
                          "--kinds", "profile", "histogram"]) == 2
 
     def test_one_step_run(self, tmp_path):
-        # z_max = 5e-324 needs one PDE step, though z_max / (DZ_PER_DT2 dt^2) underflows to 0.
+        # z_max = 5e-324 needs one PDE step, though z_max / (dz_per_dt2 dt^2) underflows to 0.
         # u_inf = 0.3 keeps u_inf dt = 0.70 under MAX_UINF_DT at dt = 2.34.
         cfg = TestDeterminism()._tiny_cfg()
         cfg["grid"], cfg["run"] = {"half_width": 300.0, "n_points": 256}, {"z_max": 5e-324}

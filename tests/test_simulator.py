@@ -6,13 +6,13 @@ import pytest
 from darkshelf import simulator
 from darkshelf.asymptotics import evolve_core_parameters
 from darkshelf.finitediff import first_derivative, second_derivative
-from darkshelf.perturbations import dispersive_damping, linear_damping, local_forcing
+from darkshelf.perturbations import BUILTINS, dispersive_damping, linear_damping, local_forcing
 from darkshelf.soliton import CoreParams, grey_profile
 from darkshelf.simulator import (
     D2_SPECTRAL_RADIUS,
-    DZ_PER_DT2,
     MAX_UINF_DT,
     RK4_IMAGINARY_LIMIT,
+    STABILITY_MARGIN,
     BoundaryContaminationError,
     FieldState,
     Grid,
@@ -21,6 +21,7 @@ from darkshelf.simulator import (
     SimConfig,
     conservation_residuals,
     conserved_quantities,
+    dz_per_dt2,
     measure_core_minimum,
     measure_shelf,
     measure_sigma0_rate,
@@ -29,6 +30,7 @@ from darkshelf.simulator import (
     track_edges,
     write_snapshot_csv,
 )
+from theory_reference import reference_run
 
 BLACK = CoreParams.from_background(1.0, math.pi)
 GREY = CoreParams.from_background(1.0, 4 * math.pi / 5)
@@ -62,13 +64,22 @@ class TestGridAndConfig:
         with pytest.raises(ValueError):
             SimConfig(epsilon=0.1)
 
-    def test_snapshot_stride_from_snapshot_dz(self):
+    @pytest.mark.parametrize("u_inf", [1.0, 3.0])
+    def test_snapshot_stride_from_snapshot_dz(self, u_inf):
         g = Grid(half_width=50.0, n_points=1024)
+        bound = dz_per_dt2(u_inf * g.dt) * g.dt**2
         for snapshot_dz, n_snap in ((0.5, 6), (0.1, 30)):
-            dz, n_steps, stride = SimConfig(snapshot_dz=snapshot_dz).resolve(g, 3.0)
-            assert dz <= DZ_PER_DT2 * g.dt**2 and n_steps * dz == pytest.approx(3.0)
+            dz, n_steps, stride = SimConfig(snapshot_dz=snapshot_dz).resolve(g, 3.0, u_inf)
+            assert dz <= bound and n_steps * dz == pytest.approx(3.0)
             # Equal intervals, each with the fewest steps the bound allows.
-            assert n_steps == n_snap * stride and n_snap * (stride - 1) * DZ_PER_DT2 * g.dt**2 < 3.0
+            assert n_steps == n_snap * stride and n_snap * (stride - 1) * bound < 3.0
+
+    def test_step_shrinks_with_the_background(self):
+        # The top linearized frequency (8/3) dt^-2 sqrt(1 + 3/4 (u_inf dt)^2) sets the step.
+        g = Grid(half_width=50.0, n_points=1024)
+        assert dz_per_dt2(0.0) == pytest.approx(STABILITY_MARGIN * RK4_IMAGINARY_LIMIT / (0.5 * D2_SPECTRAL_RADIUS))
+        assert dz_per_dt2(1.0) == pytest.approx(dz_per_dt2(0.0) / math.sqrt(1.75))
+        assert SimConfig().resolve(g, 3.0, 10.0)[1] > SimConfig().resolve(g, 3.0, 1.0)[1]
 
     def test_snapshots_on_exact_grid(self):
         grid = Grid(half_width=50.0, n_points=1024)
@@ -76,12 +87,12 @@ class TestGridAndConfig:
         snaps = run(cfg, grid, BLACK, SimBackground.constant(1.0), 3.0)
         np.testing.assert_allclose([s.z for s in snaps], 0.75 * np.arange(5), rtol=0.0, atol=1e-12)
         # A snapshot_dz below the step bound keeps every step, at the bound's dz.
-        dz, _, stride = SimConfig(snapshot_dz=1e-9).resolve(grid, 3.0)
-        assert stride == 1 and dz == SimConfig(snapshot_dz=3.0).resolve(grid, 3.0)[0]
+        dz, _, stride = SimConfig(snapshot_dz=1e-9).resolve(grid, 3.0, 1.0)
+        assert stride == 1 and dz == SimConfig(snapshot_dz=3.0).resolve(grid, 3.0, 1.0)[0]
 
     def test_a_run_takes_at_least_one_step(self):
-        # z_max / (DZ_PER_DT2 dt^2) underflows to 0 here; the run still needs its one step.
-        assert SimConfig().resolve(Grid(half_width=300.0, n_points=256), 5e-324) == (5e-324, 1, 1)
+        # z_max / (dz_per_dt2 dt^2) underflows to 0 here; the run still needs its one step.
+        assert SimConfig().resolve(Grid(half_width=300.0, n_points=256), 5e-324, 0.3) == (5e-324, 1, 1)
 
     GRID = Grid(half_width=12.8, n_points=256)
 
@@ -100,24 +111,23 @@ class TestGridAndConfig:
     def test_step_inside_rk4_stability_region(self, eps_gamma):
         grid = self.GRID
         lam = (-0.5j + eps_gamma) * np.linalg.eigvals(self._pinned_d2(grid))
-        assert self._rk4_growth(SimConfig().resolve(grid, 1.0)[0], lam) <= 1.0 + 1e-12  # roundoff in R
+        assert self._rk4_growth(SimConfig().resolve(grid, 1.0, 1.0)[0], lam) <= 1.0 + 1e-12  # roundoff in R
         # The margin is taken under the true limit: just past it, RK4 grows.
         assert self._rk4_growth(1.07 * RK4_IMAGINARY_LIMIT / (0.5 * D2_SPECTRAL_RADIUS) * grid.dt**2, lam) > 1.0
 
-    def test_step_inside_rk4_stability_region_on_the_background(self):
+    @pytest.mark.parametrize("uinf_dt", [1e-9, 0.5, 1.0, MAX_UINF_DT, 2.0])
+    def test_step_inside_rk4_stability_region_on_the_background(self, uinf_dt):
         # Linearized about u_inf, (Re, Im) of a perturbation evolve by [[0, D2/2], [2 u_inf^2 - D2/2, 0]]:
-        # Bogoliubov modes at sqrt(a (a + 2 u_inf^2)), a = D2/2, which the step holds up to MAX_UINF_DT.
+        # Bogoliubov modes at sqrt(a (a + 2 u_inf^2)), a = -D2/2, whose top the step rule takes at
+        # STABILITY_MARGIN of RK4's limit, for every u_inf dt.
         grid = self.GRID
         d2 = self._pinned_d2(grid)
-        dz = SimConfig().resolve(grid, 1.0)[0]
-
-        def growth(uinf_dt):
-            u2 = (uinf_dt / grid.dt) ** 2
-            op = np.block([[np.zeros_like(d2), 0.5 * d2], [2.0 * u2 * np.eye(len(d2)) - 0.5 * d2, np.zeros_like(d2)]])
-            return self._rk4_growth(dz, np.linalg.eigvals(op))
-
-        assert growth(MAX_UINF_DT) <= 1.0 + 1e-12
-        assert growth(1.01 * MAX_UINF_DT) > 1.0
+        u2 = (uinf_dt / grid.dt) ** 2
+        op = np.block([[np.zeros_like(d2), 0.5 * d2], [2.0 * u2 * np.eye(len(d2)) - 0.5 * d2, np.zeros_like(d2)]])
+        lam = np.linalg.eigvals(op)
+        dz = dz_per_dt2(uinf_dt) * grid.dt**2
+        assert self._rk4_growth(dz, lam) <= 1.0 + 1e-12
+        assert self._rk4_growth(1.07 / STABILITY_MARGIN * dz, lam) > 1.0
 
     def test_domain_size_guard(self):
         grid = Grid(half_width=20.0, n_points=512)
@@ -146,6 +156,55 @@ class TestUnperturbedFidelity:
         u_z, F = nls_rate(u, grid.dt, GREY.u_inf, 0.0, None)
         assert F is None
         np.testing.assert_allclose(u_z[4:-4], -GREY.A * first_derivative(u, grid.dt)[4:-4], atol=1e-6)
+
+
+class TestBufferedStage:
+    """run reads the background from one table and writes each stage into one set of buffers;
+    its snapshots must carry the very bits of the allocating loop with per-stage lookups."""
+
+    GRID = Grid(half_width=15.0, n_points=256)
+    STRENGTHS = {"dispersive_damping": 1.0, "linear_damping": 0.5, "two_photon": 1.0}
+
+    @staticmethod
+    def _same_bits(cfg, params, background, z_max):
+        snaps = run(cfg, TestBufferedStage.GRID, params, background, z_max)
+        ref = reference_run(cfg, TestBufferedStage.GRID, params, background, z_max)
+        assert len(snaps) == len(ref) > 2
+        for s, r in zip(snaps, ref):
+            assert np.array_equal(s.samples, r) and s.samples.tobytes() == r.tobytes(), s.z
+
+    @pytest.mark.parametrize("params", [BLACK, GREY], ids=["black", "grey"])
+    def test_unperturbed(self, params):
+        self._same_bits(SimConfig(snapshot_dz=0.25), params, SimBackground.constant(params.u_inf), 1.0)
+
+    @pytest.mark.parametrize("label", sorted(BUILTINS))
+    def test_forced(self, label):
+        pert = BUILTINS[label](self.STRENGTHS[label])
+        traj = evolve_core_parameters(pert, GREY, 0.05, 1.0)
+        background = SimBackground.from_perturbation(pert, traj)
+        self._same_bits(SimConfig(0.05, pert, 0.25), GREY, background, 1.0)
+
+    def test_one_lookup_of_each_background_function(self):
+        pert = linear_damping(0.5)
+        traj = evolve_core_parameters(pert, GREY, 0.05, 1.0)
+        table = SimBackground.from_perturbation(pert, traj)
+        calls = []
+
+        def counted(fn):
+            return lambda z: calls.append(np.shape(z)) or fn(z)
+
+        run(SimConfig(0.05, pert, 0.25), self.GRID, GREY,
+            SimBackground(counted(table.u_inf_fn), counted(table.rate_fn)), 1.0)
+        steps = SimConfig(0.05, pert, 0.25).resolve(self.GRID, 1.0, GREY.u_inf)[1]
+        assert calls == [(3 * steps + 1,)] * 2  # n dz for n <= steps, n dz + dz/2 and n dz + dz for n < steps
+
+    def test_scalar_and_array_lookups_agree(self):
+        # A stage z read alone gives the bits the table holds for it.
+        pert = BUILTINS["two_photon"](1.0)
+        background = SimBackground.from_perturbation(pert, evolve_core_parameters(pert, GREY, 0.05, 1.0))
+        zs = np.linspace(0.0, 1.0, 2001)
+        for fn in (background.u_inf_fn, background.rate_fn):
+            assert np.array_equal(fn(zs), [fn(z) for z in zs.tolist()])
 
 
 class TestGridRefinement:
@@ -258,7 +317,7 @@ class TestBoundaryHandling:
         def no_step(*args, **kwargs):
             raise AssertionError("stepped a run whose shelf edges reach the boundary")
 
-        monkeypatch.setattr(simulator, "rk4_step", no_step)  # refused before the first step
+        monkeypatch.setattr(simulator, "second_derivative", no_step)  # every stage calls it: refused before the first
         params = CoreParams.from_background(1.0, math.pi, t0=40.0)
         grid = Grid(half_width=50.0, n_points=1024)
         bg = SimBackground.constant(1.0)

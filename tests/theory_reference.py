@@ -2,8 +2,9 @@
 
 No run of the package uses them: the explicit first-order solution of a
 black soliton under dispersive damping, the linearized operator about the
-soliton with its four homogeneous solutions, and the slow-parameter cascade
-stepped by classical RK4.  Derivatives use the package's 4th-order stencils.
+soliton with its four homogeneous solutions, the slow-parameter cascade
+stepped by classical RK4, and the PDE run as one allocating loop.
+Derivatives use the package's 4th-order stencils.
 """
 
 import math
@@ -14,7 +15,7 @@ import numpy as np
 from darkshelf.asymptotics import SAMPLES, edge_phase_flux, grey_parameter_rhs
 from darkshelf.finitediff import first_derivative, second_derivative
 from darkshelf.quadrature import rk4_step
-from darkshelf.soliton import CoreParams
+from darkshelf.soliton import CoreParams, grey_profile
 
 # -- Black soliton under F = i gamma u_tt, first order ---------------------
 # sigma0_Z = -(4/3) gamma u_inf^2 and t0_Z = 0; the free constants of the
@@ -138,3 +139,42 @@ def rk4_cascade(pert, params0: CoreParams, epsilon: float, z_span: float, steps:
         if n < steps:
             state = rk4_step(lambda y, _z: rate(y)[0], state, n * h, h, k1)
     return np.array(z), params, shelf
+
+
+# -- The PDE run as one allocating loop -------------------------------------
+
+
+def reference_run(config, grid, params: CoreParams, background, z_max: float) -> list[np.ndarray]:
+    """The samples of simulator.run's snapshots, from the loop it replaced: each stage allocates
+    its rate -i (u_tt/2 - (|u|^2 - u_inf^2) u + eps F[u]) and calls background.u_inf_fn and
+    rate_fn at its own z, and the RK4 sum is written out.  dz, steps and stride are resolve's."""
+    dz, n_steps, stride = config.resolve(grid, z_max, params.u_inf)
+    eps, pert, dt = config.epsilon, config.perturbation, grid.dt
+    u = grey_profile(params, grid.t - params.t0)
+    bc_left, bc_right = u[0] / params.u_inf, u[-1] / params.u_inf
+
+    def rate(f, z):
+        u_inf = background.u_inf_fn(z)
+        u_tt = second_derivative(f, dt)
+        total = 0.5 * u_tt - (f.real**2 + f.imag**2 - u_inf**2) * f
+        if eps != 0.0:
+            total = total + eps * pert.grid_eval(f, u_tt)
+        w = -1j * total
+        w[0] = background.rate_fn(z) * bc_left
+        w[-1] = background.rate_fn(z) * bc_right
+        return w
+
+    snapshots = [u.copy()]
+    z = 0.0
+    for n in range(n_steps):
+        k1 = rate(u, z)
+        k2 = rate(u + 0.5 * dz * k1, z + 0.5 * dz)
+        k3 = rate(u + 0.5 * dz * k2, z + 0.5 * dz)
+        k4 = rate(u + dz * k3, z + dz)
+        u = u + dz / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        z = (n + 1) * dz
+        u[0] = background.u_inf_fn(z) * bc_left
+        u[-1] = background.u_inf_fn(z) * bc_right
+        if (n + 1) % stride == 0:
+            snapshots.append(u.copy())
+    return snapshots
