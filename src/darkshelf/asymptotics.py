@@ -44,6 +44,7 @@ class BackgroundCollapseError(RuntimeError):
 SHALLOW_LIMIT = 1e-9  # smallest u_inf - A the cascade accepts
 STEPS_PER_Z = 640  # background-table intervals per unit slow distance Z; the shortest cascade segment is one
 SAMPLES = 121  # trajectory samples, each one a background-table node
+MAX_CASCADE_STEPS = 10**6  # background-table intervals of the slow-parameter cascade
 _CHUNK = 8  # states per soliton-integral evaluation, which bounds its temporaries
 
 
@@ -122,9 +123,14 @@ class ParameterTrajectory:
 
 
 def slow_steps(Z_span: float) -> int:
-    """Background-table intervals over Z_span: STEPS_PER_Z per unit Z, at least SAMPLES - 1 and a multiple of it."""
-    steps = max(SAMPLES - 1, int(STEPS_PER_Z * Z_span))
-    return steps - steps % (SAMPLES - 1)
+    """Background-table intervals over Z_span: STEPS_PER_Z per unit Z, at least SAMPLES - 1 and a multiple of it.
+    Raises ValueError past MAX_CASCADE_STEPS, also where STEPS_PER_Z Z_span overflows."""
+    steps = max(SAMPLES - 1, STEPS_PER_Z * Z_span)
+    if steps < math.inf:
+        steps = int(steps) - int(steps) % (SAMPLES - 1)
+    if not steps <= MAX_CASCADE_STEPS:
+        raise ValueError(f"{steps:.3g} cascade steps exceed the bound {MAX_CASCADE_STEPS:.0e}")
+    return steps
 
 
 def background_rate(pert: Perturbation, u_inf: float) -> float:

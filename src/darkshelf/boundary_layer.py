@@ -33,7 +33,6 @@ class LayerProfile:
     (comoving T - S_side, equivalently lab t - V*zeta), positive toward +t.
     """
 
-    side: str
     V: float
     amplitude: float
     a: float
@@ -46,7 +45,7 @@ class LayerProfile:
             raise ValueError("u_inf must be positive")
         V = u_inf if side == RIGHT else -u_inf
         a = -2.0 * math.copysign(abs(V / 3.0) ** (1.0 / 3.0), V)
-        return cls(side=side, V=V, amplitude=amplitude, a=a)
+        return cls(V=V, amplitude=amplitude, a=a)
 
 
 def similarity_variable(layer: LayerProfile, zeta: float, x) -> np.ndarray:

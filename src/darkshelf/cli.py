@@ -9,7 +9,6 @@ randomness anywhere.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import asymptotics, harness, quadrature, simulator
@@ -80,9 +79,6 @@ def main(argv=None) -> int:
         return EXIT_OK
     except harness.ConfigError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except json.JSONDecodeError as exc:
-        print(f"validation error: config is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (simulator.SimulationError, asymptotics.ShallowSolitonError,
             asymptotics.BackgroundCollapseError, quadrature.QuadratureError) as exc:

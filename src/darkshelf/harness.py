@@ -5,6 +5,9 @@ soliton, grid, run, observables, outputs}.  ``predict`` integrates the slow
 parameter cascade only; ``simulate`` also runs the PDE and returns the
 Artifacts that observables and plot writers read; ``compare`` grades the
 observables of ``simulate``'s Artifacts against the asymptotic predictions.
+``validate`` parses; the limits belong to the layers (``simulator.SimConfig.check``
+for a PDE run, ``asymptotics.slow_steps`` for the cascade), and it turns their
+ValueError into a ConfigError naming the field.
 
 Measurement protocol notes (dispersive-damping validation runs):
 
@@ -25,7 +28,6 @@ Measurement protocol notes (dispersive-damping validation runs):
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import os
@@ -37,12 +39,6 @@ import numpy as np
 from . import asymptotics, boundary_layer, quadrature, simulator
 from .perturbations import BUILTINS, Perturbation
 from .soliton import CoreParams, grey_profile
-
-MAX_POINT_STEPS = 1e10  # PDE steps x grid points
-MAX_SNAPSHOT_BYTES = 2**30  # (kept snapshots + STEP_FIELDS) x grid points x 16 B + the background table
-STEP_FIELDS = 9  # complex fields live in one simulator.run RK4 step (tracemalloc at N = 4096: 7.1, two-photon 8.6)
-TABLE_BYTES_PER_STEP = 256  # simulator.run's background table, 3 z per step, as built (tracemalloc: 200-224)
-MAX_CASCADE_STEPS = 10**6  # background-table intervals of the slow-parameter cascade
 
 
 class ConfigError(ValueError):
@@ -152,6 +148,10 @@ def load_config(source) -> dict:
                 return json.load(fh)
         except (IsADirectoryError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config: {source!r} is not a UTF-8 JSON file: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except (RecursionError, ValueError) as exc:  # nested past the decoder's depth; an int past the digit limit
+            raise ConfigError(f"config: {source!r} is too deeply nested or holds too long a number: {exc}") from exc
     raise ConfigError(f"config: no preset or file named {source!r}")
 
 
@@ -241,6 +241,7 @@ def validate(cfg: dict) -> Experiment:
     pert = _perturbation(cfg)
     if eps != 0.0 and pert is None:
         raise ConfigError("perturbation: required when epsilon != 0")
+    strength = None if pert is None else "perturbation." + next(k for k in cfg["perturbation"] if k != "label")
     u_inf, dphi = _field(cfg, "soliton.u_inf"), _field(cfg, "soliton.delta_phi0")
     t0, sigma0 = (_field(cfg, f"soliton.{k}", required=False, default=0.0) for k in ("t0", "sigma0"))
     if not math.isfinite(u_inf * u_inf):
@@ -257,11 +258,10 @@ def validate(cfg: dict) -> Experiment:
     for path, value in (("run.z_max", z_max), ("run.snapshot_dz", snapshot_dz)):
         if value <= 0.0:
             raise ConfigError(f"{path}: must be positive, got {value}")
-    cascade_steps = math.inf  # int() overflows when STEPS_PER_Z eps z_max is inf (z_max = 1e308)
-    with contextlib.suppress(OverflowError):
-        cascade_steps = asymptotics.slow_steps(eps * z_max)
-    if cascade_steps > MAX_CASCADE_STEPS:
-        raise ConfigError(f"run.z_max: {cascade_steps:.3g} cascade steps exceed the bound {MAX_CASCADE_STEPS:.0e}")
+    try:
+        asymptotics.slow_steps(eps * z_max)
+    except ValueError as exc:
+        raise ConfigError(f"run.z_max: {exc}") from exc
     try:
         grid_cfg = {"grid": _section(cfg, "grid") or auto_grid(params, z_max)}
     except OverflowError as exc:
@@ -271,26 +271,15 @@ def validate(cfg: dict) -> Experiment:
         grid = simulator.Grid(half_width, n_points)
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
-    if u_inf * grid.dt > simulator.MAX_UINF_DT:
-        raise ConfigError(f"grid.n_points: {grid.n_points} points give u_inf*dt = {u_inf * grid.dt:.4g} > "
-                          f"{simulator.MAX_UINF_DT:.4g}, coarser than a point per 1/u_inf, the core's least width")
-    if grid.half_width < 3.0 * u_inf * z_max:
-        raise ConfigError(f"grid.half_width: {grid.half_width} < 3*u_inf*z_max = {3 * u_inf * z_max}")
-    reach = abs(t0) + 0.5 * grid.dt + u_inf * z_max  # simulator.run's summed reach, with a half cell of slack
-    if reach > 0.9 * grid.half_width:
-        raise ConfigError(f"soliton.t0: shelf edges from t0 = {t0} reach {reach:.4g} by run.z_max, "
-                          f"past 0.9*half_width = {0.9 * grid.half_width:.4g}")
-    _check_run_size(simulator.SimConfig(eps, pert, snapshot_dz), grid, z_max, u_inf)
+    try:
+        simulator.SimConfig(eps, pert, snapshot_dz).check(grid, params, z_max)
+    except ValueError as exc:  # it names the field, or "perturbation" for the forcing's strength
+        name, _, text = str(exc).partition(": ")
+        raise ConfigError(f"{strength if name == 'perturbation' else name}: {text}") from exc
     core = "black" if params.is_black else "grey"
     defaults = dict.fromkeys(o.name for o in OBSERVABLES if core in o.default_for)
     observables = _names(cfg, "observables", {o.name for o in OBSERVABLES}, defaults)
     if eps != 0.0:
-        strength = "perturbation." + next(k for k in cfg["perturbation"] if k != "label")
-        damping = eps * pert.point_eval(0j, 1.0).imag  # eps gamma of a forcing i gamma u_tt, else 0
-        growth = simulator.step_growth(damping, u_inf * grid.dt) if damping else 1.0
-        if not growth <= simulator.MAX_STEP_GROWTH:
-            raise ConfigError(f"{strength}: the u_tt coefficient eps*Im F(0, 1) = {damping:.4g} at u_inf*dt = "
-                              f"{u_inf * grid.dt:.4g} makes the PDE step unstable (growth {growth:.4g} per step)")
         graded_perturbed = any(o.perturbed_only for o in OBSERVABLES if o.name in observables)
         try:
             asymptotics.check_forcing(pert, params)
@@ -307,35 +296,6 @@ def validate(cfg: dict) -> Experiment:
     return Experiment(params=params, perturbation=pert, epsilon=eps, grid=grid, z_max=z_max,
                       snapshot_dz=snapshot_dz, outputs=tuple(k for k in outputs if k != "report"),
                       observables=observables)
-
-
-def _check_run_size(sim: simulator.SimConfig, grid: simulator.Grid, z_max: float, u_inf: float) -> None:
-    """Hold the PDE run to MAX_POINT_STEPS, and its snapshots, one step's fields and its background table
-    to MAX_SNAPSHOT_BYTES."""
-    # n_points is bounded first; near 1e308 points, or on a tiny half_width, dt**2 underflows.
-    if grid.n_points > MAX_POINT_STEPS:
-        raise ConfigError(f"grid.n_points: {grid.n_points:.3g} points exceed the bound {MAX_POINT_STEPS:.0e} "
-                          f"point-steps in one step")
-    n_steps, stride = math.inf, 1
-    with contextlib.suppress(ZeroDivisionError, OverflowError):
-        _, n_steps, stride = sim.resolve(grid, z_max, u_inf)
-    if n_steps * grid.n_points > MAX_POINT_STEPS:
-        raise ConfigError(f"grid.n_points: {n_steps:.3g} steps x {grid.n_points:.3g} points exceed "
-                          f"the bound {MAX_POINT_STEPS:.0e} point-steps")
-    kept = (1 + n_steps // stride) * grid.n_points * 16
-    if kept > MAX_SNAPSHOT_BYTES:
-        raise ConfigError(f"run.snapshot_dz: {sim.snapshot_dz} keeps {kept / 2**20:.0f} MiB of snapshots "
-                          f"(bound {MAX_SNAPSHOT_BYTES / 2**20:.0f} MiB)")
-    step = STEP_FIELDS * grid.n_points * 16
-    if kept + step > MAX_SNAPSHOT_BYTES:
-        raise ConfigError(f"grid.n_points: {grid.n_points} points need {step / 2**20:.0f} MiB for one step "
-                          f"on top of {kept / 2**20:.0f} MiB of snapshots "
-                          f"(bound {MAX_SNAPSHOT_BYTES / 2**20:.0f} MiB)")
-    table = TABLE_BYTES_PER_STEP * n_steps
-    if kept + step + table > MAX_SNAPSHOT_BYTES:
-        raise ConfigError(f"run.z_max: {n_steps:.3g} PDE steps need {table / 2**20:.0f} MiB of background table "
-                          f"on top of {(kept + step) / 2**20:.0f} MiB of fields "
-                          f"(bound {MAX_SNAPSHOT_BYTES / 2**20:.0f} MiB)")
 
 
 def auto_grid(params: CoreParams, z_max: float) -> dict:

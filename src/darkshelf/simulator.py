@@ -4,10 +4,10 @@ Method of lines from the exact soliton: 4th-order central Laplacian (one-sided
 at the edges), classical RK4 in z at 0.9 of its stability limit on the spectrum
 linearized about the background, snapshots on the exact grid k z_max / n_snap,
 and Dirichlet boundary values pinned to the adiabatically evolving background;
-the edges' reach t0 +- int u_inf dz is checked before the first step.  The
-field carries the soliton phase jump, so it is not periodic.  The grid is
-cell-centered and symmetric about t = 0, so the discrete odd symmetry of a
-black soliton is exact.
+SimConfig.check holds every limit of a run and refuses one before its first
+step.  The field carries the soliton phase jump, so it is not periodic.  The
+grid is cell-centered and symmetric about t = 0, so the discrete odd symmetry
+of a black soliton is exact.
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ RK4_IMAGINARY_LIMIT = 2.0 * math.sqrt(2.0)  # RK4 is stable on the imaginary axi
 STABILITY_MARGIN = 0.9  # fraction of that limit that dz times the top linearized frequency reaches (dz_per_dt2)
 MAX_UINF_DT = 1.018350154434631  # coarsest u_inf dt: about a point per 1/u_inf, the core's least width
 MAX_STEP_GROWTH = 1.0 + 1e-12  # step_growth allowed: 1 up to the rounding of the RK4 polynomial
+MAX_POINT_STEPS = 1e10  # PDE steps x grid points
+MAX_SNAPSHOT_BYTES = 2**30  # (kept snapshots + STEP_FIELDS) x grid points x 16 B + the background table
+STEP_FIELDS = 9  # complex fields live in one RK4 step of run (tracemalloc at N = 4096: 7.1, two-photon 8.6)
+TABLE_BYTES_PER_STEP = 256  # run's background table, 3 z per step, as built (tracemalloc: 200-224)
 MIN_PLATEAU_POINTS = 20  # samples a shelf plateau window must hold
 EDGE_LEVEL = 0.25  # fraction of the plateau deviation marking a tracked edge
 FMT = "{:.17g}"  # CSV number format: round-trips every float64
@@ -40,10 +44,6 @@ class SimulationError(RuntimeError):
 
 
 class StabilityError(SimulationError):
-    pass
-
-
-class BoundaryContaminationError(SimulationError):
     pass
 
 
@@ -100,6 +100,53 @@ class SimConfig:
         n_snap = max(1, round(min(z_max / self.snapshot_dz, fewest)))
         stride = -(-fewest // n_snap)
         return z_max / (n_snap * stride), n_snap * stride, stride
+
+    def check(self, grid: Grid, params: CoreParams, z_max: float) -> tuple[float, int, int]:
+        """resolve(grid, z_max, params.u_inf) of a run within the MAX_ limits, L >= 3 u_inf z_max and a shelf-edge
+        reach |t0| + dt/2 + u_inf z_max <= 0.9 L; else a ValueError naming the config field at fault
+        ("perturbation" for the forcing's strength)."""
+        u_inf, dt, n = params.u_inf, grid.dt, grid.n_points
+        if u_inf * dt > MAX_UINF_DT:
+            raise ValueError(f"grid.n_points: {n} points give u_inf*dt = {u_inf * dt:.4g} > {MAX_UINF_DT:.4g}, "
+                             "coarser than a point per 1/u_inf, the core's least width")
+        if grid.half_width < 3.0 * u_inf * z_max:
+            raise ValueError(f"grid.half_width: {grid.half_width} < 3*u_inf*z_max = {3 * u_inf * z_max}")
+        reach = abs(params.t0) + 0.5 * dt + u_inf * z_max
+        if reach > 0.9 * grid.half_width:
+            raise ValueError(f"soliton.t0: shelf edges from t0 = {params.t0} reach {reach:.4g} by run.z_max, "
+                             f"past 0.9*half_width = {0.9 * grid.half_width:.4g}")
+        # n_points is bounded first; near 1e308 points, or on a tiny half_width, dt**2 underflows.
+        if n > MAX_POINT_STEPS:
+            raise ValueError(f"grid.n_points: {n:.3g} points exceed the bound {MAX_POINT_STEPS:.0e} "
+                             "point-steps in one step")
+        try:
+            resolved = self.resolve(grid, z_max, u_inf)
+        except (ZeroDivisionError, OverflowError):  # dt**2 is 0, or the step count is past the floats
+            resolved = (0.0, math.inf, 1)
+        _, n_steps, stride = resolved
+        if n_steps * n > MAX_POINT_STEPS:
+            raise ValueError(f"grid.n_points: {n_steps:.3g} steps x {n:.3g} points exceed "
+                             f"the bound {MAX_POINT_STEPS:.0e} point-steps")
+        mib = MAX_SNAPSHOT_BYTES / 2**20
+        kept = (1 + n_steps // stride) * n * 16
+        if kept > MAX_SNAPSHOT_BYTES:
+            raise ValueError(f"run.snapshot_dz: {self.snapshot_dz} keeps {kept / 2**20:.0f} MiB of snapshots "
+                             f"(bound {mib:.0f} MiB)")
+        step = STEP_FIELDS * n * 16
+        if kept + step > MAX_SNAPSHOT_BYTES:
+            raise ValueError(f"grid.n_points: {n} points need {step / 2**20:.0f} MiB for one step "
+                             f"on top of {kept / 2**20:.0f} MiB of snapshots (bound {mib:.0f} MiB)")
+        table = TABLE_BYTES_PER_STEP * n_steps
+        if kept + step + table > MAX_SNAPSHOT_BYTES:
+            raise ValueError(f"run.z_max: {n_steps:.3g} PDE steps need {table / 2**20:.0f} MiB of background table "
+                             f"on top of {(kept + step) / 2**20:.0f} MiB of fields (bound {mib:.0f} MiB)")
+        if self.epsilon != 0.0:
+            damping = self.epsilon * self.perturbation.point_eval(0j, 1.0).imag  # eps gamma of i gamma u_tt, else 0
+            growth = step_growth(damping, u_inf * dt) if damping else 1.0
+            if not growth <= MAX_STEP_GROWTH:
+                raise ValueError(f"perturbation: the u_tt coefficient eps*Im F(0, 1) = {damping:.4g} at u_inf*dt = "
+                                 f"{u_inf * dt:.4g} makes the PDE step unstable (growth {growth:.4g} per step)")
+        return resolved
 
 
 @dataclass(frozen=True)
@@ -214,23 +261,14 @@ def run(
     boundary after the step before), n dz + dz/2 and n dz + dz.  Each stage's rate is
     written into one set of buffers.
 
-    Raises BoundaryContaminationError before the first step when the shelf edges' reach
-    |t0| + sum_n dz u_inf(n dz) passes 0.9 L, and StabilityError on norm blow-up.
+    Raises ValueError before the first step when config.check refuses the run, and
+    StabilityError on norm blow-up.
     """
-    if grid.half_width < 3.0 * params.u_inf * z_max:
-        raise ValueError(
-            f"half_width {grid.half_width} < 3 u_inf z_max = {3 * params.u_inf * z_max}: "
-            "shelf edges must stay within the inner third of the domain"
-        )
-    dz, n_steps, stride = config.resolve(grid, z_max, params.u_inf)
+    dz, n_steps, stride = config.check(grid, params, z_max)
     z_step = np.arange(n_steps + 1) * dz
     zs = np.concatenate((z_step, z_step[:-1] + 0.5 * dz, z_step[:-1] + dz))
     u_inf, rate = background.u_inf_fn(zs), background.rate_fn(zs)
     half, full = n_steps + 1, 2 * n_steps + 1  # where the n dz + dz/2 and n dz + dz entries start
-    reach = abs(params.t0) + sum(dz * u for u in u_inf[:n_steps].tolist())
-    if reach > 0.9 * grid.half_width:
-        raise BoundaryContaminationError(f"shelf edges reach {reach:.4g} by z={z_max:.3g}, "
-                                         "within L/10 of the boundary")
     dt = grid.dt
     eps = config.epsilon
     pert = config.perturbation

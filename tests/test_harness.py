@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darkshelf import asymptotics, cli, harness, simulator
+from darkshelf.perturbations import BUILTINS
 from darkshelf.soliton import CoreParams
 
 
@@ -167,7 +168,7 @@ class TestConfigs:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (harness.STEP_FIELDS + len(snapshots)) * exp.grid.n_points * 16
+        assert peak <= (simulator.STEP_FIELDS + len(snapshots)) * exp.grid.n_points * 16
 
     @pytest.mark.parametrize("uinf_dt, ok", [(1.0, True), (1.05, False)])
     def test_grid_spacing_bounded_by_background(self, uinf_dt, ok):
@@ -291,6 +292,63 @@ class TestConfigs:
         z_deep = harness.measurement_distance(deep, 0.05, -0.83, +1)
         z_shallow = harness.measurement_distance(shallow, 0.05, -0.71, +1)
         assert z_shallow > 2 * z_deep
+
+
+def _run_objects(cfg: dict):
+    """The SimConfig, grid, soliton and z_max that validate builds from ``cfg``, built without validate."""
+    pert_cfg, sol, run_cfg = cfg["perturbation"], cfg["soliton"], cfg["run"]
+    pert = None if pert_cfg is None else BUILTINS[pert_cfg["label"]](
+        **{k: v for k, v in pert_cfg.items() if k != "label"})
+    params = CoreParams.from_background(sol["u_inf"], sol["delta_phi0"], t0=sol.get("t0", 0.0))
+    grid = simulator.Grid(cfg["grid"]["half_width"], int(cfg["grid"]["n_points"]))
+    snapshot_dz = run_cfg.get("snapshot_dz", simulator.SimConfig.snapshot_dz)
+    return simulator.SimConfig(cfg["epsilon"], pert, snapshot_dz), grid, params, run_cfg["z_max"]
+
+
+class TestRunRefusals:
+    """validate and simulator.run refuse the same runs, for the same field and in the same words."""
+
+    @pytest.mark.parametrize("preset, changes, field", [
+        ("black_unperturbed", {"grid": {"half_width": 134.4, "n_points": 256}}, "grid.n_points"),  # u_inf dt 1.05
+        ("grey_dispersive", {"grid": {"half_width": 20.0, "n_points": 2048}}, "grid.half_width"),
+        ("grey_dispersive", {"soliton.t0": 70.0, "grid": {"half_width": 100.0, "n_points": 1024},
+                             "run.z_max": 20.0}, "soliton.t0"),
+        ("grey_dispersive", {"perturbation.gamma": 6.0, "grid": {"half_width": 128.0, "n_points": 256},
+                             "run.z_max": 1.0}, "perturbation.gamma"),  # eps gamma = 0.3 at u_inf dt = 1
+        ("grey_dispersive", {"grid": {"half_width": 100.0, "n_points": 10**7}}, "grid.n_points"),  # 3.75e11 steps
+        ("black_dispersive", {"grid": {"half_width": 100.0, "n_points": 8192}, "run.snapshot_dz": 1e-12},
+         "run.snapshot_dz"),  # 6.4 GiB of snapshots
+    ], ids=["uinf_dt", "half_width", "reach", "step_growth", "point_steps", "snapshot_memory"])
+    def test_run_refuses_what_validate_refuses(self, preset, changes, field, monkeypatch):
+        cfg = harness.load_config(preset)
+        for key, value in changes.items():
+            *section, leaf = key.split(".")
+            (cfg[section[0]] if section else cfg)[leaf] = value
+        with pytest.raises(harness.ConfigError, match=f"^{field}: ") as refused:
+            harness.validate(cfg)
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("stepped a run that validate refuses")
+
+        monkeypatch.setattr(simulator, "second_derivative", no_step)  # every stage calls it
+        sim, grid, params, z_max = _run_objects(cfg)
+        with pytest.raises(ValueError) as run_refused:
+            simulator.run(sim, grid, params, simulator.SimBackground.constant(params.u_inf), z_max)
+        run_field, _, text = str(run_refused.value).partition(": ")
+        assert run_field == ("perturbation" if field.startswith("perturbation.") else field)
+        assert text == str(refused.value).partition(": ")[2]
+
+    def test_run_resolves_its_step_once(self, monkeypatch):
+        resolve, calls = simulator.SimConfig.resolve, []
+
+        def counted(*args):
+            calls.append(args)
+            return resolve(*args)
+
+        monkeypatch.setattr(simulator.SimConfig, "resolve", counted)
+        sim, grid, params, z_max = _run_objects(_console_cfg(_FORCINGS["dispersive_damping"]))
+        simulator.run(sim, grid, params, simulator.SimBackground.constant(params.u_inf), z_max)
+        assert len(calls) == 1
 
 
 def _one_field_replaced():
@@ -641,13 +699,15 @@ class TestCli:
         p.write_text("{not json", encoding="utf-8")
         assert cli.main(["--config", str(p), "predict"]) == 2
 
-    @pytest.mark.parametrize("kind", ["not_utf8", "directory"])
+    @pytest.mark.parametrize("kind", ["not_utf8", "directory", "deep_array", "deep_object", "long_int"])
     def test_unreadable_config_file(self, kind, tmp_path, capsys):
+        # The deep configs exceed the JSON decoder's recursion depth; the long int exceeds Python's digit limit.
         p = tmp_path / "cfg"
         if kind == "directory":
             p.mkdir()
         else:
-            p.write_bytes(b"\xff{}")
+            p.write_bytes({"not_utf8": b"\xff{}", "deep_array": b"[" * 100_000, "deep_object": b'{"a":' * 50_000,
+                           "long_int": b'{"epsilon": ' + b"1" * 5000 + b"}"}[kind])
         assert cli.main(["--config", str(p), "predict"]) == 2
         assert "validation error: config:" in capsys.readouterr().err
 

@@ -13,7 +13,6 @@ from darkshelf.simulator import (
     MAX_UINF_DT,
     RK4_IMAGINARY_LIMIT,
     STABILITY_MARGIN,
-    BoundaryContaminationError,
     FieldState,
     Grid,
     MeasurementError,
@@ -321,7 +320,7 @@ class TestBoundaryHandling:
         params = CoreParams.from_background(1.0, math.pi, t0=40.0)
         grid = Grid(half_width=50.0, n_points=1024)
         bg = SimBackground.constant(1.0)
-        with pytest.raises(BoundaryContaminationError):
+        with pytest.raises(ValueError, match="^soliton.t0: "):
             run(SimConfig(), grid, params, bg, z_max=12.0)
 
 
