@@ -107,7 +107,7 @@ PRESETS: dict[str, dict] = {
         "perturbation": {"label": "dispersive_damping", "gamma": 1.0},
         "epsilon": 0.05,
         "soliton": {"u_inf": 1.0, "delta_phi0": math.pi, "t0": 0.0, "sigma0": 0.0},
-        "grid": {"half_width": 100.0, "n_points": 4096},
+        "grid": {"half_width": 50.0, "n_points": 2048},
         "run": {"z_max": 30.0, "snapshot_dz": 0.5},
         "observables": ["shelf", "black_balance", "sigma0", "edges", "t0", "layer"],
     },
@@ -115,7 +115,7 @@ PRESETS: dict[str, dict] = {
         "perturbation": {"label": "dispersive_damping", "gamma": 1.0},
         "epsilon": 0.05,
         "soliton": {"u_inf": 1.0, "delta_phi0": 4 * math.pi / 5, "t0": 0.0, "sigma0": 0.0},
-        "grid": {"half_width": 100.0, "n_points": 2048},
+        "grid": {"half_width": 50.0, "n_points": 1024},
         "run": {"z_max": 30.0, "snapshot_dz": 0.5},
         "observables": ["shelf", "a_constancy", "sigma0", "edges"],
     },
@@ -123,7 +123,7 @@ PRESETS: dict[str, dict] = {
         "perturbation": None,
         "epsilon": 0.0,
         "soliton": {"u_inf": 1.0, "delta_phi0": math.pi, "t0": 0.0, "sigma0": 0.0},
-        "grid": {"half_width": 100.0, "n_points": 4096},
+        "grid": {"half_width": 25.0, "n_points": 1024},
         "run": {"z_max": 10.0, "snapshot_dz": 0.5},
         "observables": ["fidelity"],
     },
@@ -131,7 +131,7 @@ PRESETS: dict[str, dict] = {
         "perturbation": {"label": "linear_damping", "Gamma": 0.5},
         "epsilon": 0.05,
         "soliton": {"u_inf": 1.0, "delta_phi0": 4 * math.pi / 5, "t0": 0.0, "sigma0": 0.0},
-        "grid": {"half_width": 100.0, "n_points": 2048},
+        "grid": {"half_width": 50.0, "n_points": 1024},
         "run": {"z_max": 20.0, "snapshot_dz": 0.5},
         "observables": ["shelf"],
     },
@@ -264,8 +264,9 @@ def validate(cfg: dict) -> Experiment:
         raise ConfigError(f"run.z_max: {exc}") from exc
     try:
         grid_cfg = {"grid": _section(cfg, "grid") or auto_grid(params, z_max)}
-    except OverflowError as exc:
-        raise ConfigError(f"run.z_max: {z_max} is too long for an automatic grid") from exc
+    except OverflowError as exc:  # the reach |t0| + u_inf z_max is past the floats; name its larger part
+        field = "soliton.t0" if abs(t0) > u_inf * z_max else "run.z_max"
+        raise ConfigError(f"{field}: the reach |t0| + u_inf*z_max is too far for an automatic grid") from exc
     half_width, n_points = _field(grid_cfg, "grid.half_width"), _field(grid_cfg, "grid.n_points", integer=True)
     try:
         grid = simulator.Grid(half_width, n_points)
@@ -299,8 +300,8 @@ def validate(cfg: dict) -> Experiment:
 
 
 def auto_grid(params: CoreParams, z_max: float) -> dict:
-    """Grid sized so edges stay inside L/3 and dt is min(0.1, 1/u_inf) or finer."""
-    half = math.ceil(3.0 * params.u_inf * z_max * 1.05 + 5.0)
+    """Grid holding the shelf edges' reach |t0| + u_inf z_max in 0.6 (L - 5), with dt <= min(0.1, 1/u_inf)."""
+    half = math.ceil((abs(params.t0) + params.u_inf * z_max) / 0.6 + 5.0)
     n = 512 * math.ceil(2.0 * half / min(0.1, 1.0 / params.u_inf) / 512)
     return {"half_width": float(half), "n_points": int(max(n, 512))}
 

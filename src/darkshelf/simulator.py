@@ -102,18 +102,17 @@ class SimConfig:
         return z_max / (n_snap * stride), n_snap * stride, stride
 
     def check(self, grid: Grid, params: CoreParams, z_max: float) -> tuple[float, int, int]:
-        """resolve(grid, z_max, params.u_inf) of a run within the MAX_ limits, L >= 3 u_inf z_max and a shelf-edge
-        reach |t0| + dt/2 + u_inf z_max <= 0.9 L; else a ValueError naming the config field at fault
-        ("perturbation" for the forcing's strength)."""
+        """resolve(grid, z_max, params.u_inf) of a run within the MAX_ limits and a shelf-edge reach
+        |t0| + dt/2 + u_inf z_max <= 0.9 L; else a ValueError naming the config field at fault ("perturbation"
+        for the forcing's strength; "soliton.t0" for a reach that fits at t0 = 0, else "grid.half_width")."""
         u_inf, dt, n = params.u_inf, grid.dt, grid.n_points
         if u_inf * dt > MAX_UINF_DT:
             raise ValueError(f"grid.n_points: {n} points give u_inf*dt = {u_inf * dt:.4g} > {MAX_UINF_DT:.4g}, "
                              "coarser than a point per 1/u_inf, the core's least width")
-        if grid.half_width < 3.0 * u_inf * z_max:
-            raise ValueError(f"grid.half_width: {grid.half_width} < 3*u_inf*z_max = {3 * u_inf * z_max}")
-        reach = abs(params.t0) + 0.5 * dt + u_inf * z_max
-        if reach > 0.9 * grid.half_width:
-            raise ValueError(f"soliton.t0: shelf edges from t0 = {params.t0} reach {reach:.4g} by run.z_max, "
+        edge = 0.5 * dt + u_inf * z_max  # the reach from t0 = 0
+        if (reach := abs(params.t0) + edge) > 0.9 * grid.half_width:
+            field = "grid.half_width" if edge > 0.9 * grid.half_width else "soliton.t0"
+            raise ValueError(f"{field}: shelf edges from t0 = {params.t0} reach {reach:.4g} by run.z_max, "
                              f"past 0.9*half_width = {0.9 * grid.half_width:.4g}")
         # n_points is bounded first; near 1e308 points, or on a tiny half_width, dt**2 underflows.
         if n > MAX_POINT_STEPS:

@@ -3,9 +3,9 @@
 Each test prints one PASS/FAIL line (run with -s to see them live).  The
 expensive simulations are shared through module-scoped fixtures:
 
-* criterion 1 uses the unperturbed black preset (N = 4096, L = 100, z = 10);
+* criterion 1 uses the unperturbed black preset (N = 1024, L = 25, z = 10);
 * criteria 2, 3 (black side) and 5 share one black dispersive run at
-  N = 4096, z = 30;
+  N = 2048, L = 50, z = 30;
 * criterion 3 (grey side) uses the grey dispersive preset at 4 pi/5;
 * criterion 4 sweeps {2pi/5, 3pi/5, 4pi/5, pi} with per-angle run lengths
   chosen by the measurement-window rules;

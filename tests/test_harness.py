@@ -283,8 +283,23 @@ class TestConfigs:
     def test_auto_grid_respects_domain_rule(self):
         params = CoreParams.from_background(1.0, 2 * math.pi / 5)
         g = harness.auto_grid(params, 75.0)
-        assert g["half_width"] >= 3.0 * 75.0
+        assert 75.0 <= 0.6 * g["half_width"] <= 75.0 + 0.6 * 6.0
         assert g["n_points"] % 512 == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(u_inf=st.floats(0.05, 20.0), dphi=st.floats(0.3, math.pi), t0=st.floats(-50.0, 50.0),
+           z_max=st.floats(0.01, 40.0))
+    def test_auto_grid_holds_the_reach(self, u_inf, dphi, t0, z_max):
+        # No forcing, so no cascade or step-growth limit, and the run's size stays inside its bounds.
+        cfg = {"perturbation": None, "epsilon": 0.0, "soliton": {"u_inf": u_inf, "delta_phi0": dphi, "t0": t0},
+               "run": {"z_max": z_max}, "observables": ["fidelity"]}
+        exp = harness.validate(cfg)
+        g = harness.auto_grid(exp.params, z_max)
+        assert (exp.grid.half_width, exp.grid.n_points) == (g["half_width"], g["n_points"])
+        reach = abs(t0) + u_inf * z_max
+        assert reach <= 0.6 * (exp.grid.half_width - 5.0)
+        assert exp.grid.half_width <= reach / 0.6 + 6.0  # within a fixed factor of the reach, past the allowance
+        assert exp.grid.dt <= min(0.1, 1.0 / u_inf)
 
     def test_measurement_distance_scales_with_shallowness(self):
         deep = CoreParams.from_background(1.0, 4 * math.pi / 5)
@@ -580,6 +595,28 @@ class TestCompareDegradation:
         assert report.notes
 
 
+class TestNarrowDomain:
+    """The reach rule in place of L >= 3 u_inf z_max: on the narrowest domain it admits, |u| over the edges'
+    reach matches the same run on a domain three times as wide, at the same dt and steps."""
+
+    @pytest.mark.parametrize("preset", ["black_unperturbed", "grey_dispersive", "grey_linear_damping"])
+    def test_narrow_domain_matches_wide(self, preset):
+        inner = []
+        for half_width, n_points in ((20.0, 512), (60.0, 1536)):  # dt = 0.078125 on both
+            cfg = harness.load_config(preset)
+            cfg["grid"], cfg["run"]["z_max"] = {"half_width": half_width, "n_points": n_points}, 10.0
+            art = harness.simulate(harness.validate(cfg))
+            reach = np.abs(art.exp.grid.t) <= art.exp.params.u_inf * art.exp.z_max
+            inner.append((art.exp.grid.t[reach], np.abs(art.final.samples[reach])))
+        (t_narrow, u_narrow), (t_wide, u_wide) = inner
+        np.testing.assert_allclose(t_narrow, t_wide, rtol=0, atol=1e-12)
+        if art.exp.epsilon == 0.0:
+            bound = 1e-6  # the fidelity row's tolerance
+        else:  # 1% of the smaller predicted plateau
+            bound = 0.01 * art.exp.epsilon * min(abs(art.shelf0.q1_plus), abs(art.shelf0.q1_minus))
+        assert np.max(np.abs(u_narrow - u_wide)) <= bound
+
+
 class TestSweep:
     def test_sweep_configs_examples(self):
         base = harness.load_config("grey_dispersive")
@@ -588,13 +625,13 @@ class TestSweep:
         deep = by_tag["dphi2.51327"]
         shallow = by_tag["dphi1.25664"]
         assert shallow["run"]["z_max"] > deep["run"]["z_max"]
-        assert shallow["grid"]["half_width"] >= 3.0 * shallow["run"]["z_max"]
+        assert shallow["run"]["z_max"] <= 0.6 * shallow["grid"]["half_width"]
 
     def test_sweep_configs_validate_the_config_each_angle_runs(self):
-        # At 0.5 the sweep's own run length (755) and grid (48,128 points) keep 1.1 GiB of snapshots.
+        # At 0.4 the sweep's own run length and grid keep 1.8 GiB of snapshots.
         base = harness.load_config("grey_dispersive")
-        with pytest.raises(harness.ConfigError, match=r"delta_phi0 0\.5: run\.snapshot_dz"):
-            harness.sweep_configs(base, [4 * math.pi / 5, 0.5])
+        with pytest.raises(harness.ConfigError, match=r"delta_phi0 0\.4: run\.snapshot_dz"):
+            harness.sweep_configs(base, [4 * math.pi / 5, 0.4])
 
     def test_merge_keeps_per_angle_notes(self):
         # Per-angle reports as a failing shelf measurement leaves them.
@@ -615,7 +652,7 @@ class TestSweep:
         base = harness.load_config("grey_linear_damping")
         (tag, cfg), = harness.sweep_configs(base, [2 * math.pi / 5])
         assert cfg["run"]["z_max"] == 75.0
-        assert cfg["grid"] == {"half_width": 242.0, "n_points": 5120}
+        assert cfg["grid"] == {"half_width": 130.0, "n_points": 3072}
 
 
 def _console_cfg(perturbation, delta_phi0=math.pi, grid=(15.0, 256), z_max=1.0, **top):
@@ -656,6 +693,20 @@ CONSOLE_CASES = [
     *(pytest.param(_console_cfg(_FORCINGS["two_photon"], observables=[obs], **_TINY_EPS), ["compare"], 2,
                    "validation error: perturbation.gamma3: the shelf plateau |eps*q1_plus|", [],
                    id=f"eps_1e-308_{obs}") for obs in ("edges", "sigma0", "black_balance")),
+    # The shelf edges' reach, |t0| + dt/2 + u_inf z_max = 16.06, passes 0.9 half_width = 13.5 even at t0 = 0.
+    pytest.param(_console_cfg(None, z_max=16.0, epsilon=0.0, observables=["fidelity"]), ["compare"], 2,
+                 "validation error: grid.half_width: shelf edges from t0 = 0.0 reach 16.06", [], id="reach_half_width"),
+    # At t0 = 0 the reach (5.06) fits inside 13.5; the offset t0 = 9 alone carries it past.
+    pytest.param(_console_cfg(None, z_max=5.0, epsilon=0.0, observables=["fidelity"],
+                              soliton={"u_inf": 1.0, "delta_phi0": math.pi, "t0": 9.0}), ["compare"], 2,
+                 "validation error: soliton.t0: shelf edges from t0 = 9.0 reach 14.06", [], id="reach_t0"),
+    # With no grid, a reach past the floats has no automatic grid; the error names its larger part.
+    *(pytest.param({k: v for k, v in _console_cfg(None, z_max=z_max, epsilon=0.0, observables=["fidelity"],
+                                                  soliton={"u_inf": 1.0, "delta_phi0": math.pi, "t0": t0}).items()
+                    if k != "grid"}, ["predict"], 2,
+                   f"validation error: {field}: the reach |t0| + u_inf*z_max is too far for an automatic grid", [],
+                   id=f"reach_auto_grid_{field}") for field, t0, z_max in (("soliton.t0", 1e308, 1.0),
+                                                                          ("run.z_max", 0.0, 1e308))),
     pytest.param(_console_cfg({"label": "dispersive_damping", "gamma": 5e-324}, 2.5, (40.0, 512), 12.0,
                               observables=["edges"]), ["compare"], 2,
                  "validation error: perturbation.gamma: the shelf plateau |eps*q1_plus| = 0", [],
@@ -736,7 +787,7 @@ class TestCli:
         # Angles sharing a tag (dphi2.5, dphi2.51327) would drop each other's rows.
         ("grey_dispersive", "2.5"), ("grey_dispersive", "2.0 2.0"), ("grey_dispersive", "2.5132741 2.5132742"),
         # Valid as given, but the run length and grid the sweep sets for it are not.
-        ("grey_dispersive", "0.5"),
+        ("grey_dispersive", "0.4"),
     ])
     def test_sweep_bad_angle_rejected_before_pool(self, config, angle, tmp_path, monkeypatch, capsys):
         import concurrent.futures

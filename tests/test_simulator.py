@@ -129,10 +129,11 @@ class TestGridAndConfig:
         assert self._rk4_growth(1.07 / STABILITY_MARGIN * dz, lam) > 1.0
 
     def test_domain_size_guard(self):
+        # The edges' reach 20 + dt/2 passes 0.9 L = 18 from t0 = 0, so the domain is at fault.
         grid = Grid(half_width=20.0, n_points=512)
         bg = SimBackground.constant(1.0)
-        with pytest.raises(ValueError):
-            run(SimConfig(), grid, BLACK, bg, z_max=10.0)
+        with pytest.raises(ValueError, match="^grid.half_width: "):
+            run(SimConfig(), grid, BLACK, bg, z_max=20.0)
 
 
 class TestUnperturbedFidelity:
