@@ -262,21 +262,20 @@ def validate(cfg: dict) -> Experiment:
         asymptotics.slow_steps(eps * z_max)
     except ValueError as exc:
         raise ConfigError(f"run.z_max: {exc}") from exc
+    sim = simulator.SimConfig(eps, pert, snapshot_dz)
     try:
-        grid_cfg = {"grid": _section(cfg, "grid") or auto_grid(params, z_max)}
-    except OverflowError as exc:  # the reach |t0| + u_inf z_max is past the floats; name its larger part
-        field = "soliton.t0" if abs(t0) > u_inf * z_max else "run.z_max"
-        raise ConfigError(f"{field}: the reach |t0| + u_inf*z_max is too far for an automatic grid") from exc
-    half_width, n_points = _field(grid_cfg, "grid.half_width"), _field(grid_cfg, "grid.n_points", integer=True)
-    try:
-        grid = simulator.Grid(half_width, n_points)
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
-    try:
-        simulator.SimConfig(eps, pert, snapshot_dz).check(grid, params, z_max)
-    except ValueError as exc:  # it names the field, or "perturbation" for the forcing's strength
-        name, _, text = str(exc).partition(": ")
-        raise ConfigError(f"{strength if name == 'perturbation' else name}: {text}") from exc
+        grid = _checked_grid(cfg, sim, params, z_max, strength)
+    except (ConfigError, OverflowError) as exc:  # OverflowError: auto_grid for a reach past the floats
+        if _section(cfg, "grid"):
+            raise
+        detail = str(exc) if isinstance(exc, ConfigError) else "the reach is past the floats"
+        try:  # auto_grid holds |t0|: as check names the reach, the offset is at fault if the run fits from t0 = 0
+            _checked_grid(cfg, sim, replace(params, t0=0.0), z_max, strength)
+        except (ConfigError, OverflowError):
+            if isinstance(exc, ConfigError):
+                raise exc
+            raise ConfigError(f"run.z_max: no automatic grid holds u_inf*z_max ({detail})") from exc
+        raise ConfigError(f"soliton.t0: no automatic grid holds the reach from t0 = {t0} ({detail})") from exc
     core = "black" if params.is_black else "grey"
     defaults = dict.fromkeys(o.name for o in OBSERVABLES if core in o.default_for)
     observables = _names(cfg, "observables", {o.name for o in OBSERVABLES}, defaults)
@@ -299,10 +298,28 @@ def validate(cfg: dict) -> Experiment:
                       observables=observables)
 
 
+def _checked_grid(cfg: dict, sim: simulator.SimConfig, params: CoreParams, z_max: float, strength) -> simulator.Grid:
+    """The config's grid, else auto_grid's, if sim.check admits it; else a ConfigError naming the field."""
+    grid_cfg = {"grid": _section(cfg, "grid") or auto_grid(params, z_max)}
+    half_width, n_points = _field(grid_cfg, "grid.half_width"), _field(grid_cfg, "grid.n_points", integer=True)
+    try:
+        grid = simulator.Grid(half_width, n_points)
+    except ValueError as exc:
+        raise ConfigError(f"grid: {exc}") from exc
+    try:
+        sim.check(grid, params, z_max)
+    except ValueError as exc:  # it names the field, or "perturbation" for the forcing's strength
+        name, _, text = str(exc).partition(": ")
+        raise ConfigError(f"{strength if name == 'perturbation' else name}: {text}") from exc
+    return grid
+
+
 def auto_grid(params: CoreParams, z_max: float) -> dict:
-    """Grid holding the shelf edges' reach |t0| + u_inf z_max in 0.6 (L - 5), with dt <= min(0.1, 1/u_inf)."""
-    half = math.ceil((abs(params.t0) + params.u_inf * z_max) / 0.6 + 5.0)
-    n = 512 * math.ceil(2.0 * half / min(0.1, 1.0 / params.u_inf) / 512)
+    """The narrowest whole half_width SimConfig.check admits at dt <= min(0.1, 1/u_inf), N a multiple of 512:
+    simulator.min_half_width of the shelf edges' reach |t0| + dt/2 + u_inf z_max."""
+    dt = min(0.1, 1.0 / params.u_inf)
+    half = math.ceil(simulator.min_half_width(abs(params.t0) + 0.5 * dt + params.u_inf * z_max))
+    n = 512 * math.ceil(2.0 * half / dt / 512)
     return {"half_width": float(half), "n_points": int(max(n, 512))}
 
 

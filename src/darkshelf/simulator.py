@@ -34,6 +34,8 @@ MAX_POINT_STEPS = 1e10  # PDE steps x grid points
 MAX_SNAPSHOT_BYTES = 2**30  # (kept snapshots + STEP_FIELDS) x grid points x 16 B + the background table
 STEP_FIELDS = 9  # complex fields live in one RK4 step of run (tracemalloc at N = 4096: 7.1, two-photon 8.6)
 TABLE_BYTES_PER_STEP = 256  # run's background table, 3 z per step, as built (tracemalloc: 200-224)
+REACH_FRACTION = 0.65  # share of half_width - CORE_ALLOWANCE the shelf edges may reach (TestNarrowDomain)
+CORE_ALLOWANCE = 3.5  # half_width past the reach the edge fronts need even on short runs
 MIN_PLATEAU_POINTS = 20  # samples a shelf plateau window must hold
 EDGE_LEVEL = 0.25  # fraction of the plateau deviation marking a tracked edge
 FMT = "{:.17g}"  # CSV number format: round-trips every float64
@@ -102,25 +104,25 @@ class SimConfig:
         return z_max / (n_snap * stride), n_snap * stride, stride
 
     def check(self, grid: Grid, params: CoreParams, z_max: float) -> tuple[float, int, int]:
-        """resolve(grid, z_max, params.u_inf) of a run within the MAX_ limits and a shelf-edge reach
-        |t0| + dt/2 + u_inf z_max <= 0.9 L; else a ValueError naming the config field at fault ("perturbation"
-        for the forcing's strength; "soliton.t0" for a reach that fits at t0 = 0, else "grid.half_width")."""
+        """resolve(grid, z_max, params.u_inf) of a run within the MAX_ limits and min_half_width(|t0| + dt/2 +
+        u_inf z_max); else a ValueError naming the config field at fault ("perturbation" for the forcing's
+        strength; "soliton.t0" for a reach that fits at t0 = 0, else "grid.half_width")."""
         u_inf, dt, n = params.u_inf, grid.dt, grid.n_points
         if u_inf * dt > MAX_UINF_DT:
             raise ValueError(f"grid.n_points: {n} points give u_inf*dt = {u_inf * dt:.4g} > {MAX_UINF_DT:.4g}, "
                              "coarser than a point per 1/u_inf, the core's least width")
         edge = 0.5 * dt + u_inf * z_max  # the reach from t0 = 0
-        if (reach := abs(params.t0) + edge) > 0.9 * grid.half_width:
-            field = "grid.half_width" if edge > 0.9 * grid.half_width else "soliton.t0"
+        if grid.half_width < (least := min_half_width(reach := abs(params.t0) + edge)):
+            field = "grid.half_width" if grid.half_width < min_half_width(edge) else "soliton.t0"
             raise ValueError(f"{field}: shelf edges from t0 = {params.t0} reach {reach:.4g} by run.z_max, "
-                             f"past 0.9*half_width = {0.9 * grid.half_width:.4g}")
-        # n_points is bounded first; near 1e308 points, or on a tiny half_width, dt**2 underflows.
+                             f"which needs half_width >= {least:.4g}")
+        # n_points is bounded first: with half_width >= CORE_ALLOWANCE, dt**2 >= 4.9e-19 cannot underflow.
         if n > MAX_POINT_STEPS:
             raise ValueError(f"grid.n_points: {n:.3g} points exceed the bound {MAX_POINT_STEPS:.0e} "
                              "point-steps in one step")
         try:
             resolved = self.resolve(grid, z_max, u_inf)
-        except (ZeroDivisionError, OverflowError):  # dt**2 is 0, or the step count is past the floats
+        except OverflowError:  # the step count is past the floats
             resolved = (0.0, math.inf, 1)
         _, n_steps, stride = resolved
         if n_steps * n > MAX_POINT_STEPS:
@@ -189,6 +191,12 @@ class SimBackground:
             return (epsilon * background_rate(pert, np.atleast_1d(u_inf_fn(z)))).reshape(np.shape(z))[()]
 
         return cls(u_inf_fn=u_inf_fn, rate_fn=rate_fn)
+
+
+def min_half_width(reach: float) -> float:
+    """The narrowest half_width for shelf edges reaching |t| = reach: a short run needs a gap past the reach
+    in absolute terms, a long one in proportion, before the pinned edges leave |u| as it is on a wide domain."""
+    return reach / REACH_FRACTION + CORE_ALLOWANCE
 
 
 def dz_per_dt2(uinf_dt: float) -> float:

@@ -83,7 +83,7 @@ class TestConfigs:
         ("run.z_max", -5.0),
         ("run.snapshot_dz", 0.0),
         ("run.snapshot_dz", -0.5),
-        ("grid.n_points", 1e308),  # dt**2 would underflow to 0 in SimConfig.resolve
+        ("grid.n_points", 1e308),  # past the point bound before dt**2 could underflow to 0
         ("grid.n_points", 1e7),  # 3.75e11 RK4 steps
         ("run.z_max", 1e5),  # 3.2e6 cascade steps
     ])
@@ -139,11 +139,13 @@ class TestConfigs:
         assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), "compare"]) == 2
         assert "run.z_max: 7.63e+06 PDE steps need 1862 MiB of background table" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("t0, ok", [(69.8, True), (70.0, False), (-70.0, False), (150.0, False)])
-    def test_shelf_edges_must_stay_off_the_boundary(self, t0, ok, tmp_path, capsys, no_simulation):
-        # Edges from t0 travel u_inf z_max = 20 on L = 100; run's guard stops them at 0.9 L.
+    @pytest.mark.parametrize("side, past, ok", [(1, -0.2, True), (1, 0.2, False), (-1, 0.2, False), (1, 100.0, False)])
+    def test_shelf_edges_must_stay_off_the_boundary(self, side, past, ok, tmp_path, capsys, no_simulation):
+        # Edges from t0 travel dt/2 + u_inf z_max = 20.1 on L = 100, which holds |t0| up to
+        # min_half_width(|t0| + 20.1) = 100; t0 sits ``past`` that limit.
         cfg = harness.load_config("grey_dispersive")
-        cfg["soliton"]["t0"] = t0
+        limit = simulator.REACH_FRACTION * (100.0 - simulator.CORE_ALLOWANCE) - 20.09765625
+        t0 = cfg["soliton"]["t0"] = side * (limit + past)
         cfg["grid"] = {"half_width": 100.0, "n_points": 1024}
         cfg["run"]["z_max"] = 20.0
         if ok:
@@ -181,14 +183,15 @@ class TestConfigs:
             with pytest.raises(harness.ConfigError, match="grid.n_points"):
                 harness.validate(cfg)
 
-    @pytest.mark.parametrize("uinf_dt, limit", [(1e-9, 0.1987), (0.5, 0.2165), (1.0, 0.2629),
+    @pytest.mark.parametrize("uinf_dt, limit", [(1e-3, 0.1987), (0.5, 0.2165), (1.0, 0.2629),
                                                 (simulator.MAX_UINF_DT, 0.2649)],
                              ids=["uinf_dt_0", "uinf_dt_0.5", "uinf_dt_1", "uinf_dt_max"])
     def test_dispersive_damping_bounded_by_the_step(self, uinf_dt, limit, no_simulation):
         # Linearized about u_inf, eps gamma u_tt damps each mode a = -eig(D2)/2 in [0, 8/3] dt^-2 by 2 eps gamma a:
         # lambda = -2 eps gamma a +- i sqrt(a (a + 2 u_inf^2)).  RK4 at dz = dz_per_dt2 dt^2 holds these up to an
         # eps gamma found here on a fine sweep of a; validate accepts just inside it and refuses just outside.
-        # u_inf dt = 1e-9 stands for 0, which no grid has.
+        # u_inf dt = 1e-3 stands for 0 (the limit there is 0.19871, as at 1e-9): a grid holding CORE_ALLOWANCE at
+        # u_inf dt = 1e-9 needs 7e9 points.
         a = np.linspace(0.0, 8.0 / 3.0, 100_001)
 
         def holds(eps_gamma):
@@ -201,7 +204,7 @@ class TestConfigs:
             lo, hi = ((lo + hi) / 2, hi) if holds((lo + hi) / 2) else (lo, (lo + hi) / 2)
         assert lo == pytest.approx(limit, abs=5e-4)
         cfg = harness.load_config("grey_dispersive")
-        cfg["grid"], cfg["run"] = {"half_width": 128.0 * uinf_dt, "n_points": 256}, {"z_max": 1e-12}
+        cfg["grid"], cfg["run"] = {"half_width": 4096.0 * uinf_dt, "n_points": 8192}, {"z_max": 1e-12}
         for eps_gamma, ok in ((lo * (1 - 1e-6), True), (hi * (1 + 1e-6), False)):
             cfg["perturbation"]["gamma"] = eps_gamma / cfg["epsilon"]
             if ok:
@@ -211,10 +214,11 @@ class TestConfigs:
                     harness.validate(cfg)
 
     def test_underflowing_grid_spacing_rejected(self):
-        # dt = 1e-290 / 2048: dt**2 underflows to 0, where SimConfig.resolve divides by zero.
+        # dt = 1e-290 / 512 would underflow dt**2 to 0 in SimConfig.resolve; a half_width under CORE_ALLOWANCE
+        # is refused before that.
         cfg = harness.load_config("black_unperturbed")
         cfg["soliton"]["u_inf"], cfg["run"]["z_max"], cfg["grid"]["half_width"] = 1e-200, 1e-100, 1e-290
-        with pytest.raises(harness.ConfigError, match="grid.n_points"):
+        with pytest.raises(harness.ConfigError, match="^grid.half_width: "):
             harness.validate(cfg)
 
     @pytest.mark.parametrize("preset, changes", [
@@ -283,7 +287,8 @@ class TestConfigs:
     def test_auto_grid_respects_domain_rule(self):
         params = CoreParams.from_background(1.0, 2 * math.pi / 5)
         g = harness.auto_grid(params, 75.0)
-        assert 75.0 <= 0.6 * g["half_width"] <= 75.0 + 0.6 * 6.0
+        least = simulator.min_half_width(75.0 + 0.05)  # the reach at dt = 0.1
+        assert least <= g["half_width"] < least + 1.0
         assert g["n_points"] % 512 == 0
 
     @settings(max_examples=200, deadline=None)
@@ -296,9 +301,10 @@ class TestConfigs:
         exp = harness.validate(cfg)
         g = harness.auto_grid(exp.params, z_max)
         assert (exp.grid.half_width, exp.grid.n_points) == (g["half_width"], g["n_points"])
-        reach = abs(t0) + u_inf * z_max
-        assert reach <= 0.6 * (exp.grid.half_width - 5.0)
-        assert exp.grid.half_width <= reach / 0.6 + 6.0  # within a fixed factor of the reach, past the allowance
+        reach = abs(t0) + 0.5 * exp.grid.dt + u_inf * z_max
+        assert simulator.min_half_width(reach) <= exp.grid.half_width
+        # Within a fixed factor of the reach past the allowance: a whole half_width, sized at the coarsest dt.
+        assert exp.grid.half_width < simulator.min_half_width(reach + 0.05) + 1.0
         assert exp.grid.dt <= min(0.1, 1.0 / u_inf)
 
     def test_measurement_distance_scales_with_shallowness(self):
@@ -596,15 +602,19 @@ class TestCompareDegradation:
 
 
 class TestNarrowDomain:
-    """The reach rule in place of L >= 3 u_inf z_max: on the narrowest domain it admits, |u| over the edges'
-    reach matches the same run on a domain three times as wide, at the same dt and steps."""
+    """The reach rule in place of L >= 3 u_inf z_max: on the narrowest domain check admits (dt = 0.078125, N even),
+    |u| over the edges' reach matches the same run on a domain three times the reach, at the same dt and steps.
+    Short runs test CORE_ALLOWANCE, long ones REACH_FRACTION."""
 
+    @pytest.mark.parametrize("z_max", [10.0, 30.0])
     @pytest.mark.parametrize("preset", ["black_unperturbed", "grey_dispersive", "grey_linear_damping"])
-    def test_narrow_domain_matches_wide(self, preset):
+    def test_narrow_domain_matches_wide(self, preset, z_max):
+        dt = 0.078125
+        narrowest = 2 * math.ceil(simulator.min_half_width(z_max + dt / 2) / dt)
         inner = []
-        for half_width, n_points in ((20.0, 512), (60.0, 1536)):  # dt = 0.078125 on both
+        for n_points in (narrowest, 2 * math.ceil(3.0 * z_max / dt)):
             cfg = harness.load_config(preset)
-            cfg["grid"], cfg["run"]["z_max"] = {"half_width": half_width, "n_points": n_points}, 10.0
+            cfg["grid"], cfg["run"]["z_max"] = {"half_width": n_points * dt / 2, "n_points": n_points}, z_max
             art = harness.simulate(harness.validate(cfg))
             reach = np.abs(art.exp.grid.t) <= art.exp.params.u_inf * art.exp.z_max
             inner.append((art.exp.grid.t[reach], np.abs(art.final.samples[reach])))
@@ -625,7 +635,7 @@ class TestSweep:
         deep = by_tag["dphi2.51327"]
         shallow = by_tag["dphi1.25664"]
         assert shallow["run"]["z_max"] > deep["run"]["z_max"]
-        assert shallow["run"]["z_max"] <= 0.6 * shallow["grid"]["half_width"]
+        assert simulator.min_half_width(shallow["run"]["z_max"]) <= shallow["grid"]["half_width"]
 
     def test_sweep_configs_validate_the_config_each_angle_runs(self):
         # At 0.4 the sweep's own run length and grid keep 1.8 GiB of snapshots.
@@ -652,7 +662,7 @@ class TestSweep:
         base = harness.load_config("grey_linear_damping")
         (tag, cfg), = harness.sweep_configs(base, [2 * math.pi / 5])
         assert cfg["run"]["z_max"] == 75.0
-        assert cfg["grid"] == {"half_width": 130.0, "n_points": 3072}
+        assert cfg["grid"] == {"half_width": 119.0, "n_points": 2560}
 
 
 def _console_cfg(perturbation, delta_phi0=math.pi, grid=(15.0, 256), z_max=1.0, **top):
@@ -700,13 +710,17 @@ CONSOLE_CASES = [
     pytest.param(_console_cfg(None, z_max=5.0, epsilon=0.0, observables=["fidelity"],
                               soliton={"u_inf": 1.0, "delta_phi0": math.pi, "t0": 9.0}), ["compare"], 2,
                  "validation error: soliton.t0: shelf edges from t0 = 9.0 reach 14.06", [], id="reach_t0"),
-    # With no grid, a reach past the floats has no automatic grid; the error names its larger part.
+    # With no grid, a reach the automatic grid cannot hold names soliton.t0 if the run fits from t0 = 0, as the
+    # reach refusal does, else run.z_max: a reach past the floats, or 3.1e18 points for t0 = 1e17.
     *(pytest.param({k: v for k, v in _console_cfg(None, z_max=z_max, epsilon=0.0, observables=["fidelity"],
                                                   soliton={"u_inf": 1.0, "delta_phi0": math.pi, "t0": t0}).items()
-                    if k != "grid"}, ["predict"], 2,
-                   f"validation error: {field}: the reach |t0| + u_inf*z_max is too far for an automatic grid", [],
-                   id=f"reach_auto_grid_{field}") for field, t0, z_max in (("soliton.t0", 1e308, 1.0),
-                                                                          ("run.z_max", 0.0, 1e308))),
+                    if k != "grid"}, ["predict"], 2, f"validation error: {message}", [], id=f"reach_auto_grid_{tag}")
+      for tag, t0, z_max, message in (
+          ("t0_floats", 1e308, 1.0, "soliton.t0: no automatic grid holds the reach from t0 = 1e+308 "
+                                    "(the reach is past the floats)"),
+          ("t0_points", 1e17, 1.0, "soliton.t0: no automatic grid holds the reach from t0 = 1e+17 (grid.n_points: "),
+          ("z_max_floats", 0.0, 1e308,
+           "run.z_max: no automatic grid holds u_inf*z_max (the reach is past the floats)"))),
     pytest.param(_console_cfg({"label": "dispersive_damping", "gamma": 5e-324}, 2.5, (40.0, 512), 12.0,
                               observables=["edges"]), ["compare"], 2,
                  "validation error: perturbation.gamma: the shelf plateau |eps*q1_plus| = 0", [],
@@ -876,7 +890,7 @@ class TestCli:
             assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), *command]) == 2
 
     def test_point_count_alone_refused_by_name(self, tmp_path, capsys, no_simulation):
-        # u_inf = 1e100 with no grid: the automatic grid has about 1e101 points, past the bound before any step.
+        # u_inf = 1e100 with no grid: the automatic grid has 8e100 points, past the bound before any step.
         cfg = TestDeterminism()._tiny_cfg()
         cfg["soliton"] = {"u_inf": 1e100, "delta_phi0": 2.5}
         cfg["run"] = {"z_max": 1e-300}
@@ -885,7 +899,7 @@ class TestCli:
         p.write_text(json.dumps(cfg), encoding="utf-8")
         assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), "predict"]) == 2
         err = capsys.readouterr().err
-        assert "grid.n_points: 1e+101 points exceed the bound 1e+10 point-steps" in err
+        assert "grid.n_points: 8e+100 points exceed the bound 1e+10 point-steps" in err
         assert "inf steps" not in err
 
     def test_denormal_epsilon_refused_by_name(self, tmp_path, capsys, monkeypatch, no_simulation):
