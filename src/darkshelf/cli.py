@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: predict, simulate, compare, sweep, emit.  Exit codes: 0 all
+Subcommands: predict, compare, sweep, emit.  Exit codes: 0 all
 comparisons pass, 1 comparison failures, 2 validation errors, 3 runtime/IO
 errors (argparse usage errors exit with 2 as well).  The engine uses no
 randomness anywhere.
@@ -30,7 +30,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--run-id", default=None, help="output file prefix (defaults to the subcommand)")
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser("predict", help="run the slow-parameter cascade only; emit prediction CSV")
-    sub.add_parser("simulate", help="run the PDE; emit snapshot CSVs (no grading)")
     sub.add_parser("compare", help="simulate, measure and grade against the asymptotics")
     sw = sub.add_parser("sweep", help="compare across a list of core phase angles, in parallel")
     sw.add_argument("--delta-phi0", type=float, nargs="+", required=True,
@@ -66,16 +65,11 @@ def main(argv=None) -> int:
         if args.command == "compare":
             report, art = harness.compare(exp)
             harness.write_report(report, args.out_dir, run_id)
-            kinds = exp.outputs
-        else:
-            art = harness.simulate(exp)
-            kinds = ("snapshots",) if args.command == "simulate" else exp.outputs or ("profile",)
-        written = harness.emit_plotdata(art, kinds, args.out_dir, run_id)
-        if args.command == "compare":
+            harness.emit_plotdata(art, exp.outputs, args.out_dir, run_id)
             print(report.table())
             return EXIT_OK if report.passed else EXIT_COMPARE_FAILED
-        print(f"{len(art.snapshots)} snapshots -> {args.out_dir}/{run_id}_z*.csv"
-              if args.command == "simulate" else "\n".join(written))
+        written = harness.emit_plotdata(harness.simulate(exp), exp.outputs or ("profile",), args.out_dir, run_id)
+        print("\n".join(written))
         return EXIT_OK
     except harness.ConfigError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

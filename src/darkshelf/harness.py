@@ -9,21 +9,8 @@ observables of ``simulate``'s Artifacts against the asymptotic predictions.
 for a PDE run, ``asymptotics.slow_steps`` for the cascade), and it turns their
 ValueError into a ConfigError naming the field.
 
-Measurement protocol notes (dispersive-damping validation runs):
-
-* Each observable picks its windows, and ``_measure_shelf`` states the
-  rule once: a plateau is averaged over [margin, 0.7 S_R] right of the core
-  or [0.7 S_L, -margin] left of it, in comoving coordinates.  The ``shelf``
-  rows take the margin at which the bare-core tail biases the plateau by
-  under 5% (shelf_margin), at a measurement distance chosen per side so the
-  slow edge has opened a usable window before second-order drift
-  accumulates.  ``black_balance`` takes the margin 10/B on the final snapshot.
-* sigma0 and edge speeds are fitted over the snapshots from z = 10 on.
-* A is measured kinematically: the dip velocity fitted over the two halves
-  of the decade before the measurement distance must agree (A_rate = 0).
-* Edge trajectories use quarter-level crossings (see track_edges); the
-  sigma0 probe sits on the fast (left) side of the core where the edge-speed
-  bias is smallest.
+Where and when each row is measured (its windows, levels and fit ranges) is
+the table ``PROTOCOL``, next to ``OBSERVABLES``.
 """
 
 from __future__ import annotations
@@ -324,22 +311,20 @@ def auto_grid(params: CoreParams, z_max: float) -> dict:
 
 
 def shelf_margin(params: CoreParams, epsilon: float, q1_side: float) -> float:
-    """Comoving offset beyond which the bare-core tail biases (|u|-u_inf)/eps
-    by less than 5% of the plateau value."""
+    """Comoving offset beyond which the bare-core tail, 2 B^2/u_inf e^{-2BT}, biases (|u|-u_inf)/eps
+    by less than a share 2/PROTOCOL.tail_factor of the plateau value."""
     B, u = params.B, params.u_inf
-    return math.log(40.0 * B * B / (u * abs(epsilon * q1_side))) / (2.0 * B)
+    return math.log(PROTOCOL.tail_factor * B * B / (u * abs(epsilon * q1_side))) / (2.0 * B)
 
 
 def measurement_distance(params: CoreParams, epsilon: float, q1_side: float, side: int) -> float:
-    """Distance at which the plateau window on ``side`` has ~3 units of room.
-
-    The 1.25 headroom lets the slowly opening window outrun the plateau
-    formation transient; shallow solitons (small u_inf - A) need long runs.
-    """
+    """Distance at which the plateau window on ``side`` has PROTOCOL.window_room units of room, times the
+    headroom, rounded up to a distance_step and at least min_distance."""
+    P = PROTOCOL
     speed = params.u_inf - side * params.A
     margin = shelf_margin(params, epsilon, q1_side)
-    z = 1.25 * (margin + 3.0) / (0.7 * speed)
-    return max(20.0, 5.0 * math.ceil(z / 5.0))
+    z = P.headroom * (margin + P.window_room) / (P.window_end * speed)
+    return max(P.min_distance, P.distance_step * math.ceil(z / P.distance_step))
 
 
 # -- Pipelines ---------------------------------------------------------------
@@ -410,8 +395,37 @@ def compare(exp: Experiment) -> tuple[ComparisonReport, Artifacts]:
 
 
 # -- Observables -------------------------------------------------------------
-# Measurements look simulator functions up on the module at call time, so a
-# wrapper installed there (a profiler, a test double) sees every call.
+# Measurements look simulator functions and PROTOCOL up on the module at call
+# time, so a wrapper installed there (a profiler, a test double) sees every call.
+
+
+@dataclass(frozen=True)
+class Protocol:
+    """The measurement protocol: one field per rule of where and when a row is measured (lengths in
+    comoving units, z in lab units).  It is not a config key; emit's plot windows are not part of it."""
+
+    window_end: float = 0.7  # a plateau window ends at this share of its predicted edge S_R or S_L, short of the layer
+    tail_factor: float = 40.0  # shelf_margin: 2/40 = 5%, the bare-core tail's bias on a plateau
+    headroom: float = 1.25  # measurement_distance: lets the opening window outrun the plateau's formation transient
+    window_room: float = 3.0  # measurement_distance: the span the plateau window must have
+    min_distance: float = 20.0  # the shortest measurement distance
+    distance_step: float = 5.0  # measurement distances are rounded up to a multiple of this
+    balance_margin: float = 10.0  # black_balance's windows start this many core widths 1/B out, on the final snapshot
+    late_z: float = 10.0  # sigma0 and edge speeds fit the snapshots from this z on, once the shelf has formed
+    sigma0_probe: float = -2.0  # the sigma0 probe's offset in core widths 1/B: the fast side, where edge bias is least
+    probe_guard: float = 0.5  # sigma0 fails once a predicted edge is within offset/probe_guard of the core
+    velocity_span: float = 10.0  # a_constancy: the dip velocities over each half of this span before z_m must agree
+    velocity_points: int = 4  # ... each fitted to at least this many snapshots
+    a_scale_switch: float = 0.05  # a_constancy scales by A, or by u_inf where |A| is under this share of u_inf
+    layer_widths: float = 5.0  # the layer row compares |u| over +- this many similarity widths around S_R ...
+    layer_points: int = 257  # ... at this many points
+    plateau_points: int = 20  # samples a plateau window must hold
+    flatness: float = 0.25  # a plateau is flat when its deviation's std is at most this share of |q1|
+    edge_level: float = 0.25  # an edge crosses this share of the plateau: there the two known O(eps) biases cancel
+    edge_scan_start: float = 0.4  # crossings are scanned outward from this share of z
+
+
+PROTOCOL = Protocol()
 
 
 @dataclass(frozen=True)
@@ -446,12 +460,12 @@ def _measure_fidelity(art: Artifacts) -> list[float]:
 
 
 def _measure_shelf(art: Artifacts, snap, side: int, margin: float) -> tuple[float, float, bool]:
-    """(q1, phi1t, flat) of ``snap`` over the plateau window on ``side``:
-    [margin, 0.7 S_R] right (+1) or [0.7 S_L, -margin] left (-1) of the core."""
-    s_l, s_r = art.traj.edges(snap.z)
-    window = (margin, 0.7 * s_r) if side > 0 else (0.7 * s_l, -margin)
+    """(q1, phi1t, flat) of ``snap`` over the plateau window on ``side``: [margin, window_end S_R]
+    right (+1) or [window_end S_L, -margin] left (-1) of the core."""
+    P, (s_l, s_r) = PROTOCOL, art.traj.edges(snap.z)
+    window = (margin, P.window_end * s_r) if side > 0 else (P.window_end * s_l, -margin)
     return simulator.measure_shelf(snap, art.exp.grid, art.traj.comoving_shift, window, art.exp.epsilon,
-                                   art.background.u_inf_fn(snap.z))
+                                   art.background.u_inf_fn(snap.z), P.plateau_points, P.flatness)
 
 
 def _shelf_side(tag: str, side: int) -> Observable:
@@ -469,27 +483,27 @@ def _shelf_side(tag: str, side: int) -> Observable:
 
 
 def _measure_black_balance(art: Artifacts) -> list[float]:
-    # Both sides of the final snapshot, 10/B from the core; the left-side magnitude correction flips sign.
-    (q1p, phi1tp, _), (q1m, phi1tm, _) = (_measure_shelf(art, art.final, side, 10.0 / art.exp.params.B)
-                                          for side in (+1, -1))
+    # Both sides of the final snapshot; the left-side magnitude correction flips sign.
+    margin = PROTOCOL.balance_margin / art.exp.params.B
+    (q1p, phi1tp, _), (q1m, phi1tm, _) = (_measure_shelf(art, art.final, side, margin) for side in (+1, -1))
     return [art.exp.epsilon * (q1p + q1m), phi1tp + phi1tm]
 
 
 def _late_snapshots(art: Artifacts) -> list[simulator.FieldState]:
-    """Snapshots from z = 10 on, once the shelf has formed: what sigma0 and edge speeds fit."""
-    return [s for s in art.snapshots if s.z >= 10.0]
+    """Snapshots from PROTOCOL.late_z on: what sigma0 and edge speeds fit."""
+    return [s for s in art.snapshots if s.z >= PROTOCOL.late_z]
 
 
 def _measure_sigma0(art: Artifacts) -> list[float]:
-    exp = art.exp
+    exp, P = art.exp, PROTOCOL
     return [simulator.measure_sigma0_rate(_late_snapshots(art), exp.grid, art.traj.comoving_shift,
-                                          -2.0 / exp.params.B, exp.epsilon, art.traj.edges)]
+                                          P.sigma0_probe / exp.params.B, exp.epsilon, art.traj.edges, P.probe_guard)]
 
 
 def _measure_edges(art: Artifacts) -> list[float]:
-    eps, sh0 = art.exp.epsilon, art.shelf0
+    eps, sh0, P = art.exp.epsilon, art.shelf0, PROTOCOL
     return list(simulator.track_edges(_late_snapshots(art), art.exp.grid, art.traj.comoving_shift,
-                                      eps * sh0.q1_plus, eps * sh0.q1_minus))
+                                      eps * sh0.q1_plus, eps * sh0.q1_minus, P.edge_level, P.edge_scan_start))
 
 
 def _measure_t0(art: Artifacts) -> list[float]:
@@ -500,18 +514,18 @@ def _measure_t0(art: Artifacts) -> list[float]:
 
 
 def _measure_a_constancy(art: Artifacts) -> list[float]:
-    """Dip velocities fitted over the two halves of the decade before z_m must agree."""
-    exp, params = art.exp, art.exp.params
+    """Dip velocities fitted over the two halves of the velocity span before z_m must agree."""
+    exp, params, P = art.exp, art.exp.params, PROTOCOL
     z_m = min(measurement_distance(params, exp.epsilon, art.shelf0.q1_plus, +1), exp.z_max)
     zs = np.array([s.z for s in art.snapshots])
     pos = np.array([simulator.measure_core_minimum(s, exp.grid)[0] for s in art.snapshots])
-    vels = []
-    for lo, hi in [(z_m - 10.0, z_m - 5.0), (z_m - 5.0, z_m)]:
+    vels, half = [], 0.5 * P.velocity_span
+    for lo, hi in [(z_m - P.velocity_span, z_m - half), (z_m - half, z_m)]:
         m = (zs >= lo) & (zs <= hi)
-        if m.sum() < 4:
+        if m.sum() < P.velocity_points:
             raise simulator.MeasurementError("too few snapshots for a velocity fit")
         vels.append(float(np.polyfit(zs[m], pos[m], 1)[0]))
-    scale = params.A if abs(params.A) > 0.05 * params.u_inf else params.u_inf
+    scale = params.A if abs(params.A) > P.a_scale_switch * params.u_inf else params.u_inf
     return [abs(vels[1] - vels[0]) / scale]
 
 
@@ -528,7 +542,7 @@ def _layer_window(art: Artifacts, widths: float, points: int):
 
 
 def _measure_layer(art: Artifacts) -> list[float]:
-    _, sim, pred = _layer_window(art, 5.0, 257)
+    _, sim, pred = _layer_window(art, PROTOCOL.layer_widths, PROTOCOL.layer_points)
     return [float(np.max(np.abs(sim - pred)))]
 
 

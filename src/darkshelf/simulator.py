@@ -7,7 +7,8 @@ and Dirichlet boundary values pinned to the adiabatically evolving background;
 SimConfig.check holds every limit of a run and refuses one before its first
 step.  The field carries the soliton phase jump, so it is not periodic.  The
 grid is cell-centered and symmetric about t = 0, so the discrete odd symmetry
-of a black soliton is exact.
+of a black soliton is exact.  The measurements take their windows, levels and
+limits as arguments: the measurement protocol is harness.PROTOCOL.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ STEP_FIELDS = 9  # complex fields live in one RK4 step of run (tracemalloc at N 
 TABLE_BYTES_PER_STEP = 256  # run's background table, 3 z per step, as built (tracemalloc: 200-224)
 REACH_FRACTION = 0.65  # share of half_width - CORE_ALLOWANCE the shelf edges may reach (TestNarrowDomain)
 CORE_ALLOWANCE = 3.5  # half_width past the reach the edge fronts need even on short runs
-MIN_PLATEAU_POINTS = 20  # samples a shelf plateau window must hold
-EDGE_LEVEL = 0.25  # fraction of the plateau deviation marking a tracked edge
 FMT = "{:.17g}"  # CSV number format: round-trips every float64
 
 
@@ -382,30 +381,31 @@ def conservation_residuals(
 
 
 def measure_shelf(snapshot: FieldState, grid: Grid, comoving_shift: Callable[[float], float],
-                  window: tuple[float, float], epsilon: float, u_inf: float) -> tuple[float, float, bool]:
+                  window: tuple[float, float], epsilon: float, u_inf: float, min_points: int,
+                  flatness: float) -> tuple[float, float, bool]:
     """(q1, phi1t, flat) of the plateau over the comoving window [lo, hi].
 
     ``comoving_shift(z)`` is the lab position of the comoving origin.  q1 is
     (|u| - u_inf)/eps averaged over the window, phi1t the least-squares
     phase slope over it divided by eps, and ``flat`` is False when the
-    deviation's std exceeds 25% of |q1|.  Raises MeasurementError when fewer
-    than MIN_PLATEAU_POINTS samples fall in the window.
+    deviation's std exceeds ``flatness`` times |q1|.  Raises MeasurementError
+    when fewer than ``min_points`` samples fall in the window.
     """
     if epsilon == 0.0:
         raise ValueError("shelf measurement requires epsilon != 0")
     lo, hi = window
     T = grid.t - comoving_shift(snapshot.z)
     mask = (T >= lo) & (T <= hi)
-    if (n := int(mask.sum())) < MIN_PLATEAU_POINTS:
-        raise MeasurementError(f"plateau window [{lo:.2f}, {hi:.2f}] holds {n} points (< {MIN_PLATEAU_POINTS})")
+    if (n := int(mask.sum())) < min_points:
+        raise MeasurementError(f"plateau window [{lo:.2f}, {hi:.2f}] holds {n} points (< {min_points})")
     dev = (np.abs(snapshot.samples[mask]) - u_inf) / epsilon
     q1 = float(np.mean(dev))
     phase = np.unwrap(np.angle(snapshot.samples))[mask]
-    return q1, float(np.polyfit(T[mask], phase, 1)[0]) / epsilon, bool(np.std(dev) <= 0.25 * abs(q1))
+    return q1, float(np.polyfit(T[mask], phase, 1)[0]) / epsilon, bool(np.std(dev) <= flatness * abs(q1))
 
 
-def _edge_crossing(T: np.ndarray, dev: np.ndarray, plateau: float, start: float, sign: int) -> float:
-    """First crossing of EDGE_LEVEL times the plateau level outward from ``start``.
+def _edge_crossing(T: np.ndarray, dev: np.ndarray, plateau: float, start: float, sign: int, level: float) -> float:
+    """First crossing of ``level`` times the plateau level outward from ``start``.
 
     ``sign`` +1 scans toward +T, -1 toward -T along the increasing ``T``.
     The deviation is folded so the plateau is positive; the edge is where it
@@ -416,7 +416,7 @@ def _edge_crossing(T: np.ndarray, dev: np.ndarray, plateau: float, start: float,
     fold = -1.0 if plateau < 0 else 1.0
     Ts = T[::sign]
     ds = fold * dev[::sign]
-    lv = EDGE_LEVEL * abs(plateau)
+    lv = level * abs(plateau)
     k0 = int(np.searchsorted(sign * Ts, sign * start))
     cand = np.where(ds[k0:] < lv)[0]
     if cand.size == 0:
@@ -439,6 +439,7 @@ def measure_sigma0_rate(
     probe_T: float,
     epsilon: float,
     edges_fn: Callable[[float], tuple[float, float]],
+    probe_guard: float,
 ) -> float:
     """Slow soliton-phase rate sigma0_Z from the phase drift at a fixed probe.
 
@@ -446,8 +447,8 @@ def measure_sigma0_rate(
     region); the unwrapped phase there is sigma0(Z) plus z-stationary terms,
     so its least-squares slope in z divided by eps estimates sigma0_Z (the
     slope itself when eps = 0).  Raises MeasurementError when a predicted
-    shelf edge ``edges_fn(z) = (S_L, S_R)`` comes within twice the probe's
-    offset of the core in any snapshot.
+    shelf edge ``edges_fn(z) = (S_L, S_R)`` comes within |probe_T|/probe_guard
+    of the core in any snapshot.
     """
     if probe_T == 0.0:
         raise ValueError("probe_T must be nonzero (the core phase is singular at the center)")
@@ -455,7 +456,7 @@ def measure_sigma0_rate(
         raise MeasurementError("need at least 3 snapshots for a phase-rate fit")
     for s in snapshots:
         s_l, s_r = edges_fn(s.z)
-        if not abs(probe_T) < 0.5 * min(abs(s_l), s_r):
+        if not abs(probe_T) < probe_guard * min(abs(s_l), s_r):
             raise MeasurementError(f"probe T*={probe_T} overtaken by shelf edge at z={s.z:.2f}")
     zs = np.array([s.z for s in snapshots])
     ph = [np.interp(probe_T + comoving_shift(s.z), grid.t, np.unwrap(np.angle(s.samples)))
@@ -464,26 +465,25 @@ def measure_sigma0_rate(
 
 
 def track_edges(snapshots: Sequence[FieldState], grid: Grid, comoving_shift: Callable[[float], float],
-                plateau_plus: float, plateau_minus: float) -> tuple[float, float]:
+                plateau_plus: float, plateau_minus: float, level: float, scan_start: float) -> tuple[float, float]:
     """(right, left) edge speeds fitted to fixed-level crossings of the magnitude deviation.
 
     ``plateau_plus/minus`` are the predicted plateau deviations eps*q1 per
-    side; each snapshot's edge is the outward crossing of EDGE_LEVEL times
-    that value, scanned from 40% of the nominal edge position, with the
-    pinned boundary magnitude as the background.  The transition midpoint
-    rides the plateau characteristic (slower than u_inf by ~eps|q1|) while
-    the similarity widening pushes foot-ward features outward; the quarter
-    level sits where the two known O(eps) biases nearly cancel.  Positions
-    are relative to ``comoving_shift(z)``; snapshots without both crossings
-    are skipped.
+    side; each snapshot's edge is the outward crossing of ``level`` times
+    that value, scanned from |T| = scan_start z, with the pinned boundary
+    magnitude as the background.  The transition midpoint rides the plateau
+    characteristic (slower than u_inf by ~eps|q1|) while the similarity
+    widening pushes foot-ward features outward; the level is chosen where
+    the two known O(eps) biases nearly cancel.  Positions are relative to
+    ``comoving_shift(z)``; snapshots without both crossings are skipped.
     """
     zs, right, left = [], [], []
     for s in snapshots:
         dev = np.abs(s.samples) - float(abs(s.samples[0]))
         T = grid.t - comoving_shift(s.z)
         try:
-            r = _edge_crossing(T, dev, plateau_plus, start=0.4 * s.z, sign=+1)
-            l = _edge_crossing(T, dev, plateau_minus, start=-0.4 * s.z, sign=-1)
+            r = _edge_crossing(T, dev, plateau_plus, scan_start * s.z, +1, level)
+            l = _edge_crossing(T, dev, plateau_minus, -scan_start * s.z, -1, level)
         except MeasurementError:
             continue
         zs.append(s.z)

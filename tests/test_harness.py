@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from darkshelf import asymptotics, cli, harness, simulator
 from darkshelf.perturbations import BUILTINS
 from darkshelf.soliton import CoreParams
+from test_reach import _configs as reach_configs
 
 
 @pytest.fixture
@@ -528,7 +530,7 @@ class TestCompareDegradation:
         # black_balance: +-10/B on the final snapshot, z = 25.
         calls = []
 
-        def record(snap, grid, shift, window, epsilon, u_inf):
+        def record(snap, grid, shift, window, epsilon, u_inf, min_points, flatness):
             calls.append((snap.z, window))
             return 0.0, 0.0, True
 
@@ -599,6 +601,47 @@ class TestCompareDegradation:
         assert not report.passed
         assert any(r.measured != r.measured for r in report.rows)  # NaN markers
         assert report.notes
+
+
+class _Reads:
+    """A Protocol that records the name of every field read from it."""
+
+    def __init__(self, protocol):
+        self.protocol, self.names = protocol, set()
+
+    def __getattr__(self, name):
+        self.names.add(name)
+        return getattr(self.protocol, name)
+
+
+class TestProtocol:
+    def test_every_field_is_read(self, monkeypatch):
+        # Every observable measured on the tiny grey and black configs of the reach test.
+        reads = _Reads(harness.PROTOCOL)
+        monkeypatch.setattr(harness, "PROTOCOL", reads)
+        every = sorted({o.name for o in harness.OBSERVABLES} - {"fidelity"})
+        for name in ("grey", "black"):
+            harness.compare(harness.validate(dict(reach_configs()[name], observables=every)))
+        assert {f.name for f in dataclasses.fields(harness.Protocol)} - reads.names == set()
+
+    def test_window_end_moves_distance_and_window(self, monkeypatch):
+        # On the reach test's grey config, window_end 0.5 moves the + side's distance from 20 to 25 and the
+        # shelf window's end to 0.5 S_R.
+        windows = []
+
+        def record(snap, grid, shift, window, *rule):
+            windows.append((snap.z, window))
+            return 0.0, 0.0, True
+
+        monkeypatch.setattr(simulator, "measure_shelf", record)
+        exp = harness.validate(dict(reach_configs()["grey"], observables=["shelf"]))
+        q1 = asymptotics.grey_parameter_rhs(exp.perturbation, exp.params).q1_plus
+        assert harness.measurement_distance(exp.params, exp.epsilon, q1, +1) == 20.0
+        monkeypatch.setattr(harness, "PROTOCOL", dataclasses.replace(harness.PROTOCOL, window_end=0.5))
+        assert harness.measurement_distance(exp.params, exp.epsilon, q1, +1) == 25.0
+        _, art = harness.compare(exp)
+        (z_plus, (_, end_plus)), (z_minus, (end_minus, _)) = windows
+        assert end_plus == 0.5 * art.traj.edges(z_plus)[1] and end_minus == 0.5 * art.traj.edges(z_minus)[0]
 
 
 class TestNarrowDomain:
@@ -674,7 +717,7 @@ def _console_cfg(perturbation, delta_phi0=math.pi, grid=(15.0, 256), z_max=1.0, 
 _FORCINGS = {"dispersive_damping": {"label": "dispersive_damping", "gamma": 1.0},
              "linear_damping": {"label": "linear_damping", "Gamma": 0.5},
              "two_photon": {"label": "two_photon", "gamma3": 1.0}}
-_PDE_FILES = ("simulate_z0.csv", "simulate_z1.csv", "emit_profile.csv", "emit_contour.csv",
+_PDE_FILES = ("emit_z0.csv", "emit_z1.csv", "emit_profile.csv", "emit_contour.csv",
               "emit_contour_edges.csv", "emit_layer.csv", "emit_trajectory.csv")
 _TINY_EPS = dict(epsilon=1e-308, delta_phi0=2.5, grid=(40.0, 512), z_max=12.0)
 
@@ -682,7 +725,7 @@ _TINY_EPS = dict(epsilon=1e-308, delta_phi0=2.5, grid=(40.0, 512), z_max=12.0)
 # Exit 2 must come before any cascade or PDE step.
 CONSOLE_CASES = [
     *(pytest.param(_console_cfg(pert, math.pi if label == "dispersive_damping" else 4 * math.pi / 5),
-                   ["simulate", "emit --kinds profile contour layer trajectory"], 0, "", _PDE_FILES,
+                   ["emit --kinds snapshots", "emit --kinds profile contour layer trajectory"], 0, "", _PDE_FILES,
                    id=f"pde_{label}") for label, pert in _FORCINGS.items()),
     # At z_max = 1e-306 the edge layers' similarity variable reaches 1e104.
     pytest.param(_console_cfg(_FORCINGS["dispersive_damping"], z_max=1e-306), ["emit --kinds profile"], 0, "",
@@ -846,16 +889,19 @@ class TestCli:
         assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), "emit", "--kinds", "profile"]) == 0
         assert (tmp_path / "emit_profile.csv").exists()
 
-    def test_simulate_writes_emit_snapshots(self, tmp_path):
+    def test_emit_writes_snapshots(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(TestDeterminism()._tiny_cfg()), encoding="utf-8")
-        out = {}
-        for command in (["simulate"], ["emit", "--kinds", "snapshots"]):
-            d = tmp_path / command[0]
-            assert cli.main(["--config", str(p), "--out-dir", str(d), "--run-id", "r", *command]) == 0
-            out[command[0]] = {f.name: f.read_bytes() for f in d.iterdir()}
-        assert len(out["simulate"]) == 5  # z = 0 and four intervals of 0.5, the last ending at z_max
-        assert out["simulate"] == out["emit"]
+        assert cli.main(["--config", str(p), "--out-dir", str(tmp_path / "out"), "--run-id", "r",
+                         "emit", "--kinds", "snapshots"]) == 0
+        # z = 0 and four intervals of 0.5, the last ending at z_max
+        assert {f.name for f in (tmp_path / "out").iterdir()} == {f"r_z{z}.csv" for z in (0, 0.5, 1, 1.5, 2)}
+
+    def test_simulate_is_not_a_command(self, tmp_path):
+        # emit --kinds snapshots writes what simulate wrote; argparse refuses the old name with exit 2.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--config", "grey_dispersive", "--out-dir", str(tmp_path), "simulate"])
+        assert exc.value.code == 2
 
     def test_emit_unknown_kind_rejected_before_run(self, tmp_path, no_simulation):
         assert cli.main(["--config", "grey_dispersive", "--out-dir", str(tmp_path), "emit",
@@ -869,9 +915,9 @@ class TestCli:
         cfg["soliton"]["u_inf"] = 0.3
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg), encoding="utf-8")
-        for command in (["predict"], ["simulate"], ["emit", "--kinds", "profile"]):
+        for command in (["predict"], ["emit", "--kinds", "snapshots"], ["emit", "--kinds", "profile"]):
             assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), *command]) == 0
-        for name in ("predict_prediction.csv", "simulate_z0.csv", "emit_profile.csv"):
+        for name in ("predict_prediction.csv", "emit_z0.csv", "emit_profile.csv"):
             assert (tmp_path / name).stat().st_size > 0
 
     @pytest.mark.parametrize("soliton, grid, z_max", [

@@ -82,7 +82,7 @@ def _commands(out: Path) -> list[list[str]]:
         ["--config", paths["black_unperturbed"], *common, "compare"],
         ["--config", paths["grey_unperturbed"], *common, "compare"],
         ["--config", paths["linear"], *common, "--run-id", "linear", "predict"],
-        ["--config", paths["two_photon"], *common, "--run-id", "two_photon", "simulate"],
+        ["--config", paths["two_photon"], *common, "--run-id", "two_photon", "emit", "--kinds", "snapshots"],
         ["--config", paths["sweep"], *common, "sweep", "--delta-phi0", "3.14159"],
     ]
 

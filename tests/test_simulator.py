@@ -6,6 +6,7 @@ import pytest
 from darkshelf import simulator
 from darkshelf.asymptotics import evolve_core_parameters
 from darkshelf.finitediff import first_derivative, second_derivative
+from darkshelf.harness import PROTOCOL
 from darkshelf.perturbations import BUILTINS, dispersive_damping, linear_damping, local_forcing
 from darkshelf.soliton import CoreParams, grey_profile
 from darkshelf.simulator import (
@@ -33,6 +34,8 @@ from theory_reference import reference_run
 
 BLACK = CoreParams.from_background(1.0, math.pi)
 GREY = CoreParams.from_background(1.0, 4 * math.pi / 5)
+SHELF_RULE = (PROTOCOL.plateau_points, PROTOCOL.flatness)  # the harness's arguments to measure_shelf
+EDGE_RULE = (PROTOCOL.edge_level, PROTOCOL.edge_scan_start)  # and to track_edges
 
 
 def lab(z):
@@ -347,8 +350,8 @@ class TestShelfMeasurement:
         grid = Grid(half_width=100.0, n_points=4096)
         eps = 0.05
         state = synthetic_shelf(grid, eps, -0.66, -0.44, 1.32, -0.88, -39.0, 21.0)
-        q1p, phi1tp, flat_right = measure_shelf(state, grid, lab, self.RIGHT, eps, 1.0)
-        q1m, phi1tm, flat_left = measure_shelf(state, grid, lab, self.LEFT, eps, 1.0)
+        q1p, phi1tp, flat_right = measure_shelf(state, grid, lab, self.RIGHT, eps, 1.0, *SHELF_RULE)
+        q1m, phi1tm, flat_left = measure_shelf(state, grid, lab, self.LEFT, eps, 1.0, *SHELF_RULE)
         assert q1p == pytest.approx(-0.66, rel=1e-6)
         assert q1m == pytest.approx(-0.44, rel=1e-6)
         assert phi1tp == pytest.approx(1.32, rel=1e-6)
@@ -364,22 +367,22 @@ class TestShelfMeasurement:
         def shift(z):
             return 143 * grid.dt
 
-        assert measure_shelf(moved, grid, shift, self.RIGHT, 0.05, 1.0)[0] == pytest.approx(-0.66, rel=1e-6)
-        assert measure_shelf(moved, grid, shift, self.LEFT, 0.05, 1.0)[0] == pytest.approx(-0.44, rel=1e-6)
+        for window, q1 in ((self.RIGHT, -0.66), (self.LEFT, -0.44)):
+            assert measure_shelf(moved, grid, shift, window, 0.05, 1.0, *SHELF_RULE)[0] == pytest.approx(q1, rel=1e-6)
 
     def test_narrow_plateau_rejected(self):
-        # Edges at +-5 leave [10, 3.5] and [-3.5, -10] empty; [10, 10.5] holds 10 points.
+        # Edges at +-5 leave [10, 3.5] and [-3.5, -10] empty; [10, 10.5] holds 10 points, under plateau_points.
         grid = Grid(half_width=100.0, n_points=4096)
         state = synthetic_shelf(grid, 0.05, -0.66, -0.44, 1.32, -0.88, -5.0, 5.0)
         for window in ((10.0, 3.5), (-3.5, -10.0), (10.0, 10.5)):
             with pytest.raises(MeasurementError):
-                measure_shelf(state, grid, lab, window, 0.05, 1.0)
+                measure_shelf(state, grid, lab, window, 0.05, 1.0, *SHELF_RULE)
 
     def test_epsilon_zero_rejected(self):
         grid = Grid(half_width=100.0, n_points=512)
         state = FieldState(z=1.0, samples=np.ones(512, dtype=complex))
         with pytest.raises(ValueError):
-            measure_shelf(state, grid, lab, (10.0, 3.5), 0.0, 1.0)
+            measure_shelf(state, grid, lab, (10.0, 3.5), 0.0, 1.0, *SHELF_RULE)
 
 
 class TestEdgeTracking:
@@ -390,7 +393,7 @@ class TestEdgeTracking:
         for z in np.arange(10.0, 30.5, 1.0):
             state = synthetic_shelf(grid, eps, -0.66, -0.66, 0.0, 0.0, -z, z)
             snaps.append(FieldState(z=z, samples=state.samples))
-        speed_right, speed_left = track_edges(snaps, grid, lab, eps * -0.66, eps * -0.66)
+        speed_right, speed_left = track_edges(snaps, grid, lab, eps * -0.66, eps * -0.66, *EDGE_RULE)
         assert speed_right == pytest.approx(1.0, abs=0.02)
         assert speed_left == pytest.approx(-1.0, abs=0.02)
 
@@ -398,18 +401,18 @@ class TestEdgeTracking:
 class TestSigmaRate:
     def test_unperturbed_rate_is_zero(self):
         grid, _, _, snaps = small_run(BLACK, z_max=3.0, n=2048)
-        rate = measure_sigma0_rate(snaps, grid, lab, 2.0, 0.0, lambda z: (-40.0, 40.0))
+        rate = measure_sigma0_rate(snaps, grid, lab, 2.0, 0.0, lambda z: (-40.0, 40.0), PROTOCOL.probe_guard)
         assert abs(rate) < 1e-6
 
     def test_probe_at_center_rejected(self):
         grid, _, _, snaps = small_run(BLACK, z_max=1.0)
         with pytest.raises(ValueError):
-            measure_sigma0_rate(snaps, grid, lab, 0.0, 0.0, lambda z: (-40.0, 40.0))
+            measure_sigma0_rate(snaps, grid, lab, 0.0, 0.0, lambda z: (-40.0, 40.0), PROTOCOL.probe_guard)
 
     def test_probe_overtaken_detected(self):
         grid, _, _, snaps = small_run(BLACK, z_max=3.0)
         with pytest.raises(MeasurementError):
-            measure_sigma0_rate(snaps, grid, lab, 5.0, 0.05, lambda z: (-z, z))
+            measure_sigma0_rate(snaps, grid, lab, 5.0, 0.05, lambda z: (-z, z), PROTOCOL.probe_guard)
 
 
 class TestSnapshotDump:

@@ -141,6 +141,30 @@ def rk4_cascade(pert, params0: CoreParams, epsilon: float, z_span: float, steps:
     return np.array(z), params, shelf
 
 
+def dop853_cascade(pert, params0: CoreParams, epsilon: float, z_span: float):
+    """(params, shelf) at SAMPLES evenly spaced Z in [0, eps*z_span], from the state of rk4_cascade
+    integrated by scipy's DOP853 at rtol 1e-13, atol 1e-15 and read off its dense output."""
+    from scipy.integrate import solve_ivp  # a test dependency; the package never imports scipy
+
+    def state_params(y):
+        u, A, s0, _ = y
+        return CoreParams(u_inf=u, A=A, B=math.sqrt(u**2 - A**2), t0=params0.t0, sigma0=s0)
+
+    def rate(_Z, y):
+        p = state_params(y)
+        sh = grey_parameter_rhs(pert, p)
+        return [sh.u_inf_rate, sh.A_rate, sh.sigma0_rate, edge_phase_flux(p, sh)]
+
+    Z_end = epsilon * z_span
+    y0 = [params0.u_inf, params0.A, params0.sigma0, 0.0]
+    sol = solve_ivp(rate, (0.0, Z_end), y0, method="DOP853", rtol=1e-13, atol=1e-15,
+                    t_eval=np.linspace(0.0, Z_end, SAMPLES))
+    assert sol.success, sol.message
+    params = [state_params(y) for y in sol.y.T]
+    shelf = [replace(grey_parameter_rhs(pert, p), delta_phi1=float(y[3]) / epsilon) for p, y in zip(params, sol.y.T)]
+    return params, shelf
+
+
 # -- The PDE run as one allocating loop -------------------------------------
 
 
