@@ -15,10 +15,12 @@ fixed-length sum whose terms still decrease at the switch point.  On
 [-12, -8.4), where the tail series is not yet accurate, AiI is bridged by
 adaptive Gauss-Kronrod quadrature from the nearest of the anchors -12,
 -11.75, ..., -8.5, -8.4, whose values are integrated once, on first use,
-from the table's value at -8.4.  The second
-antiderivative reduces exactly to x*AiI(x) - Ai'(x).  Past |x| = 1e100 Ai
-and Ai' are 0 and AiI is 1 on the right (exact in float64) and 0 on the left
-(within the amplitude bound; float64 no longer resolves the phase there).
+from the table's value at -8.4.  Each evaluation integrates all of its
+bridge points in one batched quadrature call, as the anchors are built.
+The second antiderivative reduces exactly to x*AiI(x) - Ai'(x).  Past
+|x| = 1e100 Ai and Ai' are 0 and AiI is 1 on the right (exact in float64)
+and 0 on the left (within the amplitude bound; float64 no longer resolves
+the phase there).
 
 Accuracy against mpmath (absolute): Ai, Ai' and AiI within 7e-14 on
 [-12, 6.5], Ai' 3e-14 and AiI 1.2e-13 further left, and AiI 1.5e-11 just
@@ -185,13 +187,13 @@ def _left_ai(x: np.ndarray) -> np.ndarray:
 @functools.cache
 def _bridge_anchors() -> np.ndarray:
     """AiI at _BRIDGE_ANCHORS: the table's value at -8.4 minus the integral up to it, built on first use."""
-    return np.array([_AII_LO - integrate(_left_ai, a, _TABLE_LO, tol=1e-13) for a in _BRIDGE_ANCHORS])
+    return _AII_LO - integrate(_left_ai, _BRIDGE_ANCHORS, _TABLE_LO, tol=1e-13)
 
 
-def _bridge(x: np.ndarray) -> list[float]:
-    """AiI on [-12, -8.4): the nearest bridge anchor's value plus the integral from it, point by point."""
+def _bridge(x: np.ndarray) -> np.ndarray:
+    """AiI on [-12, -8.4): the nearest bridge anchor's value plus the integral from it, all points in one call."""
     i = np.abs(x[:, None] - _BRIDGE_ANCHORS).argmin(axis=1)
-    return [F + integrate(_left_ai, a, v, tol=1e-13) for F, a, v in zip(_bridge_anchors()[i], _BRIDGE_ANCHORS[i], x)]
+    return _bridge_anchors()[i] + integrate(_left_ai, _BRIDGE_ANCHORS[i], x, tol=1e-13)
 
 
 def _ai_integral(x: np.ndarray) -> np.ndarray:

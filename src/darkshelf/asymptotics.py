@@ -26,7 +26,6 @@ one.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
@@ -93,8 +92,8 @@ class ParameterTrajectory:
 
     epsilon: float
     z: np.ndarray
-    params: Sequence[CoreParams]
-    shelf: Sequence[ShelfParams]
+    params: _Records  # of CoreParams
+    shelf: _Records  # of ShelfParams
     background: BackgroundTrajectory
 
     @property
@@ -104,7 +103,7 @@ class ParameterTrajectory:
     @cached_property
     def _integrals(self) -> np.ndarray:
         """Rows int_0^z u_inf ds and int_0^z A ds at the samples: cumulative trapezoid, built once."""
-        f = np.array([(p.u_inf, p.A) for p in self.params]).T
+        f = np.array([self.params.column("u_inf"), self.params.column("A")], dtype=float)
         steps = 0.5 * (f[:, 1:] + f[:, :-1]) * np.diff(self.z)
         return np.hstack((np.zeros((2, 1)), np.cumsum(steps, axis=1)))
 
@@ -112,13 +111,13 @@ class ParameterTrajectory:
         """t0 + int_0^z A ds: lab position of the comoving origin."""
         return self.params[0].t0 + float(np.interp(z, self.z, self._integrals[1]))
 
-    def edges(self, z: float) -> tuple[float, float]:
+    def edges(self, z: float | np.ndarray):
         """Comoving shelf-edge positions (S_L, S_R) = (-int_0^z (u_inf + A) ds,
-        int_0^z (u_inf - A) ds); S_L < 0 < S_R for B > 0.  Raises ValueError
-        outside the sampled span."""
-        if not 0.0 <= z <= self.z[-1] + 1e-12:
+        int_0^z (u_inf - A) ds) at a distance z or an array of them; S_L < 0 < S_R
+        for B > 0.  Raises ValueError outside the sampled span."""
+        if not np.all((0.0 <= z) & (z <= self.z[-1] + 1e-12)):
             raise ValueError(f"trajectory covers [0, {self.z[-1]}], not z={z}")
-        u_int, a_int = (float(np.interp(z, self.z, f)) for f in self._integrals)
+        u_int, a_int = (np.interp(z, self.z, f) for f in self._integrals)
         return 0.0 - u_int - a_int, u_int - a_int  # 0.0 - ...: S_L is +0.0, not -0.0, at z = 0
 
 
@@ -274,22 +273,21 @@ def _states(Y: np.ndarray, t0: float, Z: np.ndarray) -> CoreParams:
     return CoreParams(u_inf=u, A=A, B=np.sqrt(b2), t0=t0, sigma0=s0)
 
 
-class _Records(Sequence):
-    """The scalar CoreParams or ShelfParams of a batch of n states, each built when it is read: a
-    trajectory keeps its samples as arrays, not as objects of boxed floats (0.6 MiB per 121 samples)."""
+class _Records:
+    """The scalar CoreParams or ShelfParams of a batch of n states (a scalar state broadcast to all n), each
+    built when it is read, by index or by iteration: a trajectory keeps its samples as arrays, not as objects
+    of boxed floats (0.6 MiB per 121 samples).  ``column`` reads a field, or a property such as
+    CoreParams.delta_phi0, at every state."""
 
     def __init__(self, batch, n: int):
-        self._cls = type(batch)
-        self._cols = [np.broadcast_to(getattr(batch, f.name), n) for f in fields(batch)]
+        self._fields = [f.name for f in fields(batch)]
+        self._batch = replace(batch, **{f: np.broadcast_to(getattr(batch, f), n) for f in self._fields})
 
-    def __len__(self) -> int:
-        return len(self._cols[0])
+    def column(self, name: str) -> np.ndarray:
+        return getattr(self._batch, name)
 
     def __getitem__(self, i: int):
-        return self._cls(*(c[i].item() for c in self._cols))
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
+        return type(self._batch)(*(getattr(self._batch, f)[i].item() for f in self._fields))
 
 
 def _picard(rates, y0: np.ndarray, Z0: float, H: float, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -332,7 +330,8 @@ def evolve_core_parameters(pert: Perturbation, params0: CoreParams, epsilon: flo
     if epsilon == 0.0:
         z = np.linspace(0.0, z_span, SAMPLES)
         flat = BackgroundTrajectory(0.0 * z, np.full(SAMPLES, params0.u_inf))
-        return ParameterTrajectory(0.0, z, [params0] * SAMPLES, [ShelfParams(*(0.0,) * 9)] * SAMPLES, flat)
+        shelf = _Records(ShelfParams(*(0.0,) * 9), SAMPLES)
+        return ParameterTrajectory(0.0, z, _Records(params0, SAMPLES), shelf, flat)
     check_forcing(pert, params0)
     steps = slow_steps(abs(epsilon) * z_span)
     h = epsilon * z_span / steps  # signed table interval
@@ -390,6 +389,6 @@ def phase_conservation_check(traj: ParameterTrajectory) -> float:
     |delta_phi0_rate + flux|; it vanishes identically whenever
     delta_phi0 is conserved (dispersive and linear damping included).
     """
-    if len(traj.params) < 3:
+    if traj.z.size < 3:
         raise ValueError("need at least 3 trajectory samples")
     return max(abs(sh.delta_phi0_rate + edge_phase_flux(p, sh)) for p, sh in zip(traj.params, traj.shelf))

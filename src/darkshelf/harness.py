@@ -644,10 +644,12 @@ _SHELF_COLUMNS = ("u_inf_rate", "A_rate", "B_rate", "delta_phi0_rate", "sigma0_r
 
 
 def _write_trajectory(traj: asymptotics.ParameterTrajectory, path: str) -> None:
-    """The prediction table: z, Z, core parameters, shelf rates and plateaus, edges S_L, S_R."""
-    rows = [(z, Z, *(getattr(p, c) for c in _CORE_COLUMNS), *(getattr(sh, c) for c in _SHELF_COLUMNS),
-             *traj.edges(z)) for z, Z, p, sh in zip(traj.z, traj.Z, traj.params, traj.shelf)]
-    simulator.write_csv(path, ["z", "Z", *_CORE_COLUMNS, *_SHELF_COLUMNS, "S_L", "S_R"], rows)
+    """The prediction table: z, Z, core parameters, shelf rates and plateaus, edges S_L, S_R, one
+    row per sample, built column by column."""
+    columns = (traj.z, traj.Z, *map(traj.params.column, _CORE_COLUMNS), *map(traj.shelf.column, _SHELF_COLUMNS),
+               *traj.edges(traj.z))
+    header = ["z", "Z", *_CORE_COLUMNS, *_SHELF_COLUMNS, "S_L", "S_R"]
+    simulator.write_csv(path, header, np.column_stack(columns).tolist())
 
 
 def write_prediction_csv(traj, out_dir: str, run_id: str) -> str:

@@ -2,9 +2,11 @@
 
 Both quadrature rules are built on the 15-point Kronrod extension of
 7-point Gauss quadrature (the classic QUADPACK pair).  ``integrate``, which
-serves the Airy bridge, splits intervals where the embedded error estimate is
-largest until the global estimate meets tolerance.  ``soliton_integrals``
-applies one fixed composite panel rule, tabulated at import at unit width
+serves the Airy bridge, takes arrays of limits, gets the first panel of every
+interval from one call of the integrand, and refines only an interval whose
+estimate misses tolerance, splitting its panel of largest error estimate
+until its total meets tolerance.  ``soliton_integrals`` applies one fixed
+composite panel rule, tabulated at import at unit width
 (nodes s_k, weights, tanh s_k and sech^2 s_k) and scaled by the soliton
 width 1/B, which resolves every sech^2-localized density of the theory; the
 embedded estimate is checked, not refined.  ``rk4_step`` is the one RK4 step
@@ -69,23 +71,8 @@ def _panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[f
     return kronrod, abs(kronrod - gauss)
 
 
-def integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    tol: float = 1e-12,
-    max_panels: int = 2000,
-) -> float:
-    """Integrate ``f`` over [a, b] to absolute tolerance ``tol``.
-
-    ``f`` must accept a numpy array of sample points and return values of the
-    same shape.
-    """
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise ValueError("integration limits must be finite")
-    if a == b:
-        return 0.0
-    value, err = _panel(f, a, b)
+def _refine(f, a: float, b: float, value: float, err: float, tol: float, max_panels: int) -> float:
+    """Split the panel of largest error estimate, starting from [a, b]'s one panel, until the total meets tol."""
     # Max-heap on error; heapq is a min-heap so store negated errors.
     heap = [(-err, a, b, value)]
     total = value
@@ -107,6 +94,35 @@ def integrate(
             f"after {count} panels on [{a}, {b}]"
         )
     return total
+
+
+def integrate(f: Callable[[np.ndarray], np.ndarray], a, b, tol: float = 1e-12, max_panels: int = 2000):
+    """Integrate ``f`` over [a, b] to absolute tolerance ``tol``.
+
+    ``f`` must accept a 1-d numpy array of sample points and return values of
+    the same shape.  ``a`` and ``b`` may be arrays, broadcast together: each
+    interval is integrated on its own, and the result has their shape (a
+    float for scalar limits).  The first 15-point panel of every interval is
+    evaluated by one call of ``f``; an interval whose estimate misses ``tol``
+    is refined alone, splitting its worst panel until the estimate meets
+    ``tol`` or ``max_panels`` are spent (QuadratureError, naming that
+    interval, if the estimate is still above max(tol, 1e-10 |integral|)).
+    An empty interval a == b integrates to 0.0.
+    """
+    shape = np.broadcast(a, b).shape
+    lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), shape).ravel() for v in (a, b))
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError("integration limits must be finite")
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
+    fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    # One dot per interval, as _panel takes it, so that each value is the one a scalar call gives.
+    values = half * np.array([np.dot(_WK, row) for row in fx])
+    errs = np.abs(values - half * np.array([np.dot(_WGFULL, row) for row in fx]))
+    values[lo == hi] = errs[lo == hi] = 0.0
+    for i in np.flatnonzero(errs > tol):
+        values[i] = _refine(f, lo[i].item(), hi[i].item(), values[i].item(), errs[i].item(), tol, max_panels)
+    return values.reshape(shape) if shape else values.item()
 
 
 # Composite panel edges for sech^2-localized densities, in units of 1/B.

@@ -507,11 +507,11 @@ def measure_core_minimum(snapshot: FieldState, grid: Grid) -> tuple[float, float
 
 
 def write_csv(path: str, header: Sequence[str], rows) -> None:
-    """One header line, then one line of FMT-formatted numbers per row."""
+    """One header line, then one line of FMT-formatted numbers per row, each row formatted by one call."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(FMT.format(v) for v in row) + "\n")
+            fh.write(",".join([FMT] * len(row)).format(*row) + "\n")
 
 
 def write_snapshot_csv(state: FieldState, grid: Grid, directory, run_id: str) -> str:

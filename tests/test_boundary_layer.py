@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
-from darkshelf.asymptotics import BackgroundTrajectory, ParameterTrajectory
+from darkshelf.asymptotics import BackgroundTrajectory, ParameterTrajectory, _Records
 from darkshelf.boundary_layer import LayerProfile, shelf_magnitude_profile, shelf_phase_profile
 from darkshelf.soliton import CoreParams
 
@@ -113,10 +113,9 @@ class TestPhaseProfile:
 
 def shelf_edges(z, u_inf, A, zeta):
     """(S_L, S_R) from ParameterTrajectory.edges on a sampled (z, u_inf, A) history."""
-    params = [CoreParams(u_inf=u, A=a, B=math.sqrt(u * u - a * a)) for u, a in zip(u_inf, A)]
-    z = np.asarray(z, dtype=float)
-    background = BackgroundTrajectory(0.05 * z, np.asarray(u_inf, dtype=float))
-    return ParameterTrajectory(0.05, z, params, [], background).edges(zeta)
+    u_inf, A, z = (np.asarray(v, dtype=float) for v in (u_inf, A, z))
+    params = _Records(CoreParams(u_inf=u_inf, A=A, B=np.sqrt(u_inf * u_inf - A * A)), z.size)
+    return ParameterTrajectory(0.05, z, params, [], BackgroundTrajectory(0.05 * z, u_inf)).edges(zeta)
 
 
 class TestShelfEdges:

@@ -12,6 +12,7 @@ from darkshelf import asymptotics, cli, harness, simulator
 from darkshelf.perturbations import BUILTINS
 from darkshelf.soliton import CoreParams
 from test_reach import _configs as reach_configs
+from theory_reference import write_trajectory_rows
 
 
 @pytest.fixture
@@ -429,6 +430,22 @@ class TestPredict:
         sh = traj.shelf[0]
         assert sh.q1_plus == pytest.approx(-(2.0 / 3.0), abs=1e-10)
         assert traj.params[-1].sigma0 == pytest.approx(-2.0, abs=1e-6)
+
+    @pytest.mark.parametrize("label, epsilon, params", [
+        (None, 0.0, CoreParams.from_background(1.0, math.pi)),
+        (None, 0.0, CoreParams(u_inf=1, A=0.6, B=0.8, t0=2, sigma0=1)),  # integer fields, as a config may give
+        *((label, 0.05, CoreParams.from_background(1.0, 2.0, t0=0.3, sigma0=1.0)) for label in BUILTINS),
+        ("dispersive_damping", 0.05, CoreParams.from_background(1.0, math.pi)),
+        ("linear_damping", -0.05, CoreParams.from_background(1.0, 2.0)),
+    ])
+    def test_prediction_csv_matches_row_reference(self, tmp_path, label, epsilon, params):
+        # The column-wise writer against the row-object one, byte for byte.
+        strength = {"dispersive_damping": 1.0, "linear_damping": 0.5, "two_photon": 1.0}
+        pert = BUILTINS[label](strength[label]) if label else None
+        traj = asymptotics.evolve_core_parameters(pert, params, epsilon, 20.0)
+        path = harness.write_prediction_csv(traj, tmp_path, "p")
+        write_trajectory_rows(traj, tmp_path / "reference.csv")
+        assert open(path, "rb").read() == (tmp_path / "reference.csv").read_bytes()
 
     def test_epsilon_zero_all_rates_zero(self, monkeypatch):
         cfg = harness.load_config("black_unperturbed")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate as sci
 
+from darkshelf import airy
 from darkshelf.quadrature import SOLITON_NODES, QuadratureError, integrate, soliton_integrals
 
 
@@ -66,6 +67,40 @@ def test_unresolvable_raises():
     with pytest.raises(QuadratureError):
         integrate(lambda x: np.cos(40.0 * x) * np.exp(-25.0 * x**2), -1.0, 1.0,
                   tol=1e-14, max_panels=3)
+
+
+def test_array_limits_match_scalar_calls_on_the_airy_bridge():
+    # Each bridge point from its nearest anchor, as airy._bridge integrates them, and the anchors from -8.4.
+    x = np.linspace(-12.0, -8.4, 721)[:-1]
+    a = airy._BRIDGE_ANCHORS[np.abs(x[:, None] - airy._BRIDGE_ANCHORS).argmin(axis=1)]
+    scalar = [integrate(airy._left_ai, lo, hi, tol=1e-13) for lo, hi in zip(a.tolist(), x.tolist())]
+    assert integrate(airy._left_ai, a, x, tol=1e-13).tobytes() == np.array(scalar).tobytes()
+    anchors = [airy._AII_LO - integrate(airy._left_ai, lo, airy._TABLE_LO, tol=1e-13)
+               for lo in airy._BRIDGE_ANCHORS.tolist()]
+    assert airy._bridge_anchors().tobytes() == np.array(anchors).tobytes()
+
+
+def test_array_limits_refine_only_the_intervals_that_need_it():
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.cos(40.0 * x) * np.exp(-x * x)
+
+    a, b = np.array([[0.0, -1.0], [0.05, 2.0]]), np.array([[0.01, 3.0], [0.05, 2.01]])
+    got = integrate(f, a, b)
+    assert calls[0] == 4 * 15 and len(calls) > 3 and set(calls[1:]) == {15}  # only [-1, 3] takes more panels
+    scalar = [integrate(f, lo, hi) for lo, hi in zip(a.ravel().tolist(), b.ravel().tolist())]
+    assert got.shape == (2, 2) and got.tobytes() == np.array(scalar).reshape(2, 2).tobytes()
+    assert got[1, 0] == 0.0 and np.copysign(1.0, got[1, 0]) == 1.0  # a == b: +0.0, though f < 0 there
+    assert isinstance(integrate(f, 0.0, 0.01), float)
+    assert integrate(f, np.array([0.0, 1.0]), 0.01).shape == (2,)  # limits broadcast
+
+
+def test_array_limits_name_the_interval_that_fails():
+    f = lambda x: np.cos(40.0 * x) * np.exp(-25.0 * x**2)
+    with pytest.raises(QuadratureError, match=r"on \[-1\.0, 1\.0\]"):
+        integrate(f, np.array([0.0, -1.0, 2.0]), np.array([0.01, 1.0, 2.01]), tol=1e-14, max_panels=3)
 
 
 def test_nonfinite_limits_rejected():

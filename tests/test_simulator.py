@@ -416,6 +416,15 @@ class TestSigmaRate:
 
 
 class TestSnapshotDump:
+    def test_write_csv_formats_each_value_as_fmt(self, tmp_path):
+        # One format call per row gives each value's own FMT.format, on rows longer and shorter than the header.
+        values = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1.8e308, 0.1, 0, 7, -(10**20),
+                  np.float64(-0.0), np.float64(1 / 3), np.int64(-3), np.int64(2**62)]
+        rows = [values, values[2:5], (np.int64(1),)]
+        simulator.write_csv(tmp_path / "v.csv", ("z", "1.5"), rows)
+        expect = "z,1.5\n" + "".join(",".join(simulator.FMT.format(v) for v in row) + "\n" for row in rows)
+        assert (tmp_path / "v.csv").read_bytes() == expect.encode()
+
     def test_csv_format(self, tmp_path):
         grid = Grid(half_width=50.0, n_points=512)
         state = FieldState(z=1.5, samples=np.full(512, 0.5 - 0.25j))

@@ -3,7 +3,8 @@
 No run of the package uses them: the explicit first-order solution of a
 black soliton under dispersive damping, the linearized operator about the
 soliton with its four homogeneous solutions, the slow-parameter cascade
-stepped by classical RK4, and the PDE run as one allocating loop.
+stepped by classical RK4, the PDE run as one allocating loop, and the
+prediction table written one row object at a time.
 Derivatives use the package's 4th-order stencils.
 """
 
@@ -14,7 +15,9 @@ import numpy as np
 
 from darkshelf.asymptotics import SAMPLES, edge_phase_flux, grey_parameter_rhs
 from darkshelf.finitediff import first_derivative, second_derivative
+from darkshelf.harness import _CORE_COLUMNS, _SHELF_COLUMNS
 from darkshelf.quadrature import rk4_step
+from darkshelf.simulator import FMT
 from darkshelf.soliton import CoreParams, grey_profile
 
 # -- Black soliton under F = i gamma u_tt, first order ---------------------
@@ -202,3 +205,18 @@ def reference_run(config, grid, params: CoreParams, background, z_max: float) ->
         if (n + 1) % stride == 0:
             snapshots.append(u.copy())
     return snapshots
+
+
+# -- The prediction table, one row object at a time --------------------------
+
+
+def write_trajectory_rows(traj, path: str) -> None:
+    """The prediction CSV built one sample at a time, the reference for harness._write_trajectory: per
+    sample one CoreParams (delta_phi0 from its property), one ShelfParams and one edges(z) call, and
+    each value formatted on its own."""
+    rows = [(z, Z, *(getattr(p, c) for c in _CORE_COLUMNS), *(getattr(sh, c) for c in _SHELF_COLUMNS),
+             *traj.edges(z)) for z, Z, p, sh in zip(traj.z, traj.Z, traj.params, traj.shelf)]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(["z", "Z", *_CORE_COLUMNS, *_SHELF_COLUMNS, "S_L", "S_R"]) + "\n")
+        for row in rows:
+            fh.write(",".join(FMT.format(v) for v in row) + "\n")
