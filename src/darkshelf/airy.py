@@ -10,26 +10,27 @@ would grow the Bi component).  Evaluation steps are at most 0.125 long, so
 their terms do not cancel and a plain sum is exact to rounding.
 
 Outside the table Ai and Ai' come from the classical asymptotic expansions
-(DLMF 9.7) and AiI from an integration-by-parts tail series, each a
-fixed-length sum whose terms still decrease at the switch point.  On
-[-12, -8.4), where the tail series is not yet accurate, AiI is bridged by
-adaptive Gauss-Kronrod quadrature from the nearest of the anchors -12,
--11.75, ..., -8.5, -8.4, whose values are integrated once, on first use,
-from the table's value at -8.4.  Each evaluation integrates all of its
-bridge points in one batched quadrature call, as the anchors are built.
-The second antiderivative reduces exactly to x*AiI(x) - Ai'(x).  Past
-|x| = 1e100 Ai and Ai' are 0 and AiI is 1 on the right (exact in float64)
-and 0 on the left (within the amplitude bound; float64 no longer resolves
-the phase there).
+(DLMF 9.7) and AiI from an integration-by-parts tail series in the same Ai
+and Ai', each a fixed-length sum whose terms still decrease at the switch
+point.  On [-12, -8.4), where the tail series is not yet accurate, AiI is
+bridged from the nearest of the anchors -12, -11.75, ..., -8.5, -8.4 by one
+15-point Gauss-Kronrod panel (quadrature.integrate), all of an evaluation's
+bridge points in one call.  The anchors' values are built at import from
+the table's value at -8.4, less one such panel per gap between neighbouring
+anchors (0.25 wide, the last 0.1).  One dispatch gives the rows Ai, Ai' and
+AiI of every point, so the second antiderivative, which reduces exactly to
+x*AiI(x) - Ai'(x), reads both from one pass.  Past |x| = 1e100 Ai and Ai'
+are 0 and AiI is 1 on the right (exact in float64) and 0 on the left
+(within the amplitude bound; float64 no longer resolves the phase there).
 
 Accuracy against mpmath (absolute): Ai, Ai' and AiI within 7e-14 on
-[-12, 6.5], Ai' 3e-14 and AiI 1.2e-13 further left, and AiI 1.5e-11 just
-right of 6.5, where the tail series stops at its smallest term.
+[-12, 6.5] and AiI within 1e-15 on the bridge, Ai' 3e-14 and AiI 1.2e-13
+further left, and AiI 1.5e-11 just right of 6.5, where the tail series
+stops at its smallest term.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -159,24 +160,6 @@ def _table(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _AII_LO = float(_table(np.array([_TABLE_LO]))[2][0])
 
 
-def _piecewise(x: np.ndarray, branches, rows: tuple[int, ...] = ()) -> np.ndarray:
-    """Evaluate each (mask, fn) branch on the points of ``x`` its mask selects; 0 where none does."""
-    out = np.zeros(rows + x.shape)
-    for mask, fn in branches:
-        if mask.any():
-            out[..., mask] = fn(x[mask])
-    return out
-
-
-def _ai(x: np.ndarray) -> np.ndarray:
-    """Rows Ai, Ai' at the points of a 1-d array."""
-    return _piecewise(x, (
-        ((x >= -_FAR) & (x < _TABLE_LO), _asym_left),
-        ((x >= _TABLE_LO) & (x <= _TABLE_HI), lambda v: _table(v)[:2]),
-        ((x > _TABLE_HI) & (x <= _FAR), _asym_right),
-    ), rows=(2,))
-
-
 _BRIDGE_ANCHORS = np.append(np.arange(_BRIDGE_LO, _TABLE_LO, _SPACING), _TABLE_LO)  # -12, -11.75, ..., -8.5, -8.4
 
 
@@ -184,50 +167,67 @@ def _left_ai(x: np.ndarray) -> np.ndarray:
     return _asym_left(x)[0]
 
 
-@functools.cache
-def _bridge_anchors() -> np.ndarray:
-    """AiI at _BRIDGE_ANCHORS: the table's value at -8.4 minus the integral up to it, built on first use."""
-    return _AII_LO - integrate(_left_ai, _BRIDGE_ANCHORS, _TABLE_LO, tol=1e-13)
+# AiI at _BRIDGE_ANCHORS: the table's value at -8.4 minus one panel per gap up to -8.4, summed from the right.
+_BRIDGE_GAPS = integrate(_left_ai, _BRIDGE_ANCHORS[:-1], _BRIDGE_ANCHORS[1:])
+_BRIDGE_AII = _AII_LO - np.append(np.cumsum(_BRIDGE_GAPS[::-1])[::-1], 0.0)
 
 
 def _bridge(x: np.ndarray) -> np.ndarray:
-    """AiI on [-12, -8.4): the nearest bridge anchor's value plus the integral from it, all points in one call."""
+    """AiI on [-12, -8.4): the nearest bridge anchor's value plus one panel from it, all points in one call."""
     i = np.abs(x[:, None] - _BRIDGE_ANCHORS).argmin(axis=1)
-    return _bridge_anchors()[i] + integrate(_left_ai, _BRIDGE_ANCHORS[i], x, tol=1e-13)
+    return _BRIDGE_AII[i] + integrate(_left_ai, _BRIDGE_ANCHORS[i], x)
 
 
-def _ai_integral(x: np.ndarray) -> np.ndarray:
-    """int_{-inf}^x Ai at the points of a 1-d array."""
-    return _piecewise(x, (
-        ((x >= -_FAR) & (x < _BRIDGE_LO), lambda v: _byparts(v, *_asym_left(v), 12)),
-        ((x >= _BRIDGE_LO) & (x < _TABLE_LO), _bridge),
-        ((x >= _TABLE_LO) & (x <= _TABLE_HI), lambda v: _table(v)[2]),
-        ((x > _TABLE_HI) & (x <= _FAR), lambda v: 1.0 + _byparts(v, *_asym_right(v), 6)),
-        (x > _FAR, lambda v: 1.0),
-    ))
+def _left_tail(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Ai, Ai', AiI) for x < -12, AiI by parts from the same Ai and Ai'."""
+    ai, aip = _asym_left(x)
+    return ai, aip, _byparts(x, ai, aip, 12)
+
+
+def _right_tail(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Ai, Ai', AiI) for x > 6.5, AiI by parts from the same Ai and Ai'."""
+    ai, aip = _asym_right(x)
+    return ai, aip, 1.0 + _byparts(x, ai, aip, 6)
+
+
+def _piecewise(x: np.ndarray) -> np.ndarray:
+    """Rows Ai, Ai', AiI at the points of a 1-d array, each from the branch that covers it."""
+    out = np.zeros((3, *x.shape))
+    out[2, x > _FAR] = 1.0  # past the far field: Ai = Ai' = 0 and AiI = 1
+    for mask, fn in (
+        ((x >= -_FAR) & (x < _BRIDGE_LO), _left_tail),
+        ((x >= _BRIDGE_LO) & (x < _TABLE_LO), lambda v: (*_asym_left(v), _bridge(v))),
+        ((x >= _TABLE_LO) & (x <= _TABLE_HI), _table),
+        ((x > _TABLE_HI) & (x <= _FAR), _right_tail),
+    ):
+        if mask.any():
+            out[:, mask] = fn(x[mask])
+    return out
 
 
 def _apply(fn, x):
+    """fn(v, rows) at the points v of x, given the rows Ai, Ai', AiI there; a float for a scalar x."""
     arr = np.asarray(x, dtype=float)
     if not np.isfinite(arr).all():
         raise ValueError("x must be finite")
-    out = fn(arr.ravel())
+    v = arr.ravel()
+    out = fn(v, _piecewise(v))
     return float(out[0]) if np.isscalar(x) else out.reshape(arr.shape)
 
 
 def airy_ai(x):
     """Airy function Ai(x); accepts scalars or arrays."""
-    return _apply(lambda v: _ai(v)[0], x)
+    return _apply(lambda v, rows: rows[0], x)
 
 
 def airy_ai_prime(x):
     """Derivative Ai'(x)."""
-    return _apply(lambda v: _ai(v)[1], x)
+    return _apply(lambda v, rows: rows[1], x)
 
 
 def airy_ai_integral(x):
     """Cumulative integral int_{-inf}^x Ai(s) ds; tends to 0 / 1 at -inf / +inf."""
-    return _apply(_ai_integral, x)
+    return _apply(lambda v, rows: rows[2], x)
 
 
 def airy_ai_double_integral(x):
@@ -236,4 +236,4 @@ def airy_ai_double_integral(x):
     Integration by parts collapses it to x*AiI(x) - Ai'(x); the boundary
     contribution at -infinity cancels between the two terms.
     """
-    return _apply(lambda v: v * _ai_integral(v) - _ai(v)[1], x)
+    return _apply(lambda v, rows: v * rows[2] - rows[1], x)

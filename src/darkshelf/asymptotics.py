@@ -169,7 +169,8 @@ def _forcing_integrals(pert: Perturbation, params: CoreParams, f_inf) -> np.ndar
     """
     A, B, f_inf = (np.atleast_1d(v)[:, None] for v in np.broadcast_arrays(params.A, params.B, f_inf))
     out = []
-    for a, b, f in zip(*(np.split(v, range(_CHUNK, len(v), _CHUNK)) for v in (A, B, f_inf))):
+    for i in range(0, len(A), _CHUNK):
+        a, b, f = A[i:i + _CHUNK], B[i:i + _CHUNK], f_inf[i:i + _CHUNK]
         tanh, sech2 = b * SOLITON_TANH, b * b * SOLITON_SECH2  # B tanh s and B^2 sech^2 s
         F = pert.point_eval(a + 1j * tanh, -2j * tanh * sech2)  # u0 = A + iB tanh, u0_TT = -2i B^3 sech^2 tanh
         # u0_T = iB^2 sech^2 is imaginary: Re F u0_T* = B^2 sech^2 Im F, and Im F u0* = A Im F - B tanh Re F.

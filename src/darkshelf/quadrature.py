@@ -1,15 +1,14 @@
 """Integration rules: Gauss-Kronrod quadrature and the classical RK4 step.
 
-Both quadrature rules are built on the 15-point Kronrod extension of
-7-point Gauss quadrature (the classic QUADPACK pair).  ``integrate``, which
-serves the Airy bridge, takes arrays of limits, gets the first panel of every
-interval from one call of the integrand, and refines only an interval whose
-estimate misses tolerance, splitting its panel of largest error estimate
-until its total meets tolerance.  ``soliton_integrals`` applies one fixed
-composite panel rule, tabulated at import at unit width
-(nodes s_k, weights, tanh s_k and sech^2 s_k) and scaled by the soliton
-width 1/B, which resolves every sech^2-localized density of the theory; the
-embedded estimate is checked, not refined.  ``rk4_step`` is the one RK4 step
+Both quadrature rules apply the 15-point Kronrod extension of 7-point Gauss
+quadrature (the classic QUADPACK pair) on fixed panels, through one kernel
+that returns each panel's Kronrod sum and its distance from the embedded
+Gauss sum.  The estimate is checked, never refined.  ``integrate``, which
+serves the Airy bridge, takes one panel per interval, all of them from one
+call of the integrand.  ``soliton_integrals`` applies one fixed composite
+panel rule, tabulated at import at unit width (nodes s_k, weights, tanh s_k
+and sech^2 s_k) and scaled by the soliton width 1/B, which resolves every
+sech^2-localized density of the theory.  ``rk4_step`` is the one RK4 step
 of the PDE stepper and of the background ODE's reference integrator; the
 slow-parameter cascade is solved by Chebyshev collocation instead
 (asymptotics).
@@ -17,7 +16,6 @@ slow-parameter cascade is solved by Chebyshev collocation instead
 
 from __future__ import annotations
 
-import heapq
 from typing import Callable, Sequence
 
 import numpy as np
@@ -59,55 +57,30 @@ _WERR = _WK - _WGFULL  # Kronrod minus embedded Gauss: the error-estimate weight
 
 
 class QuadratureError(RuntimeError):
-    """Raised when the error target cannot be met within the panel budget."""
+    """Raised when an integral is not finite or its error estimate misses its tolerance."""
 
 
-def _panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[float, float]:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    fx = np.asarray(f(mid + half * _NODES), dtype=float)
-    kronrod = half * float(np.dot(_WK, fx))
-    gauss = half * float(np.dot(_WGFULL, fx))
-    return kronrod, abs(kronrod - gauss)
+TOL = 1e-13  # absolute tolerance of each ``integrate`` interval's error estimate
 
 
-def _refine(f, a: float, b: float, value: float, err: float, tol: float, max_panels: int) -> float:
-    """Split the panel of largest error estimate, starting from [a, b]'s one panel, until the total meets tol."""
-    # Max-heap on error; heapq is a min-heap so store negated errors.
-    heap = [(-err, a, b, value)]
-    total = value
-    total_err = err
-    count = 1
-    while total_err > tol and count < max_panels:
-        neg_err, lo, hi, val = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        v1, e1 = _panel(f, lo, mid)
-        v2, e2 = _panel(f, mid, hi)
-        total += (v1 + v2) - val
-        total_err += (e1 + e2) - (-neg_err)
-        heapq.heappush(heap, (-e1, lo, mid, v1))
-        heapq.heappush(heap, (-e2, mid, hi, v2))
-        count += 2
-    if total_err > max(tol, 1e-10 * abs(total)):
-        raise QuadratureError(
-            f"error estimate {total_err:.3e} above tolerance {tol:.3e} "
-            f"after {count} panels on [{a}, {b}]"
-        )
-    return total
+def _panel_sums(fx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Kronrod sum, |Kronrod - Gauss|) of panels of half-width 1 sampled at _NODES along the last axis.
+
+    Sums along the last axis, not matmul, whose rounding would depend on the number of panels.
+    """
+    return (fx * _WK).sum(-1), np.abs((fx * _WERR).sum(-1))
 
 
-def integrate(f: Callable[[np.ndarray], np.ndarray], a, b, tol: float = 1e-12, max_panels: int = 2000):
-    """Integrate ``f`` over [a, b] to absolute tolerance ``tol``.
+def integrate(f: Callable[[np.ndarray], np.ndarray], a, b):
+    """Integrate ``f`` over [a, b] with one 15-point Kronrod panel.
 
     ``f`` must accept a 1-d numpy array of sample points and return values of
     the same shape.  ``a`` and ``b`` may be arrays, broadcast together: each
-    interval is integrated on its own, and the result has their shape (a
-    float for scalar limits).  The first 15-point panel of every interval is
-    evaluated by one call of ``f``; an interval whose estimate misses ``tol``
-    is refined alone, splitting its worst panel until the estimate meets
-    ``tol`` or ``max_panels`` are spent (QuadratureError, naming that
-    interval, if the estimate is still above max(tol, 1e-10 |integral|)).
-    An empty interval a == b integrates to 0.0.
+    interval is integrated on its own, all of them by one call of ``f``, and
+    the result has their shape (a float for scalar limits).  An empty
+    interval a == b integrates to +0.0.  The panel is never refined: an
+    interval whose integral is not finite, or whose embedded Gauss estimate
+    exceeds TOL, raises QuadratureError naming that interval.
     """
     shape = np.broadcast(a, b).shape
     lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), shape).ravel() for v in (a, b))
@@ -115,13 +88,14 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a, b, tol: float = 1e-12, m
         raise ValueError("integration limits must be finite")
     half = 0.5 * (hi - lo)
     x = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
-    fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-    # One dot per interval, as _panel takes it, so that each value is the one a scalar call gives.
-    values = half * np.array([np.dot(_WK, row) for row in fx])
-    errs = np.abs(values - half * np.array([np.dot(_WGFULL, row) for row in fx]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, errs = (half * s for s in _panel_sums(np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)))
     values[lo == hi] = errs[lo == hi] = 0.0
-    for i in np.flatnonzero(errs > tol):
-        values[i] = _refine(f, lo[i].item(), hi[i].item(), values[i].item(), errs[i].item(), tol, max_panels)
+    bad = np.flatnonzero(~(np.isfinite(values) & (errs <= TOL)))  # a nan fails both
+    if bad.size:
+        i = bad[0]
+        raise QuadratureError(f"integral {values[i]:.3g}, error estimate {errs[i]:.3e} "
+                              f"(tolerance {TOL:.0e}) on [{lo[i]}, {hi[i]}]")
     return values.reshape(shape) if shape else values.item()
 
 
@@ -150,11 +124,9 @@ def soliton_integrals(densities: Sequence[np.ndarray], B: float | np.ndarray) ->
     if np.any(B <= 0):
         raise ValueError("B must be positive")
     panels = np.asarray(densities).reshape(len(densities), *np.shape(B), _PANEL_HALF.size, _NODES.size)
-    # Sums along the last axis, not matmul, whose rounding would depend on the number of states; a sum
-    # that overflows fails the finiteness test below.
+    # A sum that overflows fails the finiteness test below.
     with np.errstate(over="ignore", invalid="ignore"):
-        values = ((panels * _WK).sum(-1) * _PANEL_HALF).sum(-1) / B
-        errs = (np.abs((panels * _WERR).sum(-1)) * _PANEL_HALF).sum(-1) / B
+        values, errs = ((s * _PANEL_HALF).sum(-1) / B for s in _panel_sums(panels))
     bad = ~(np.isfinite(values) & (errs <= 1e-9 * np.maximum(np.abs(values), 1.0)))  # a nan fails both
     if bad.any():
         d, *k = np.argwhere(bad)[0]

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import integrate, special
 
 from darkshelf.airy import airy_ai, airy_ai_double_integral, airy_ai_integral, airy_ai_prime
 
@@ -21,13 +21,20 @@ def test_against_scipy_everywhere():
     np.testing.assert_allclose(airy_ai_prime(GRID), aip_ref, atol=5e-10)
 
 
-def test_integral_against_mpmath():
+BRIDGE = np.concatenate([np.linspace(-12.0, -8.4, 1441)[:-1], np.arange(-12.0, -8.4, 0.25), [-8.4]])
+
+
+@pytest.mark.parametrize("sub, bound", [
+    (BRIDGE, 1e-15),  # the Airy bridge, 1,440 points and its 16 anchors
+    (np.linspace(-12.0, 6.5, 741), 7e-14),
+    (np.concatenate([np.linspace(-25, 25, 41), [-12.3, -11.7, -9.0, -8.45, 6.4, 6.6]]), 5e-9),
+], ids=["bridge", "table_and_bridge", "wide"])
+def test_integral_against_mpmath(sub, bound):
     # High-precision oracle: mpmath's antiderivative of Ai anchored at 0.
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 25
-    sub = np.concatenate([np.linspace(-25, 25, 41), [-12.3, -11.7, -9.0, -8.45, 6.4, 6.6]])
     ref = np.array([float(mp.airyai(mp.mpf(float(v)), derivative=-1) + mp.mpf(2) / 3) for v in sub])
-    np.testing.assert_allclose(airy_ai_integral(sub), ref, atol=5e-9)
+    np.testing.assert_allclose(airy_ai_integral(sub), ref, rtol=0.0, atol=bound)
 
 
 def test_total_integral_is_one():
@@ -59,13 +66,11 @@ def test_integral_derivative_consistency():
 
 
 def test_double_integral_identity():
-    # Increments of AiII must equal quadrature of AiI (independent route),
+    # Increments of AiII must equal scipy's quadrature of AiI (independent route),
     # and AiII(x) - x -> 0 on the right while AiII -> 0 on the far left.
-    from darkshelf.quadrature import integrate
-
     lo = -6.0
     for x in (-2.0, 0.0, 1.5, 4.0):
-        direct = integrate(lambda s: airy_ai_integral(s), lo, x, tol=1e-11)
+        direct, _ = integrate.quad(airy_ai_integral, lo, x, epsabs=1e-12, epsrel=0.0, limit=200)
         got = airy_ai_double_integral(x) - airy_ai_double_integral(lo)
         assert got == pytest.approx(direct, abs=1e-9)
     assert airy_ai_double_integral(25.0) == pytest.approx(25.0, abs=1e-10)

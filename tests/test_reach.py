@@ -33,7 +33,6 @@ ALLOWED = {
     "airy.airy_ai": "Ai, the tests' check on the Airy table; bench/ wraps it in a span",
     "airy.airy_ai_prime": "Ai'; bench/ wraps it in a span",
     "airy.airy_ai_double_integral": "the phase profile's double integral of Ai; bench/ wraps it in a span",
-    "airy._ai": "Ai and Ai' on the table and the asymptotic branches, behind airy_ai and airy_ai_prime",
     "simulator.conservation_residuals":
         "conservation-law balance of a run's snapshots, kept for the run diagnostics of ROADMAP item 4",
 }
