@@ -147,11 +147,11 @@ def evolve_background(pert: Perturbation, u_inf0: float, Z_span: float) -> Backg
     u = np.empty(steps + 1)
     u[0] = u_inf0
 
-    def rate(y, _Z):
+    def rate(y, _node=0):
         return background_rate(pert, y)
 
     for n in range(steps):
-        y_next = rk4_step(rate, u[n], n * h, h, rate(u[n], n * h))
+        y_next = rk4_step(rate, u[n], h, rate(u[n]))
         if y_next <= 0 or not np.isfinite(y_next):
             raise BackgroundCollapseError(f"u_inf reached {y_next} at Z={h * (n + 1):.4g}")
         u[n + 1] = y_next

@@ -11,7 +11,9 @@ and sech^2 s_k) and scaled by the soliton width 1/B, which resolves every
 sech^2-localized density of the theory.  ``rk4_step`` is the one RK4 step
 of the PDE stepper and of the background ODE's reference integrator; the
 slow-parameter cascade is solved by Chebyshev collocation instead
-(asymptotics).
+(asymptotics).  It names its stages by node, 0 (z), 1 (z + h/2, both
+midpoint stages) and 2 (z + h), not by z, and takes a complex h: the PDE
+steps the NLS bracket w of u_z = -i w with h = -i dz.
 """
 
 from __future__ import annotations
@@ -135,14 +137,16 @@ def soliton_integrals(densities: Sequence[np.ndarray], B: float | np.ndarray) ->
     return values
 
 
-def rk4_step(f: Callable, y, z: float, h: float, k1):
-    """One classical RK4 step of dy/dz = f(y, z) from (y, z) over h.
+def rk4_step(f: Callable, y, h, k1):
+    """One classical RK4 step of dy/dz = f(y, node) from y over h, which may be complex.
 
-    ``k1 = f(y, z)`` is passed in, so a caller can keep the first stage's
-    rate, and f is evaluated once per later stage.  Each rate is consumed
-    before f is called again, so f may return one buffer it reuses; the
-    stage states share one buffer too.  The sum is y + h/6 (k1 + 2 k2 +
-    2 k3 + k4), rounded term by term in that order.
+    ``k1``, the rate at node 0 (z), is passed in, so a caller can keep the
+    first stage's rate.  f is called once per later stage, at node 1 (z +
+    h/2) for both midpoint stages and at node 2 (z + h) for the end, so a
+    caller that tabulates its coefficients at those nodes never rounds a z.
+    Each rate is consumed before f is called again, so f may return one
+    buffer it reuses; the stage states share one buffer too.  The sum is
+    y + h/6 (k1 + 2 k2 + 2 k3 + k4), rounded term by term in that order.
     """
     acc = np.array(k1)
     stage = np.empty_like(acc)
@@ -150,12 +154,12 @@ def rk4_step(f: Callable, y, z: float, h: float, k1):
     for _ in range(2):
         np.multiply(0.5 * h, k, out=stage)
         stage += y
-        k = f(stage, z + 0.5 * h)
+        k = f(stage, 1)
         np.multiply(2.0, k, out=stage)
         acc += stage
     np.multiply(h, k, out=stage)
     stage += y
-    acc += f(stage, z + h)
+    acc += f(stage, 2)
     acc *= h / 6.0
     acc += y
     return acc

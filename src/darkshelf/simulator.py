@@ -33,7 +33,7 @@ MAX_UINF_DT = 1.018350154434631  # coarsest u_inf dt: about a point per 1/u_inf,
 MAX_STEP_GROWTH = 1.0 + 1e-12  # step_growth allowed: 1 up to the rounding of the RK4 polynomial
 MAX_POINT_STEPS = 1e10  # PDE steps x grid points
 MAX_SNAPSHOT_BYTES = 2**30  # (kept snapshots + STEP_FIELDS) x grid points x 16 B + the background table
-STEP_FIELDS = 9  # complex fields live in one RK4 step of run (tracemalloc at N = 4096: 7.1, two-photon 8.6)
+STEP_FIELDS = 9  # complex fields live in one RK4 step of run (tracemalloc at N = 4096: 7.1, two-photon 8.55)
 TABLE_BYTES_PER_STEP = 256  # run's background table, 3 z per step, as built (tracemalloc: 200-224)
 REACH_FRACTION = 0.65  # share of half_width - CORE_ALLOWANCE the shelf edges may reach (TestNarrowDomain)
 CORE_ALLOWANCE = 3.5  # half_width past the reach the edge fronts need even on short runs
@@ -221,34 +221,33 @@ def step_growth(damping: float, uinf_dt: float) -> float:
 
 
 def rate_buffers(n: int) -> tuple[np.ndarray, ...]:
-    """The arrays nls_rate writes on an n-point grid: three complex, two real."""
-    return (*np.empty((3, n), complex), *np.empty((2, n)))
+    """The arrays nls_rate writes on an n-point grid: four complex, the last with a zero imaginary part."""
+    return (*np.empty((3, n), complex), np.zeros(n, complex))
 
 
 def nls_rate(u: np.ndarray, dt: float, u_inf: float, epsilon: float, pert: Perturbation | None,
              work: tuple[np.ndarray, ...] | None = None) -> tuple[np.ndarray, np.ndarray | None]:
-    """(u_z, F[u]) of the perturbed NLS on a grid of spacing dt:
+    """(w, F[u]) on a grid of spacing dt, w the bracket of the perturbed NLS u_z = -i w:
 
-        u_z = -i (1/2 u_tt - (|u|^2 - u_inf^2) u + eps F[u])
+        w = 1/2 u_tt - (|u|^2 - u_inf^2) u + eps F[u]
 
-    F is evaluated (and added) only when eps != 0; it is None otherwise.  Given ``work`` (from
-    ``rate_buffers``), u_z and its temporaries are written there, u_z into work[0], which the next
-    call overwrites.  ``run`` overwrites the boundary rows with the background's rate.
+    F is evaluated (and added) only when eps != 0; it is None otherwise.  |u|^2 is (Re u)^2 + (Im u)^2
+    from one product over u.view(float), u contiguous.  Given ``work`` (from ``rate_buffers``), w
+    and its temporaries are written there, w into work[0], which the next call overwrites.  ``run``
+    steps w with h = -i dz and overwrites its boundary rows with i times the background's rate.
     """
-    w, u_tt, nonlinear, density, imag2 = work or rate_buffers(u.size)
+    w, u_tt, nonlinear, density = work or rate_buffers(u.size)
     second_derivative(u, dt, out=u_tt)
     np.multiply(0.5, u_tt, out=w)
-    np.square(u.real, out=density)
-    np.square(u.imag, out=imag2)
-    density += imag2
-    density -= u_inf**2
+    np.square(u.view(float), out=nonlinear.view(float))  # ((Re u)^2, (Im u)^2) until nonlinear is written
+    np.add(nonlinear.real, nonlinear.imag, out=density.real)
+    density -= u_inf**2  # stays real: the product below is the one numpy makes after casting a real density
     np.multiply(density, u, out=nonlinear)
     w -= nonlinear
     F = None
     if epsilon != 0.0:
         F = pert.grid_eval(u, u_tt)
         w += np.multiply(epsilon, F, out=nonlinear)
-    np.multiply(-1j, w, out=w)
     return w, F
 
 
@@ -263,9 +262,11 @@ def run(
     z_max in the lab frame, returning snapshots every ``stride`` steps (see resolve), kept
     at z = k z_max / n_snap, the last at z_max.
 
-    The background is read once, at every z a step reads: n dz (its first stage, and the
-    boundary after the step before), n dz + dz/2 and n dz + dz.  Each stage's rate is
-    written into one set of buffers.
+    The background is read once, at every z a step reads: RK4 nodes 0, 1 and 2 of step n
+    are the rows n dz (also the boundary after step n - 1), n dz + dz/2 and n dz + dz.  Each
+    stage writes the bracket w of nls_rate into one set of buffers, i times the background's
+    rate on the boundary rows, and u_z = -i w is stepped as w with h = -i dz, whose products
+    round as those of dz and -i w.
 
     Raises ValueError before the first step when config.check refuses the run, and
     StabilityError on norm blow-up.
@@ -283,29 +284,26 @@ def run(
     bc_unit_left = u[0] / params.u_inf
     bc_unit_right = u[-1] / params.u_inf
     work = rate_buffers(grid.n_points)
-    stage = {}  # z -> (u_inf, rate) at the stages of the current step
 
-    def rhs(f: np.ndarray, z: float) -> np.ndarray:
-        u_inf_z, rate_z = stage[z]
-        w, _ = nls_rate(f, dt, u_inf_z, eps, pert, work)
-        w[0] = rate_z * bc_unit_left
-        w[-1] = rate_z * bc_unit_right
+    def rhs(f: np.ndarray, node: int) -> np.ndarray:
+        i = n + (0, half, full)[node]  # the row of node 0, 1 or 2 of the current step n
+        w, _ = nls_rate(f, dt, u_inf[i], eps, pert, work)
+        w[0] = 1j * (rate[i] * bc_unit_left)
+        w[-1] = 1j * (rate[i] * bc_unit_right)
         return w
 
     max0 = float(np.max(np.abs(u)))
     snapshots = [FieldState(z=0.0, samples=u.copy())]
-    z = 0.0
+    h = -1j * dz
     n_snap = n_steps // stride
     for k in range(1, n_snap + 1):
         for n in range((k - 1) * stride, k * stride):
-            stage = {zs[i]: (u_inf[i], rate[i]) for i in (n, half + n, full + n)}
-            u = rk4_step(rhs, u, z, dz, rhs(u, z))
-            z = (n + 1) * dz
+            u = rk4_step(rhs, u, h, rhs(u, 0))
             u[0] = u_inf[n + 1] * bc_unit_left
             u[-1] = u_inf[n + 1] * bc_unit_right
         peak = float(np.max(np.abs(u)))
         if not np.isfinite(peak) or peak > 10.0 * max0:
-            raise StabilityError(f"norm grew to {peak:.3e} at z={z:.3f}")
+            raise StabilityError(f"norm grew to {peak:.3e} at z={(n + 1) * dz:.3f}")
         snapshots.append(FieldState(z=z_max if k == n_snap else k * z_max / n_snap, samples=u.copy()))
     return snapshots
 
@@ -341,7 +339,7 @@ def conservation_residuals(
         dI/dz = -2 eps Re int F[u] u_t* dt
         dR/dz = -I + 2 eps Im int t (F[u_inf] u_inf - F[u] u*) dt
 
-    with u_z from the equation of motion the stepper integrates (nls_rate).
+    with u_z = -i w from the bracket w the stepper integrates (nls_rate).
     Each law's residual is max_k |lhs - rhs| / max(1, |lhs|, |rhs|).
     """
     if len(snapshots) < 3:
@@ -361,10 +359,10 @@ def conservation_residuals(
         uinf = background.u_inf_fn(s.z)
         u_t = first_derivative(u, grid.dt)
         if eps != 0.0:
-            u_z, F = nls_rate(u, grid.dt, uinf, eps, pert)
+            w, F = nls_rate(u, grid.dt, uinf, eps, pert)
             f_bg = pert.on_background(uinf) * uinf
             rhs_H = 2.0 * uinf * background.rate_fn(s.z) * series["E"][k] + 2.0 * eps * float(
-                np.trapezoid(np.real(F * np.conj(u_z)), dx=grid.dt)
+                np.trapezoid(np.real(F * np.conj(-1j * w)), dx=grid.dt)
             )
             rhs_E = 2.0 * eps * float(np.trapezoid(np.imag(f_bg - F * np.conj(u)), dx=grid.dt))
             rhs_I = -2.0 * eps * float(np.trapezoid(np.real(F * np.conj(u_t)), dx=grid.dt))

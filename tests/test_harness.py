@@ -161,9 +161,14 @@ class TestConfigs:
             assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), "predict"]) == 2
             assert "validation error: soliton.t0:" in capsys.readouterr().err
 
-    def test_step_fields_cover_a_traced_run(self):
-        # The traced peak of a short dispersive run stays within what validate counts for it.
-        exp = harness.validate(harness.load_config("black_dispersive"))
+    @pytest.mark.parametrize("forcing", [None, {"label": "two_photon", "gamma3": 1.0}],
+                             ids=["dispersive", "two_photon"])
+    def test_step_fields_cover_a_traced_run(self, forcing):
+        # The traced peak of a short forced run stays within what validate counts for it; two-photon
+        # absorption's F[u] allocates the most.
+        cfg = harness.load_config("black_dispersive")
+        cfg["perturbation"] = forcing or cfg["perturbation"]
+        exp = harness.validate(cfg)
         sim = simulator.SimConfig(exp.epsilon, exp.perturbation, exp.snapshot_dz)
         traj = asymptotics.evolve_core_parameters(exp.perturbation, exp.params, exp.epsilon, 1e-3)
         background = simulator.SimBackground.from_perturbation(exp.perturbation, traj)

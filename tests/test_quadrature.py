@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate as sci
 
 from darkshelf import airy
-from darkshelf.quadrature import SOLITON_NODES, QuadratureError, integrate, soliton_integrals
+from darkshelf.quadrature import SOLITON_NODES, QuadratureError, integrate, rk4_step, soliton_integrals
 
 
 def test_polynomial_exact():
@@ -112,3 +114,30 @@ def test_array_limits_take_one_call_of_f():
 def test_nonfinite_limits_rejected():
     with pytest.raises(ValueError):
         integrate(lambda x: x, 0.0, np.inf)
+
+
+_NONZERO = st.floats(-4.0, 4.0).filter(lambda x: abs(x) >= 1e-3)
+_COMPLEX = st.builds(complex, _NONZERO, _NONZERO)
+
+
+@given(st.lists(_COMPLEX, min_size=1, max_size=8), st.lists(_COMPLEX, min_size=4, max_size=4), st.floats(1e-6, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_bracket_stepped_with_minus_i_dz_is_its_rate_stepped_with_dz(y, coefficients, dz):
+    # simulator.run steps the bracket w of u_z = -i w with h = -i dz.  Each product with that purely imaginary h
+    # must round as the product of dz with -i w does, so both steps carry the same bits; f is asked for by node.
+    y = np.array(y)
+    c0, c1, c2, c3 = coefficients
+
+    def bracket(v):
+        return c0 + v * (c1 + v * (c2 + v * c3))
+
+    nodes = []
+
+    def at_node(v, node):
+        nodes.append(node)
+        return bracket(v)
+
+    got = rk4_step(at_node, y, -1j * dz, bracket(y))
+    assert nodes == [1, 1, 2]
+    want = rk4_step(lambda v, _node: np.multiply(-1j, bracket(v)), y, dz, np.multiply(-1j, bracket(y)))
+    assert np.array_equal(got, want)

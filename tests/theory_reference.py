@@ -140,7 +140,7 @@ def rk4_cascade(pert, params0: CoreParams, epsilon: float, z_span: float, steps:
             params.append(p)
             shelf.append(replace(sh, delta_phi1=float(state[3])))
         if n < steps:
-            state = rk4_step(lambda y, _z: rate(y)[0], state, n * h, h, k1)
+            state = rk4_step(lambda y, _node: rate(y)[0], state, h, k1)
     return np.array(z), params, shelf
 
 
