@@ -186,6 +186,15 @@ class TestSlowStepConvergence:
         reference = dop853_columns(pert, params0, 0.05, z_span)
         assert np.max(np.abs(got - reference)) <= 1e-10
 
+    @pytest.mark.parametrize("pert", [linear_damping(0.5), two_photon(1.0)], ids=["linear", "two_photon"])
+    def test_newton_probe_near_the_black_limit(self, pert):
+        # A = 5e-8 is below the probe's step: A - _PROBE < 0 would take delta_phi0 out of (0, pi] and raise
+        # ValueError, so the probe steps A up.
+        params0 = CoreParams.from_background(1.0, math.pi - 1e-7)
+        assert 0.0 < params0.A < asymptotics._PROBE
+        got = trajectory_columns(evolve_core_parameters(pert, params0, 0.05, 20.0))
+        assert np.max(np.abs(got - dop853_columns(pert, params0, 0.05, 20.0))) <= 1e-10
+
 
 class TestEvolveCoreParameters:
     def test_tabulated_rule_evaluations(self, monkeypatch):
@@ -199,7 +208,7 @@ class TestEvolveCoreParameters:
         monkeypatch.setattr(asymptotics, "grey_parameter_rhs", lambda pert, p: rhs_calls.append(p) or rhs(pert, p))
         evolve_core_parameters(two_photon(1.0), GREY, 0.05, 30.0)
         assert profiles == [GREY]
-        assert len(rhs_calls) <= 200
+        assert len(rhs_calls) <= 40  # 37 with simplified Newton on A; plain Picard iteration takes 51
 
     def test_batched_rhs_equals_scalar_calls(self):
         # Every field of a batched evaluation (19 states: more than one chunk) is the scalar evaluation there.
@@ -274,8 +283,9 @@ class TestEvolveCoreParameters:
         assert traj.params[-1].u_inf == pytest.approx(math.exp(-0.5 * 0.5), abs=1e-8)
 
     def test_one_rhs_call_per_sweep(self, monkeypatch):
-        # Each Picard sweep evaluates all 16 nodes of its segment in one call, and one more call evaluates
-        # the samples; the segments, and so the sweeps, do not depend on the sample count.
+        # Each sweep evaluates all 16 nodes of its segment in one call, as does the Newton probe, one more
+        # call in a segment whose second sweep has not converged; one more call evaluates the samples.  The
+        # segments, and so the sweeps, do not depend on the sample count.
         rhs, sweeps = asymptotics.grey_parameter_rhs, []
         for samples in (2, 11, 121):
             batches = []
@@ -338,6 +348,30 @@ class TestEvolveCoreParameters:
             assert shift + s_r == pytest.approx(0.7 + dist, abs=1e-12)
             assert shift + s_l == pytest.approx(0.7 - dist, abs=1e-12)
         assert traj._integrals is traj._integrals  # built once per trajectory
+
+    def test_singular_newton_matrix_fails_the_segment(self):
+        # A linear A rate j A with j = 1 at node k alone gives J = e_k exactly (A - _PROBE is exact), so where
+        # (H/2) M[k, k] = 1, M = _AT_NODES _ANTIDERIVATIVE, row k of I - (H/2) M diag J is zero.  The probe's
+        # sweep fails as a sweep that does not contract would, with BackgroundCollapseError: the segment halves.
+        M = asymptotics._AT_NODES @ asymptotics._ANTIDERIVATIVE
+        k, m = 8, M[8, 8]
+        H = 2.0 / m
+        for _ in range(8):  # the H whose (H/2) m rounds to 1 is within a few ulps
+            if 0.5 * H * m != 1.0:
+                H = np.nextafter(H, 0.0 if 0.5 * H * m > 1.0 else math.inf)
+        J = np.eye(asymptotics._NODES.size)[k]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(np.eye(J.size) - (0.5 * H) * M * J)
+        calls = []
+
+        def rates(Y, Z):
+            calls.append(Y)
+            return np.outer(J * Y[:, 1], [0.0, 1.0, 0.0, 0.0])
+
+        y0 = np.array([1.0, 0.5, 0.0, 0.0])
+        with pytest.raises(BackgroundCollapseError, match="does not converge"):
+            asymptotics._collocate(rates, y0, 0.0, H, np.tile(y0, (J.size, 1)), newton=True)
+        assert len(calls) == 3  # two sweeps, then the probe
 
     def test_background_collapse_in_the_cascade(self):
         # Two-photon absorption this strong takes the background's iterate through zero on a segment one

@@ -266,8 +266,9 @@ class TestConfigs:
 
     def test_background_collapse_is_runtime_error(self, tmp_path):
         # Two-photon absorption at gamma3 = 1e4 passes validation.  The exact background (1 + 2 gamma3 Z)^(-1/2)
-        # stays positive (0.0316 at Z = 0.05), but the cascade's Picard iteration diverges on a segment one
-        # table interval long, so the cascade stops there.
+        # stays positive (0.0316 at Z = 0.05), but the cascade's background solve, plain Picard iteration on
+        # u_inf (only A takes Newton steps), diverges on a segment one table interval long, so the cascade
+        # stops there.
         cfg = {"perturbation": {"label": "two_photon", "gamma3": 1e4}, "epsilon": 0.05,
                "soliton": {"u_inf": 1.0, "delta_phi0": 4 * math.pi / 5},
                "grid": {"half_width": 15.0, "n_points": 256}, "run": {"z_max": 1.0}}
