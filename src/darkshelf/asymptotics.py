@@ -44,7 +44,8 @@ SHALLOW_LIMIT = 1e-9  # smallest u_inf - A the cascade accepts
 STEPS_PER_Z = 640  # background-table intervals per unit slow distance Z; the shortest cascade segment is one
 SAMPLES = 121  # trajectory samples, each one a background-table node
 MAX_CASCADE_STEPS = 10**6  # background-table intervals of the slow-parameter cascade
-_CHUNK = 16  # states per soliton-rule pass, a sweep's 16 nodes; tracemalloc peak 1.29 MiB in cascade_layers (0.94 at 8)
+_CHUNK = 8  # states per soliton-rule pass: a complex (8, 450) temporary is 57.6 KB, under the 64 KiB free at which
+# glibc tests whether to trim the heap top; at 16 (115 KB) each call could trim and regrow it (2,000 faults a predict)
 
 
 class ShallowSolitonError(RuntimeError):

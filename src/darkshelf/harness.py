@@ -1,4 +1,4 @@
-"""Experiment harness: configs, presets, prediction/comparison pipelines.
+"""Experiment harness: configs, presets, the prediction/comparison pipelines, reports, plot data and sweeps.
 
 A configuration is a plain JSON document with keys {perturbation, epsilon,
 soliton, grid, run, observables, outputs}.  ``predict`` integrates the slow
@@ -7,10 +7,8 @@ Artifacts that observables and plot writers read; ``compare`` grades the
 observables of ``simulate``'s Artifacts against the asymptotic predictions.
 ``validate`` parses; the limits belong to the layers (``simulator.SimConfig.check``
 for a PDE run, ``asymptotics.slow_steps`` for the cascade), and it turns their
-ValueError into a ConfigError naming the field.
-
-Where and when each row is measured (its windows, levels and fit ranges) is
-the table ``PROTOCOL``, next to ``OBSERVABLES``.
+ValueError into a ConfigError naming the field.  The observables, and where
+and when each row is measured, are ``observe``'s.
 """
 
 from __future__ import annotations
@@ -19,56 +17,22 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Sequence
+from typing import Any
 
 import numpy as np
 
-from . import asymptotics, boundary_layer, quadrature, simulator
+from . import asymptotics, observe, quadrature, simulator
 from .perturbations import BUILTINS, Perturbation
-from .soliton import CoreParams, grey_profile
+from .soliton import CoreParams
 
 
 class ConfigError(ValueError):
     """Configuration validation failure; message names the offending field."""
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    name: str
-    predicted: float
-    measured: float
-    tolerance: float
-    relative: bool = True
-
-    @property
-    def error(self) -> float:
-        if self.relative:
-            scale = abs(self.predicted) if self.predicted != 0 else 1.0
-            return float(abs(self.measured - self.predicted) / scale)
-        return float(abs(self.measured - self.predicted))
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.error <= self.tolerance)
-
-    def as_dict(self) -> dict[str, Any]:
-        def finite(v):
-            return v if math.isfinite(v) else None
-
-        return {
-            "name": self.name,
-            "predicted": float(self.predicted),
-            "measured": finite(float(self.measured)),
-            "error": finite(self.error),
-            "tolerance": float(self.tolerance),
-            "relative": bool(self.relative),
-            "pass": self.passed,
-        }
-
-
 @dataclass
 class ComparisonReport:
-    rows: list[ComparisonRow] = field(default_factory=list)
+    rows: list[observe.ComparisonRow] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -264,13 +228,14 @@ def validate(cfg: dict) -> Experiment:
             raise ConfigError(f"run.z_max: no automatic grid holds u_inf*z_max ({detail})") from exc
         raise ConfigError(f"soliton.t0: no automatic grid holds the reach from t0 = {t0} ({detail})") from exc
     core = "black" if params.is_black else "grey"
-    defaults = dict.fromkeys(o.name for o in OBSERVABLES if core in o.default_for)
-    observables = _names(cfg, "observables", {o.name for o in OBSERVABLES}, defaults)
+    defaults = dict.fromkeys(o.name for o in observe.OBSERVABLES if core in o.default_for)
+    observables = _names(cfg, "observables", {o.name for o in observe.OBSERVABLES}, defaults)
     if eps != 0.0:
-        graded_perturbed = any(o.perturbed_only for o in OBSERVABLES if o.name in observables)
+        graded_perturbed = any(o.perturbed_only for o in observe.OBSERVABLES if o.name in observables)
         try:
             asymptotics.check_forcing(pert, params)
-            sh = asymptotics.grey_parameter_rhs(pert, params) if graded_perturbed else None
+            with np.errstate(over="ignore", invalid="ignore"):  # a strength near the float limit: refused below
+                sh = asymptotics.grey_parameter_rhs(pert, params) if graded_perturbed else None
         except (ValueError, quadrature.QuadratureError) as exc:
             raise ConfigError(f"{strength}: {exc}") from exc
         if graded_perturbed:  # every perturbed-only row measures an O(eps) shelf effect
@@ -310,23 +275,6 @@ def auto_grid(params: CoreParams, z_max: float) -> dict:
     return {"half_width": float(half), "n_points": int(max(n, 512))}
 
 
-def shelf_margin(params: CoreParams, epsilon: float, q1_side: float) -> float:
-    """Comoving offset beyond which the bare-core tail, 2 B^2/u_inf e^{-2BT}, biases (|u|-u_inf)/eps
-    by less than a share 2/PROTOCOL.tail_factor of the plateau value."""
-    B, u = params.B, params.u_inf
-    return math.log(PROTOCOL.tail_factor * B * B / (u * abs(epsilon * q1_side))) / (2.0 * B)
-
-
-def measurement_distance(params: CoreParams, epsilon: float, q1_side: float, side: int) -> float:
-    """Distance at which the plateau window on ``side`` has PROTOCOL.window_room units of room, times the
-    headroom, rounded up to a distance_step and at least min_distance."""
-    P = PROTOCOL
-    speed = params.u_inf - side * params.A
-    margin = shelf_margin(params, epsilon, q1_side)
-    z = P.headroom * (margin + P.window_room) / (P.window_end * speed)
-    return max(P.min_distance, P.distance_step * math.ceil(z / P.distance_step))
-
-
 # -- Pipelines ---------------------------------------------------------------
 
 
@@ -364,10 +312,6 @@ def simulate(exp: Experiment) -> Artifacts:
     return Artifacts(exp, simulator.run(cfg, exp.grid, exp.params, background, exp.z_max), background, traj)
 
 
-def _snapshot_at(snapshots, z: float):
-    return snapshots[int(np.argmin([abs(s.z - z) for s in snapshots]))]
-
-
 def compare(exp: Experiment) -> tuple[ComparisonReport, Artifacts]:
     """Simulate, then grade each applicable observable in ``exp.observables``.
 
@@ -375,7 +319,7 @@ def compare(exp: Experiment) -> tuple[ComparisonReport, Artifacts]:
     pass having graded nothing.  A measurement that raises MeasurementError
     or ValueError leaves its declared rows failed (measured NaN) with one note.
     """
-    graded = [obs for obs in OBSERVABLES
+    graded = [obs for obs in observe.OBSERVABLES
               if obs.name in exp.observables and (exp.epsilon != 0.0 or not obs.perturbed_only)]
     if not graded:
         raise ConfigError(f"observables: none of {list(exp.observables)} applies "
@@ -386,189 +330,12 @@ def compare(exp: Experiment) -> tuple[ComparisonReport, Artifacts]:
         declared = obs.rows(art)
         try:
             measured = obs.measure(art)
-        except (simulator.MeasurementError, ValueError) as exc:
+        except (observe.MeasurementError, ValueError) as exc:
             report.rows += declared
             report.notes.append(f"{declared[0].name}: {exc}")
             continue
         report.rows += [replace(r, measured=m) for r, m in zip(declared, measured, strict=True)]
     return report, art
-
-
-# -- Observables -------------------------------------------------------------
-# Measurements look simulator functions and PROTOCOL up on the module at call
-# time, so a wrapper installed there (a profiler, a test double) sees every call.
-
-
-@dataclass(frozen=True)
-class Protocol:
-    """The measurement protocol: one field per rule of where and when a row is measured (lengths in
-    comoving units, z in lab units).  It is not a config key; emit's plot windows are not part of it."""
-
-    window_end: float = 0.7  # a plateau window ends at this share of its predicted edge S_R or S_L, short of the layer
-    tail_factor: float = 40.0  # shelf_margin: 2/40 = 5%, the bare-core tail's bias on a plateau
-    headroom: float = 1.25  # measurement_distance: lets the opening window outrun the plateau's formation transient
-    window_room: float = 3.0  # measurement_distance: the span the plateau window must have
-    min_distance: float = 20.0  # the shortest measurement distance
-    distance_step: float = 5.0  # measurement distances are rounded up to a multiple of this
-    balance_margin: float = 10.0  # black_balance's windows start this many core widths 1/B out, on the final snapshot
-    late_z: float = 10.0  # sigma0 and edge speeds fit the snapshots from this z on, once the shelf has formed
-    sigma0_probe: float = -2.0  # the sigma0 probe's offset in core widths 1/B: the fast side, where edge bias is least
-    probe_guard: float = 0.5  # sigma0 fails once a predicted edge is within offset/probe_guard of the core
-    velocity_span: float = 10.0  # a_constancy: the dip velocities over each half of this span before z_m must agree
-    velocity_points: int = 4  # ... each fitted to at least this many snapshots
-    a_scale_switch: float = 0.05  # a_constancy scales by A, or by u_inf where |A| is under this share of u_inf
-    layer_widths: float = 5.0  # the layer row compares |u| over +- this many similarity widths around S_R ...
-    layer_points: int = 257  # ... at this many points
-    plateau_points: int = 20  # samples a plateau window must hold
-    flatness: float = 0.25  # a plateau is flat when its deviation's std is at most this share of |q1|
-    edge_level: float = 0.25  # an edge crosses this share of the plateau: there the two known O(eps) biases cancel
-    edge_scan_start: float = 0.4  # crossings are scanned outward from this share of z
-
-
-PROTOCOL = Protocol()
-
-
-@dataclass(frozen=True)
-class Observable:
-    """One graded observable: ``rows`` declares its rows with measured = NaN
-    (also the failure fallback), ``measure`` returns one value per row.  It
-    applies to unperturbed runs only if not ``perturbed_only``;
-    ``default_for`` names the core kinds ("black", "grey") graded by default."""
-
-    name: str
-    rows: Callable[[Artifacts], list[ComparisonRow]]
-    measure: Callable[[Artifacts], Sequence[float]]
-    perturbed_only: bool = True
-    default_for: tuple[str, ...] = ("black",)
-
-
-def _row(name: str, predicted: float, tolerance: float, relative: bool = True) -> ComparisonRow:
-    return ComparisonRow(name, predicted, float("nan"), tolerance, relative)
-
-
-def _measure_fidelity(art: Artifacts) -> list[float]:
-    exp, snapshots, final = art.exp, art.snapshots, art.final
-    exact = grey_profile(exp.params, exp.grid.t - art.traj.comoving_shift(final.z))
-    dev = float(np.max(np.abs(final.samples - exact)))
-    q = [simulator.conserved_quantities(s, exp.grid, art.background.u_inf_fn(s.z)) for s in snapshots]
-    drifts = []
-    for name in "HEI":
-        series = np.array([getattr(c, name) for c in q])
-        drifts.append(float(np.max(np.abs(series - series[0]))) / max(1.0, abs(series[0])))
-    dR = np.gradient(np.array([c.R for c in q]), np.array([s.z for s in snapshots]))
-    return [dev, *drifts, float(np.max(np.abs(dR + np.array([c.I for c in q]))))]
-
-
-def _measure_shelf(art: Artifacts, snap, side: int, margin: float) -> tuple[float, float, bool]:
-    """(q1, phi1t, flat) of ``snap`` over the plateau window on ``side``: [margin, window_end S_R]
-    right (+1) or [window_end S_L, -margin] left (-1) of the core."""
-    P, (s_l, s_r) = PROTOCOL, art.traj.edges(snap.z)
-    window = (margin, P.window_end * s_r) if side > 0 else (P.window_end * s_l, -margin)
-    return simulator.measure_shelf(snap, art.exp.grid, art.traj.comoving_shift, window, art.exp.epsilon,
-                                   art.background.u_inf_fn(snap.z), P.plateau_points, P.flatness)
-
-
-def _shelf_side(tag: str, side: int) -> Observable:
-    """The plateau on one side, at its own measurement distance and margin."""
-    key = f"q1_{tag}"
-
-    def measure(art):
-        params, eps, q1 = art.exp.params, art.exp.epsilon, getattr(art.shelf0, key)
-        z_m = min(measurement_distance(params, eps, q1, side), art.exp.z_max)
-        q1_m, _, _ = _measure_shelf(art, _snapshot_at(art.snapshots, z_m), side, shelf_margin(params, eps, q1))
-        return [eps * q1_m]
-
-    return Observable("shelf", lambda a: [_row(f"eps_{key}", a.exp.epsilon * getattr(a.shelf0, key), 0.10)],
-                      measure, default_for=("black", "grey"))
-
-
-def _measure_black_balance(art: Artifacts) -> list[float]:
-    # Both sides of the final snapshot; the left-side magnitude correction flips sign.
-    margin = PROTOCOL.balance_margin / art.exp.params.B
-    (q1p, phi1tp, _), (q1m, phi1tm, _) = (_measure_shelf(art, art.final, side, margin) for side in (+1, -1))
-    return [art.exp.epsilon * (q1p + q1m), phi1tp + phi1tm]
-
-
-def _late_snapshots(art: Artifacts) -> list[simulator.FieldState]:
-    """Snapshots from PROTOCOL.late_z on: what sigma0 and edge speeds fit."""
-    return [s for s in art.snapshots if s.z >= PROTOCOL.late_z]
-
-
-def _measure_sigma0(art: Artifacts) -> list[float]:
-    exp, P = art.exp, PROTOCOL
-    return [simulator.measure_sigma0_rate(_late_snapshots(art), exp.grid, art.traj.comoving_shift,
-                                          P.sigma0_probe / exp.params.B, exp.epsilon, art.traj.edges, P.probe_guard)]
-
-
-def _measure_edges(art: Artifacts) -> list[float]:
-    eps, sh0, P = art.exp.epsilon, art.shelf0, PROTOCOL
-    return list(simulator.track_edges(_late_snapshots(art), art.exp.grid, art.traj.comoving_shift,
-                                      eps * sh0.q1_plus, eps * sh0.q1_minus, P.edge_level, P.edge_scan_start))
-
-
-def _measure_t0(art: Artifacts) -> list[float]:
-    p0, _ = simulator.measure_core_minimum(art.snapshots[0], art.exp.grid)
-    p1, _ = simulator.measure_core_minimum(art.final, art.exp.grid)
-    shift = art.traj.comoving_shift
-    return [abs((p1 - shift(art.final.z)) - (p0 - shift(0.0)))]
-
-
-def _measure_a_constancy(art: Artifacts) -> list[float]:
-    """Dip velocities fitted over the two halves of the velocity span before z_m must agree."""
-    exp, params, P = art.exp, art.exp.params, PROTOCOL
-    z_m = min(measurement_distance(params, exp.epsilon, art.shelf0.q1_plus, +1), exp.z_max)
-    zs = np.array([s.z for s in art.snapshots])
-    pos = np.array([simulator.measure_core_minimum(s, exp.grid)[0] for s in art.snapshots])
-    vels, half = [], 0.5 * P.velocity_span
-    for lo, hi in [(z_m - P.velocity_span, z_m - half), (z_m - half, z_m)]:
-        m = (zs >= lo) & (zs <= hi)
-        if m.sum() < P.velocity_points:
-            raise simulator.MeasurementError("too few snapshots for a velocity fit")
-        vels.append(float(np.polyfit(zs[m], pos[m], 1)[0]))
-    scale = params.A if abs(params.A) > P.a_scale_switch * params.u_inf else params.u_inf
-    return [abs(vels[1] - vels[0]) / scale]
-
-
-def _layer_window(art: Artifacts, widths: float, points: int):
-    """(x, simulated |u|, predicted |u|) across the right-edge layer of the
-    final snapshot, for |x| up to ``widths`` similarity widths of the final background."""
-    traj, snap = art.traj, art.final
-    _, s_r = traj.edges(snap.z)
-    a = boundary_layer.LayerProfile.at_edge("right", traj.params[-1].u_inf, 0.0).a
-    width = widths * snap.z ** (1.0 / 3.0) / abs(a)
-    x = np.linspace(-width, width, points)
-    T = art.exp.grid.t - traj.comoving_shift(snap.z)
-    return x, np.interp(x + s_r, T, np.abs(snap.samples)), _composite_magnitude(art, x + s_r)
-
-
-def _measure_layer(art: Artifacts) -> list[float]:
-    _, sim, pred = _layer_window(art, PROTOCOL.layer_widths, PROTOCOL.layer_points)
-    return [float(np.max(np.abs(sim - pred)))]
-
-
-OBSERVABLES: tuple[Observable, ...] = (
-    Observable("fidelity", lambda a: [
-        _row("fidelity_max_pointwise_dev", 0.0, 1e-6, False),
-        *(_row(f"conservation_drift_{n}", 0.0, 1e-6, False) for n in "HEI"),
-        _row("dRdz_plus_I_residual", 0.0, 1e-5, False),
-    ], _measure_fidelity, perturbed_only=False, default_for=()),
-    _shelf_side("plus", +1),
-    _shelf_side("minus", -1),
-    Observable("black_balance", lambda a: [
-        _row("eps_q1_diff_signed", a.exp.epsilon * 2.0 * a.shelf0.q1_plus, 0.10),
-        _row("phi1t_sum", 0.0, 0.005, False),
-    ], _measure_black_balance),
-    Observable("sigma0", lambda a: [_row("sigma0_rate", a.shelf0.sigma0_rate, 0.05)], _measure_sigma0),
-    Observable("edges", lambda a: [
-        _row("edge_speed_right", a.exp.params.u_inf - a.exp.params.A, 0.05),
-        _row("edge_speed_left", -(a.exp.params.u_inf + a.exp.params.A), 0.05),
-    ], _measure_edges),
-    Observable("t0", lambda a: [_row("t0_drift", 0.0, 0.1, False)], _measure_t0, perturbed_only=False),
-    Observable("a_constancy", lambda a: [_row("A_velocity_constancy", 0.0, 0.02, False)],
-               _measure_a_constancy, default_for=("grey",)),
-    Observable("layer", lambda a: [_row("layer_max_deviation", 0.0, 0.2 * a.exp.epsilon, False)],
-               _measure_layer),
-)
 
 
 # -- Output emission ---------------------------------------------------------
@@ -588,7 +355,7 @@ def emit_plotdata(art: Artifacts, kinds, out_dir: str, run_id: str) -> list[str]
             continue
         if kind == "profile":
             s = art.final
-            predicted = _composite_magnitude(art, exp.grid.t - traj.comoving_shift(s.z))
+            predicted = observe.composite_magnitude(art, exp.grid.t - traj.comoving_shift(s.z))
             rows = zip(exp.grid.t, s.samples.real, s.samples.imag, np.abs(s.samples),
                        np.unwrap(np.angle(s.samples)), predicted)
             simulator.write_csv(path, ["t", "re", "im", "abs", "phase", "predicted_abs"], rows)
@@ -606,27 +373,11 @@ def emit_plotdata(art: Artifacts, kinds, out_dir: str, run_id: str) -> list[str]
         elif kind == "trajectory":
             _write_trajectory(traj, path)
         elif kind == "layer":
-            simulator.write_csv(path, ["x", "sim_abs", "predicted_abs"], zip(*_layer_window(art, 8.0, 513)))
+            simulator.write_csv(path, ["x", "sim_abs", "predicted_abs"], zip(*observe.layer_window(art, 8.0, 513)))
         else:
             raise ConfigError(f"outputs: unknown kind {kind!r}")
         written.append(path)
     return written
-
-
-def _composite_magnitude(art: Artifacts, T: np.ndarray) -> np.ndarray:
-    """The predicted |u| at comoving T on the final snapshot: the leading magnitude
-    plus the shelf plateaus smoothed by the edge layers, all from the final parameters."""
-    traj, z = art.traj, art.final.z
-    params, sh = traj.params[-1], traj.shelf[-1]
-    q0 = np.abs(params.A + 1j * params.B * np.tanh(params.B * T))
-    if art.exp.epsilon == 0.0:
-        return q0
-    s_l, s_r = traj.edges(z)
-    right = boundary_layer.LayerProfile.at_edge("right", params.u_inf, sh.q1_plus)
-    left = boundary_layer.LayerProfile.at_edge("left", params.u_inf, sh.q1_minus)
-    w = np.where(T >= 0, boundary_layer.shelf_magnitude_profile(right, z, T - s_r),
-                 boundary_layer.shelf_magnitude_profile(left, z, T - s_l))
-    return q0 + art.exp.epsilon * w
 
 
 def write_report(report: ComparisonReport, out_dir: str, run_id: str) -> str:
@@ -682,8 +433,8 @@ def sweep_configs(base_cfg: dict, delta_phi0_values) -> list[tuple[str, dict]]:
         params, eps = exp.params, exp.epsilon
         sh = asymptotics.grey_parameter_rhs(exp.perturbation, params)
         z_max = max(
-            measurement_distance(params, eps, sh.q1_plus, +1),
-            measurement_distance(params, eps, sh.q1_minus, -1),
+            observe.measurement_distance(params, eps, sh.q1_plus, +1),
+            observe.measurement_distance(params, eps, sh.q1_minus, -1),
         )
         cfg["run"]["z_max"] = z_max
         cfg["grid"] = auto_grid(params, z_max)

@@ -7,8 +7,8 @@ and Dirichlet boundary values pinned to the adiabatically evolving background;
 SimConfig.check holds every limit of a run and refuses one before its first
 step.  The field carries the soliton phase jump, so it is not periodic.  The
 grid is cell-centered and symmetric about t = 0, so the discrete odd symmetry
-of a black soliton is exact.  The measurements take their windows, levels and
-limits as arguments: the measurement protocol is harness.PROTOCOL.
+of a black soliton is exact.  A run is measured in ``observe``; this module
+keeps the conserved quantities and the CSV writers of its snapshots.
 """
 
 from __future__ import annotations
@@ -45,10 +45,6 @@ class SimulationError(RuntimeError):
 
 
 class StabilityError(SimulationError):
-    pass
-
-
-class MeasurementError(RuntimeError):
     pass
 
 
@@ -378,132 +374,6 @@ def conservation_residuals(
     return {name: float(np.max(resid[name])) for name in "HEIR"}
 
 
-def measure_shelf(snapshot: FieldState, grid: Grid, comoving_shift: Callable[[float], float],
-                  window: tuple[float, float], epsilon: float, u_inf: float, min_points: int,
-                  flatness: float) -> tuple[float, float, bool]:
-    """(q1, phi1t, flat) of the plateau over the comoving window [lo, hi].
-
-    ``comoving_shift(z)`` is the lab position of the comoving origin.  q1 is
-    (|u| - u_inf)/eps averaged over the window, phi1t the least-squares
-    phase slope over it divided by eps, and ``flat`` is False when the
-    deviation's std exceeds ``flatness`` times |q1|.  Raises MeasurementError
-    when fewer than ``min_points`` samples fall in the window.
-    """
-    if epsilon == 0.0:
-        raise ValueError("shelf measurement requires epsilon != 0")
-    lo, hi = window
-    T = grid.t - comoving_shift(snapshot.z)
-    mask = (T >= lo) & (T <= hi)
-    if (n := int(mask.sum())) < min_points:
-        raise MeasurementError(f"plateau window [{lo:.2f}, {hi:.2f}] holds {n} points (< {min_points})")
-    dev = (np.abs(snapshot.samples[mask]) - u_inf) / epsilon
-    q1 = float(np.mean(dev))
-    phase = np.unwrap(np.angle(snapshot.samples))[mask]
-    return q1, float(np.polyfit(T[mask], phase, 1)[0]) / epsilon, bool(np.std(dev) <= flatness * abs(q1))
-
-
-def _edge_crossing(T: np.ndarray, dev: np.ndarray, plateau: float, start: float, sign: int, level: float) -> float:
-    """First crossing of ``level`` times the plateau level outward from ``start``.
-
-    ``sign`` +1 scans toward +T, -1 toward -T along the increasing ``T``.
-    The deviation is folded so the plateau is positive; the edge is where it
-    first drops through the level, linearly interpolated between samples.
-    """
-    if plateau == 0.0:
-        raise MeasurementError("zero plateau value; no edge level to cross")
-    fold = -1.0 if plateau < 0 else 1.0
-    Ts = T[::sign]
-    ds = fold * dev[::sign]
-    lv = level * abs(plateau)
-    k0 = int(np.searchsorted(sign * Ts, sign * start))
-    cand = np.where(ds[k0:] < lv)[0]
-    if cand.size == 0:
-        raise MeasurementError("no edge crossing found before the boundary")
-    j = k0 + int(cand[0])
-    if j == 0:
-        return float(Ts[0])
-    x0, x1 = Ts[j - 1], Ts[j]
-    y0, y1 = ds[j - 1], ds[j]
-    if y0 == y1:
-        return float(x1)
-    frac = (y0 - lv) / (y0 - y1)
-    return float(x0 + frac * (x1 - x0))
-
-
-def measure_sigma0_rate(
-    snapshots: Sequence[FieldState],
-    grid: Grid,
-    comoving_shift: Callable[[float], float],
-    probe_T: float,
-    epsilon: float,
-    edges_fn: Callable[[float], tuple[float, float]],
-    probe_guard: float,
-) -> float:
-    """Slow soliton-phase rate sigma0_Z from the phase drift at a fixed probe.
-
-    The probe sits at comoving offset probe_T (nonzero, inside the inner
-    region); the unwrapped phase there is sigma0(Z) plus z-stationary terms,
-    so its least-squares slope in z divided by eps estimates sigma0_Z (the
-    slope itself when eps = 0).  Raises MeasurementError when a predicted
-    shelf edge ``edges_fn(z) = (S_L, S_R)`` comes within |probe_T|/probe_guard
-    of the core in any snapshot.
-    """
-    if probe_T == 0.0:
-        raise ValueError("probe_T must be nonzero (the core phase is singular at the center)")
-    if len(snapshots) < 3:
-        raise MeasurementError("need at least 3 snapshots for a phase-rate fit")
-    for s in snapshots:
-        s_l, s_r = edges_fn(s.z)
-        if not abs(probe_T) < probe_guard * min(abs(s_l), s_r):
-            raise MeasurementError(f"probe T*={probe_T} overtaken by shelf edge at z={s.z:.2f}")
-    zs = np.array([s.z for s in snapshots])
-    ph = [np.interp(probe_T + comoving_shift(s.z), grid.t, np.unwrap(np.angle(s.samples)))
-          for s in snapshots]
-    return float(np.polyfit(zs, np.unwrap(np.array(ph)), 1)[0]) / (epsilon or 1.0)
-
-
-def track_edges(snapshots: Sequence[FieldState], grid: Grid, comoving_shift: Callable[[float], float],
-                plateau_plus: float, plateau_minus: float, level: float, scan_start: float) -> tuple[float, float]:
-    """(right, left) edge speeds fitted to fixed-level crossings of the magnitude deviation.
-
-    ``plateau_plus/minus`` are the predicted plateau deviations eps*q1 per
-    side; each snapshot's edge is the outward crossing of ``level`` times
-    that value, scanned from |T| = scan_start z, with the pinned boundary
-    magnitude as the background.  The transition midpoint rides the plateau
-    characteristic (slower than u_inf by ~eps|q1|) while the similarity
-    widening pushes foot-ward features outward; the level is chosen where
-    the two known O(eps) biases nearly cancel.  Positions are relative to
-    ``comoving_shift(z)``; snapshots without both crossings are skipped.
-    """
-    zs, right, left = [], [], []
-    for s in snapshots:
-        dev = np.abs(s.samples) - float(abs(s.samples[0]))
-        T = grid.t - comoving_shift(s.z)
-        try:
-            r = _edge_crossing(T, dev, plateau_plus, scan_start * s.z, +1, level)
-            l = _edge_crossing(T, dev, plateau_minus, -scan_start * s.z, -1, level)
-        except MeasurementError:
-            continue
-        zs.append(s.z)
-        right.append(r)
-        left.append(l)
-    if len(zs) < 3:
-        raise MeasurementError("fewer than 3 snapshots yielded edge crossings")
-    return float(np.polyfit(zs, right, 1)[0]), float(np.polyfit(zs, left, 1)[0])
-
-
-def measure_core_minimum(snapshot: FieldState, grid: Grid) -> tuple[float, float]:
-    """(lab position, |u| value) of the soliton dip, parabolic-refined."""
-    mag = np.abs(snapshot.samples)
-    j = int(np.argmin(mag[2:-2])) + 2
-    y0, y1, y2 = mag[j - 1], mag[j], mag[j + 1]
-    denom = y0 - 2.0 * y1 + y2
-    shift = 0.5 * (y0 - y2) / denom if denom != 0 else 0.0
-    pos = grid.t[j] + shift * grid.dt
-    val = y1 - 0.25 * (y0 - y2) * shift
-    return float(pos), float(val)
-
-
 def write_csv(path: str, header: Sequence[str], rows) -> None:
     """One header line, then one line of FMT-formatted numbers per row, each row formatted by one call."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -518,3 +388,7 @@ def write_snapshot_csv(state: FieldState, grid: Grid, directory, run_id: str) ->
     path = os.path.join(directory, f"{run_id}_z{state.z:.6g}.csv")
     write_csv(path, ("z", FMT.format(state.z)), zip(grid.t, state.samples.real, state.samples.imag))
     return path
+
+
+# bench/tracer.py's simulator.measure span looks the kernels up here; ROADMAP item 6 repoints it and deletes this.
+from .observe import measure_core_minimum, measure_shelf, measure_sigma0_rate, track_edges  # noqa: E402,F401

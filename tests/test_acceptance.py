@@ -1,7 +1,8 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
 Each test prints one PASS/FAIL line (run with -s to see them live).  The
-expensive simulations are shared through module-scoped fixtures:
+preset compares are the session's (conftest.preset_compare), shared with
+the golden-row check:
 
 * criterion 1 uses the unperturbed black preset (N = 1024, L = 25, z = 10);
 * criteria 2, 3 (black side) and 5 share one black dispersive run at
@@ -13,7 +14,6 @@ expensive simulations are shared through module-scoped fixtures:
 """
 
 import math
-import time
 
 import numpy as np
 import pytest
@@ -46,22 +46,19 @@ def _announce(criterion: str, report_rows, extra: str = "") -> bool:
 
 
 @pytest.fixture(scope="module")
-def unperturbed_result():
-    start = time.time()
-    report, artifacts = harness.compare(harness.validate(harness.load_config("black_unperturbed")))
-    return report, time.time() - start
+def unperturbed_result(preset_compare):
+    report, _, elapsed = preset_compare("black_unperturbed")
+    return report, elapsed
 
 
 @pytest.fixture(scope="module")
-def black_result():
-    exp = harness.validate(harness.load_config("black_dispersive"))
-    return harness.compare(exp)
+def black_result(preset_compare):
+    return preset_compare("black_dispersive")[:2]
 
 
 @pytest.fixture(scope="module")
-def grey_result():
-    exp = harness.validate(harness.load_config("grey_dispersive"))
-    return harness.compare(exp)
+def grey_result(preset_compare):
+    return preset_compare("grey_dispersive")[:2]
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darkshelf import asymptotics, cli, harness, simulator
+from darkshelf import asymptotics, cli, harness, observe, simulator
 from darkshelf.perturbations import BUILTINS
 from darkshelf.soliton import CoreParams
 from test_reach import _configs as reach_configs
@@ -319,8 +319,8 @@ class TestConfigs:
     def test_measurement_distance_scales_with_shallowness(self):
         deep = CoreParams.from_background(1.0, 4 * math.pi / 5)
         shallow = CoreParams.from_background(1.0, 2 * math.pi / 5)
-        z_deep = harness.measurement_distance(deep, 0.05, -0.83, +1)
-        z_shallow = harness.measurement_distance(shallow, 0.05, -0.71, +1)
+        z_deep = observe.measurement_distance(deep, 0.05, -0.83, +1)
+        z_shallow = observe.measurement_distance(shallow, 0.05, -0.71, +1)
         assert z_shallow > 2 * z_deep
 
 
@@ -519,22 +519,22 @@ def test_layer_window_predicts_the_composite_at_the_final_background():
     # window of 8 similarity widths of the decayed background u_inf(z_max) = exp(-0.5).
     cfg = dict(TestDeterminism()._tiny_cfg(), perturbation={"label": "linear_damping", "Gamma": 5.0})
     art = harness.simulate(harness.validate(cfg))
-    x, _, predicted = harness._layer_window(art, 8.0, 513)
+    x, _, predicted = observe.layer_window(art, 8.0, 513)
     _, s_r = art.traj.edges(art.final.z)
     u_final = art.traj.params[-1].u_inf
     assert x[-1] == pytest.approx(8.0 * 2.0 ** (1.0 / 3.0) / (2.0 * (u_final / 3.0) ** (1.0 / 3.0)), rel=1e-12)
-    np.testing.assert_array_equal(predicted, harness._composite_magnitude(art, x + s_r))
+    np.testing.assert_array_equal(predicted, observe.composite_magnitude(art, x + s_r))
 
 
 class TestCompareDegradation:
     def test_no_observable_crashes_compare(self, monkeypatch):
         def fail(*args, **kwargs):
-            raise simulator.MeasurementError("patched to fail")
+            raise observe.MeasurementError("patched to fail")
 
         for name in ("measure_shelf", "measure_sigma0_rate", "track_edges", "measure_core_minimum"):
-            monkeypatch.setattr(simulator, name, fail)
+            monkeypatch.setattr(observe, name, fail)
         cfg = TestDeterminism()._tiny_cfg()
-        cfg["observables"] = sorted({o.name for o in harness.OBSERVABLES})
+        cfg["observables"] = sorted({o.name for o in observe.OBSERVABLES})
         report, _ = harness.compare(harness.validate(cfg))
         rows = {r.name: r for r in report.rows}
         # Declared rows of each measurement that calls a patched function
@@ -553,16 +553,16 @@ class TestCompareDegradation:
         # black_balance: +-10/B on the final snapshot, z = 25.
         calls = []
 
-        def record(snap, grid, shift, window, epsilon, u_inf, min_points, flatness):
+        def record(snap, grid, shift, window, epsilon, u_inf):
             calls.append((snap.z, window))
             return 0.0, 0.0, True
 
-        monkeypatch.setattr(simulator, "measure_shelf", record)
+        monkeypatch.setattr(observe, "measure_shelf", record)
         cfg = dict(TestDeterminism()._tiny_cfg(), observables=["shelf", "black_balance"],
                    grid={"half_width": 80.0, "n_points": 512}, run={"z_max": 25.0, "snapshot_dz": 0.5})
         _, art = harness.compare(harness.validate(cfg))
         params, eps, sh0, edges = art.exp.params, art.exp.epsilon, art.shelf0, art.traj.edges
-        right, left = (harness.shelf_margin(params, eps, q1) for q1 in (sh0.q1_plus, sh0.q1_minus))
+        right, left = (observe.shelf_margin(params, eps, q1) for q1 in (sh0.q1_plus, sh0.q1_minus))
         core = 10.0 / params.B
         assert [z for z, _ in calls] == [20.0, 20.0, 25.0, 25.0]
         assert calls[0][1] == (right, 0.7 * edges(20.0)[1])
@@ -581,7 +581,7 @@ class TestCompareDegradation:
             return fit
 
         for name in ("track_edges", "measure_sigma0_rate"):
-            monkeypatch.setattr(simulator, name, record(name))
+            monkeypatch.setattr(observe, name, record(name))
         cfg = dict(TestDeterminism()._tiny_cfg(), observables=["sigma0", "edges"],
                    grid={"half_width": 40.0, "n_points": 512}, run={"z_max": 12.6, "snapshot_dz": 0.5})
         _, art = harness.compare(harness.validate(cfg))
@@ -592,7 +592,7 @@ class TestCompareDegradation:
     def test_a_constancy_fits_the_final_snapshot(self, monkeypatch):
         # The dip "moves" only in the final snapshot, z = z_max = 12.6, so only a
         # second fit over [7.6, 12.6] that includes it sees a velocity.
-        monkeypatch.setattr(simulator, "measure_core_minimum", lambda s, grid: (float(s.z == 12.6), 1.0))
+        monkeypatch.setattr(observe, "measure_core_minimum", lambda s, grid: (float(s.z == 12.6), 1.0))
         cfg = harness.load_config("grey_dispersive")
         cfg.update(observables=["a_constancy"], grid={"half_width": 40.0, "n_points": 512},
                    run={"z_max": 12.6, "snapshot_dz": 0.5})
@@ -603,9 +603,9 @@ class TestCompareDegradation:
         assert zs[-1] == 12.6
         assert report.rows[0].measured == pytest.approx(expected, rel=1e-12) and expected > 0.1
 
-    def test_linear_damping_shelf_rows_finite(self):
+    def test_linear_damping_shelf_rows_finite(self, preset_compare):
         # The plateau is graded against the decayed background u_inf(z_m), not u_inf(0).
-        report, _ = harness.compare(harness.validate(harness.load_config("grey_linear_damping")))
+        report, _, _ = preset_compare("grey_linear_damping")
         assert {r.name for r in report.rows} == {"eps_q1_plus", "eps_q1_minus"}
         assert all(math.isfinite(r.measured) for r in report.rows)
         assert report.notes == []
@@ -640,28 +640,28 @@ class _Reads:
 class TestProtocol:
     def test_every_field_is_read(self, monkeypatch):
         # Every observable measured on the tiny grey and black configs of the reach test.
-        reads = _Reads(harness.PROTOCOL)
-        monkeypatch.setattr(harness, "PROTOCOL", reads)
-        every = sorted({o.name for o in harness.OBSERVABLES} - {"fidelity"})
+        reads = _Reads(observe.PROTOCOL)
+        monkeypatch.setattr(observe, "PROTOCOL", reads)
+        every = sorted({o.name for o in observe.OBSERVABLES} - {"fidelity"})
         for name in ("grey", "black"):
             harness.compare(harness.validate(dict(reach_configs()[name], observables=every)))
-        assert {f.name for f in dataclasses.fields(harness.Protocol)} - reads.names == set()
+        assert {f.name for f in dataclasses.fields(observe.Protocol)} - reads.names == set()
 
     def test_window_end_moves_distance_and_window(self, monkeypatch):
         # On the reach test's grey config, window_end 0.5 moves the + side's distance from 20 to 25 and the
         # shelf window's end to 0.5 S_R.
         windows = []
 
-        def record(snap, grid, shift, window, *rule):
+        def record(snap, grid, shift, window, epsilon, u_inf):
             windows.append((snap.z, window))
             return 0.0, 0.0, True
 
-        monkeypatch.setattr(simulator, "measure_shelf", record)
+        monkeypatch.setattr(observe, "measure_shelf", record)
         exp = harness.validate(dict(reach_configs()["grey"], observables=["shelf"]))
         q1 = asymptotics.grey_parameter_rhs(exp.perturbation, exp.params).q1_plus
-        assert harness.measurement_distance(exp.params, exp.epsilon, q1, +1) == 20.0
-        monkeypatch.setattr(harness, "PROTOCOL", dataclasses.replace(harness.PROTOCOL, window_end=0.5))
-        assert harness.measurement_distance(exp.params, exp.epsilon, q1, +1) == 25.0
+        assert observe.measurement_distance(exp.params, exp.epsilon, q1, +1) == 20.0
+        monkeypatch.setattr(observe, "PROTOCOL", dataclasses.replace(observe.PROTOCOL, window_end=0.5))
+        assert observe.measurement_distance(exp.params, exp.epsilon, q1, +1) == 25.0
         _, art = harness.compare(exp)
         (z_plus, (_, end_plus)), (z_minus, (end_minus, _)) = windows
         assert end_plus == 0.5 * art.traj.edges(z_plus)[1] and end_minus == 0.5 * art.traj.edges(z_minus)[0]
@@ -712,7 +712,7 @@ class TestSweep:
     def test_merge_keeps_per_angle_notes(self):
         # Per-angle reports as a failing shelf measurement leaves them.
         def failed(note):
-            row = harness.ComparisonRow("eps_q1_plus", -0.03, float("nan"), 0.10)
+            row = observe.ComparisonRow("eps_q1_plus", -0.03, float("nan"), 0.10)
             return harness.ComparisonReport(rows=[row], notes=[note])
 
         merged = harness.merge_sweep({"dphi2.51327": failed("eps_q1_plus: no plateau"),
@@ -791,6 +791,10 @@ CONSOLE_CASES = [
                               observables=["edges"]), ["compare"], 2,
                  "validation error: perturbation.gamma: the shelf plateau |eps*q1_plus| = 0", [],
                  id="gamma_5e-324_edges"),
+    # Strength 1e308: the plateau probe's q1 divisions overflow, which validate refuses as a plateau past the floats.
+    *(pytest.param(_console_cfg({"label": label, key: 1e308}, 0.5), ["predict", "compare"], 2,
+                   f"validation error: perturbation.{key}: the shelf plateau |eps*q1_plus| = inf is not a normal float",
+                   [], id=f"{label}_1e308") for label, key in (("linear_damping", "Gamma"), ("two_photon", "gamma3"))),
 ]
 
 
@@ -906,7 +910,7 @@ class TestCli:
             raise AssertionError("emit measured an observable")
 
         for name in ("measure_shelf", "measure_sigma0_rate", "track_edges", "measure_core_minimum"):
-            monkeypatch.setattr(simulator, name, fail)
+            monkeypatch.setattr(observe, name, fail)
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(TestDeterminism()._tiny_cfg()), encoding="utf-8")
         assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), "emit", "--kinds", "profile"]) == 0
