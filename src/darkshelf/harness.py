@@ -1,7 +1,7 @@
 """Experiment harness: configs, presets, the prediction/comparison pipelines, reports, plot data and sweeps.
 
-A configuration is a plain JSON document with keys {perturbation, epsilon,
-soliton, grid, run, observables, outputs}.  ``predict`` integrates the slow
+A configuration is a plain JSON document whose fields, with their kinds and
+defaults, are the rows of ``CONFIG_FIELDS``.  ``predict`` integrates the slow
 parameter cascade only; ``simulate`` also runs the PDE and returns the
 Artifacts that observables and plot writers read; ``compare`` grades the
 observables of ``simulate``'s Artifacts against the asymptotic predictions.
@@ -106,39 +106,61 @@ def load_config(source) -> dict:
     raise ConfigError(f"config: no preset or file named {source!r}")
 
 
-_SECTION_KEYS = {"soliton": ("u_inf", "delta_phi0", "t0", "sigma0"),
-                 "grid": ("half_width", "n_points"), "run": ("z_max", "snapshot_dz")}
-_TOP_KEYS = ("perturbation", "epsilon", *_SECTION_KEYS, "observables", "outputs")
+PLOT_KINDS = ("profile", "contour", "trajectory", "layer", "snapshots")
+REQUIRED = object()  # the CONFIG_FIELDS default of a field that must be given
+
+# The config surface: each path ("key" or "section.key"; a "*" leaf stands for any key), its kind ("number" or
+# "integer": a finite JSON number; "label": a BUILTINS name; a tuple of names: a list drawn from them) and default.
+CONFIG_FIELDS: dict[str, tuple[Any, Any]] = {
+    "perturbation.label": ("label", REQUIRED),  # a null or absent perturbation: no forcing
+    "perturbation.*": ("number", REQUIRED),  # the forcing's strength, named by its label
+    "epsilon": ("number", REQUIRED),
+    "soliton.u_inf": ("number", REQUIRED),
+    "soliton.delta_phi0": ("number", REQUIRED),
+    "soliton.t0": ("number", 0.0),
+    "soliton.sigma0": ("number", 0.0),
+    "grid.half_width": ("number", REQUIRED),  # an absent grid: auto_grid's
+    "grid.n_points": ("integer", REQUIRED),
+    "run.z_max": ("number", REQUIRED),
+    "run.snapshot_dz": ("number", 0.5),
+    "observables": (tuple(dict.fromkeys(o.name for o in observe.OBSERVABLES)), None),  # None: by soliton kind
+    "outputs": (("report", *PLOT_KINDS), ()),
+}
 
 
 def _section(cfg: dict, key: str) -> dict:
-    """cfg[key] as a dict ({} if null); a forcing's strength names depend on its label."""
+    """cfg[key] as a dict ({} if null), holding only the keys CONFIG_FIELDS lists under ``key``."""
     node = cfg.get(key)
     if node is None:
         return {}
     if not isinstance(node, dict):
         raise ConfigError(f"{key}: expected an object, got {node!r}")
-    unknown = sorted(set(node) - set(_SECTION_KEYS.get(key, node)))
+    unknown = sorted(k for k in node if f"{key}.{k}" not in CONFIG_FIELDS and f"{key}.*" not in CONFIG_FIELDS)
     if unknown:
         raise ConfigError(f"{key}.{unknown[0]}: unknown field")
     return node
 
 
-def _field(cfg: dict, path: str, integer=False, required=True, default=None):
-    """The finite JSON number at ``path`` ("key" or "section.key")."""
+def _field(cfg: dict, path: str):
+    """The value at ``path`` ("key" or "section.key") of the kind CONFIG_FIELDS gives it, else its default."""
     *section, leaf = path.split(".")
+    kind, default = CONFIG_FIELDS.get(path) or CONFIG_FIELDS[f"{section[0]}.*"]
     val = (_section(cfg, section[0]) if section else cfg).get(leaf)
     if val is None:
-        if required:
+        if default is REQUIRED:
             raise ConfigError(f"{path}: required field missing")
         return default
+    if isinstance(kind, tuple):
+        if isinstance(val, (list, tuple)) and all(isinstance(n, str) and n in kind for n in val):
+            return tuple(val)
+        raise ConfigError(f"{path}: expected a list drawn from {sorted(kind)}, got {val!r}")
     try:
         num = float(val) if isinstance(val, (int, float)) and not isinstance(val, bool) else math.nan
     except OverflowError:
         num = math.inf
-    if not math.isfinite(num) or (integer and not num.is_integer()):
-        raise ConfigError(f"{path}: expected a finite {'integer' if integer else 'number'}, got {val!r}")
-    return int(num) if integer else num
+    if not math.isfinite(num) or (kind == "integer" and not num.is_integer()):
+        raise ConfigError(f"{path}: expected a finite {kind}, got {val!r}")
+    return int(num) if kind == "integer" else num
 
 
 @dataclass(frozen=True)
@@ -169,23 +191,15 @@ def _perturbation(cfg: dict) -> Perturbation | None:
         raise ConfigError(f"perturbation: {exc}") from exc
 
 
-def _names(cfg: dict, key: str, known, default) -> tuple[str, ...]:
-    names = cfg.get(key)
-    if names is None:
-        return tuple(default)
-    if isinstance(names, (list, tuple)) and all(isinstance(n, str) and n in known for n in names):
-        return tuple(names)
-    raise ConfigError(f"{key}: expected a list drawn from {sorted(set(known))}, got {names!r}")
-
-
 def validate(cfg: dict) -> Experiment:
     """Check a config dict and build its Experiment; every fault is a
     ConfigError naming the field, raised before any run starts."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"config: expected an object, got {cfg!r}")
-    unknown = sorted(set(cfg) - set(_TOP_KEYS))
+    top = list(dict.fromkeys(path.partition(".")[0] for path in CONFIG_FIELDS))
+    unknown = sorted(set(cfg) - set(top))
     if unknown:
-        raise ConfigError(f"{unknown[0]}: unknown field (have {list(_TOP_KEYS)})")
+        raise ConfigError(f"{unknown[0]}: unknown field (have {top})")
     eps = _field(cfg, "epsilon")
     if eps < 0.0 or (eps != 0.0 and not math.isfinite(1.0 / eps)):  # 1/eps: z = Z/eps and the shelf scale
         raise ConfigError(f"epsilon: must be finite and non-negative, with 1/epsilon finite, got {eps}")
@@ -194,9 +208,11 @@ def validate(cfg: dict) -> Experiment:
         raise ConfigError("perturbation: required when epsilon != 0")
     strength = None if pert is None else "perturbation." + next(k for k in cfg["perturbation"] if k != "label")
     u_inf, dphi = _field(cfg, "soliton.u_inf"), _field(cfg, "soliton.delta_phi0")
-    t0, sigma0 = (_field(cfg, f"soliton.{k}", required=False, default=0.0) for k in ("t0", "sigma0"))
+    t0, sigma0 = _field(cfg, "soliton.t0"), _field(cfg, "soliton.sigma0")
     if not math.isfinite(u_inf * u_inf):
         raise ConfigError(f"soliton.u_inf: {u_inf} is too large")
+    if 0.0 < u_inf < np.finfo(float).tiny:  # the run divides the boundary values by u_inf
+        raise ConfigError(f"soliton.u_inf: {u_inf} is subnormal")
     try:
         params = CoreParams.from_background(u_inf, dphi, t0=t0, sigma0=sigma0)
     except ValueError as exc:
@@ -205,7 +221,7 @@ def validate(cfg: dict) -> Experiment:
         raise ConfigError(f"soliton.delta_phi0: u_inf - A = {u_inf - params.A:.3g} is below the "
                           f"shallow-soliton limit {asymptotics.SHALLOW_LIMIT:g}")
     z_max = _field(cfg, "run.z_max")
-    snapshot_dz = _field(cfg, "run.snapshot_dz", required=False, default=simulator.SimConfig.snapshot_dz)
+    snapshot_dz = _field(cfg, "run.snapshot_dz")
     for path, value in (("run.z_max", z_max), ("run.snapshot_dz", snapshot_dz)):
         if value <= 0.0:
             raise ConfigError(f"{path}: must be positive, got {value}")
@@ -228,8 +244,8 @@ def validate(cfg: dict) -> Experiment:
             raise ConfigError(f"run.z_max: no automatic grid holds u_inf*z_max ({detail})") from exc
         raise ConfigError(f"soliton.t0: no automatic grid holds the reach from t0 = {t0} ({detail})") from exc
     core = "black" if params.is_black else "grey"
-    defaults = dict.fromkeys(o.name for o in observe.OBSERVABLES if core in o.default_for)
-    observables = _names(cfg, "observables", {o.name for o in observe.OBSERVABLES}, defaults)
+    if (observables := _field(cfg, "observables")) is None:
+        observables = tuple(dict.fromkeys(o.name for o in observe.OBSERVABLES if core in o.default_for))
     if eps != 0.0:
         graded_perturbed = any(o.perturbed_only for o in observe.OBSERVABLES if o.name in observables)
         try:
@@ -244,7 +260,10 @@ def validate(cfg: dict) -> Experiment:
                 if not np.finfo(float).tiny <= plateau < math.inf:
                     raise ConfigError(f"{strength}: the shelf plateau |eps*{side}| = {plateau:.3g} is not a normal "
                                       f"float, so the shelf has no measurement window")
-    outputs = _names(cfg, "outputs", ("report", *PLOT_KINDS), ())  # compare always writes the report
+                if not math.isfinite(observe.shelf_margin(params, eps, float(q1))):
+                    raise ConfigError(f"{strength}: the shelf plateau |eps*{side}| = {plateau:.3g} is too small for "
+                                      f"a finite core-tail margin, so the shelf has no measurement window")
+    outputs = _field(cfg, "outputs")  # compare always writes the report
     return Experiment(params=params, perturbation=pert, epsilon=eps, grid=grid, z_max=z_max,
                       snapshot_dz=snapshot_dz, outputs=tuple(k for k in outputs if k != "report"),
                       observables=observables)
@@ -253,7 +272,7 @@ def validate(cfg: dict) -> Experiment:
 def _checked_grid(cfg: dict, sim: simulator.SimConfig, params: CoreParams, z_max: float, strength) -> simulator.Grid:
     """The config's grid, else auto_grid's, if sim.check admits it; else a ConfigError naming the field."""
     grid_cfg = {"grid": _section(cfg, "grid") or auto_grid(params, z_max)}
-    half_width, n_points = _field(grid_cfg, "grid.half_width"), _field(grid_cfg, "grid.n_points", integer=True)
+    half_width, n_points = _field(grid_cfg, "grid.half_width"), _field(grid_cfg, "grid.n_points")
     try:
         grid = simulator.Grid(half_width, n_points)
     except ValueError as exc:
@@ -316,8 +335,8 @@ def compare(exp: Experiment) -> tuple[ComparisonReport, Artifacts]:
     """Simulate, then grade each applicable observable in ``exp.observables``.
 
     Raises ConfigError before simulating when none applies, so a run cannot
-    pass having graded nothing.  A measurement that raises MeasurementError
-    or ValueError leaves its declared rows failed (measured NaN) with one note.
+    pass having graded nothing.  A measurement that raises MeasurementError, ValueError or, on an overflow,
+    division by zero or invalid operation, FloatingPointError leaves its rows failed (measured NaN) with one note.
     """
     graded = [obs for obs in observe.OBSERVABLES
               if obs.name in exp.observables and (exp.epsilon != 0.0 or not obs.perturbed_only)]
@@ -329,8 +348,9 @@ def compare(exp: Experiment) -> tuple[ComparisonReport, Artifacts]:
     for obs in graded:
         declared = obs.rows(art)
         try:
-            measured = obs.measure(art)
-        except (observe.MeasurementError, ValueError) as exc:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                measured = obs.measure(art)
+        except (observe.MeasurementError, ValueError, FloatingPointError) as exc:
             report.rows += declared
             report.notes.append(f"{declared[0].name}: {exc}")
             continue
@@ -339,8 +359,6 @@ def compare(exp: Experiment) -> tuple[ComparisonReport, Artifacts]:
 
 
 # -- Output emission ---------------------------------------------------------
-
-PLOT_KINDS = ("profile", "contour", "trajectory", "layer", "snapshots")
 
 
 def emit_plotdata(art: Artifacts, kinds, out_dir: str, run_id: str) -> list[str]:

@@ -3,8 +3,13 @@
 import time
 
 import pytest
+from hypothesis import settings
 
 from darkshelf import harness
+
+# test_config_property at ten times its Tier-1 examples (hypothesis' default, 100), still derandomized; CI runs it
+# as its own step: pytest tests/test_harness.py -k test_config_property --hypothesis-profile=config-fuzz
+settings.register_profile("config-fuzz", max_examples=1000)
 
 
 @pytest.fixture(scope="session")

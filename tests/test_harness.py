@@ -1,11 +1,17 @@
+import contextlib
 import dataclasses
+import inspect
 import json
 import math
+import pathlib
+import re
+import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from darkshelf import asymptotics, cli, harness, observe, simulator
@@ -381,19 +387,27 @@ class TestRunRefusals:
         assert len(calls) == 1
 
 
-def _one_field_replaced():
-    """(preset, path) for every field of every preset, with and without a grid."""
-    bases = {**harness.PRESETS,
-             **{f"{n}/auto_grid": {k: v for k, v in c.items() if k != "grid"} for n, c in harness.PRESETS.items()}}
-    cases = []
-    for name, cfg in bases.items():
-        for key, val in cfg.items():
-            cases.append((name, key))
-            cases += [(name, f"{key}.{sub}") for sub in (val if isinstance(val, dict) else ())]
-    return bases, sorted(cases)
+_STRENGTHS = {label: next(iter(inspect.signature(factory).parameters)) for label, factory in BUILTINS.items()}
 
 
-_BASES, _FIELDS = _one_field_replaced()
+def _table_paths() -> list[str]:
+    """Every key and path of harness.CONFIG_FIELDS, with "perturbation.*" as each forcing's strength."""
+    paths = {p.partition(".")[0] for p in harness.CONFIG_FIELDS}
+    for path in harness.CONFIG_FIELDS:
+        paths |= {f"perturbation.{k}" for k in _STRENGTHS.values()} if path == "perturbation.*" else {path}
+    return sorted(paths)
+
+
+def _set(cfg: dict, path: str, value) -> None:
+    *section, leaf = path.split(".")
+    if section and not isinstance(cfg.get(section[0]), dict):
+        cfg[section[0]] = {}
+    (cfg[section[0]] if section else cfg)[leaf] = value
+
+
+_BASES = {**harness.PRESETS,
+          **{f"{n}/auto_grid": {k: v for k, v in c.items() if k != "grid"} for n, c in harness.PRESETS.items()}}
+_FIELDS = [(name, path) for name in sorted(_BASES) for path in _table_paths()]
 _BAD_VALUES = [None, "x", [], {}, math.nan, math.inf, -math.inf, -1, 0, 1e308, 2048.7]
 
 
@@ -402,13 +416,104 @@ _BAD_VALUES = [None, "x", [], {}, math.nan, math.inf, -math.inf, -1, 0, 1e308, 2
 def test_any_one_bad_field_is_experiment_or_config_error(field, value):
     name, key = field
     cfg = json.loads(json.dumps(_BASES[name]))
-    *section, leaf = key.split(".")
-    (cfg[section[0]] if section else cfg)[leaf] = value
+    _set(cfg, key, value)
     try:
         exp = harness.validate(cfg)
     except harness.ConfigError:
         return
     assert isinstance(exp, harness.Experiment)
+
+
+def test_readme_example_config_is_the_table():
+    # The README's example config lists every field of the table once, and validates.
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    cfg = json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1))
+    paths = set()
+    for key, val in cfg.items():
+        if not isinstance(val, dict):
+            paths.add(key)
+        for sub in val if isinstance(val, dict) else ():
+            paths.add(f"{key}.{'*' if key == 'perturbation' and sub != 'label' else sub}")
+    assert paths == set(harness.CONFIG_FIELDS)
+    assert isinstance(harness.validate(cfg), harness.Experiment)
+
+
+# Magnitudes log-uniform over 1e+-300 or 1e+-4, either sign, with zero and subnormals.
+_MAGNITUDES = st.one_of(st.floats(-300.0, 300.0), st.floats(-4.0, 4.0)).map(lambda e: 10.0**e)
+_WILD = st.one_of(st.sampled_from([0.0, 5e-324, -5e-324, 1e-310]), _MAGNITUDES, _MAGNITUDES.map(lambda x: -x))
+# A runnable config (at epsilon = 0 when there is no forcing) that a drawn number strays from by a factor up to 10,
+# unless it is one of the at most two paths that take a _WILD value: most draws hold an extreme or two in a config
+# that otherwise runs.
+_TAME = {"perturbation.*": 1.0, "epsilon": 0.05, "soliton.u_inf": 1.0, "soliton.delta_phi0": 1.0, "soliton.t0": 1.0,
+         "soliton.sigma0": 1.0, "grid.half_width": 15.0, "run.z_max": 1.0, "run.snapshot_dz": 0.5}
+# The work bound: at most 2e6 PDE point-steps and 4 MiB of run memory for compare, and eps*z_max <= 10 (6,400
+# cascade intervals). Most examples take milliseconds; the slowest, a shallow soliton's cascade under strong damping,
+# a few seconds.
+_WORK = {"MAX_POINT_STEPS": 2e6, "MAX_SNAPSHOT_BYTES": 2**22}
+
+
+@st.composite
+def _drawn_configs(draw, command):
+    """A config over every CONFIG_FIELDS path: numbers near _TAME or from _WILD, n_points from {256, 512, 1024}, a
+    BUILTINS forcing with its factory's strength, names from the observable and output tables; an optional field, a
+    grid or a forcing is sometimes left out."""
+    wild = set(draw(st.lists(st.sampled_from(sorted(_TAME)), max_size=2)))
+    label = draw(st.sampled_from([*sorted(BUILTINS), None]))
+    tame = _TAME if label else dict(_TAME, epsilon=0.0)
+
+    def number(path):
+        return draw(_WILD if path in wild else st.floats(-1.0, 1.0).map(lambda e: tame[path] * 10.0**e))
+
+    cfg = {}
+    for path, (kind, default) in harness.CONFIG_FIELDS.items():
+        if path.startswith("perturbation."):
+            continue
+        if default is not harness.REQUIRED and draw(st.booleans()):
+            continue
+        if isinstance(kind, tuple):
+            value = draw(st.lists(st.sampled_from(kind), unique=True))
+        else:
+            value = draw(st.sampled_from([256, 512, 1024])) if kind == "integer" else number(path)
+        _set(cfg, path, value)
+    cfg["perturbation"] = None if label is None else {"label": label, _STRENGTHS[label]: number("perturbation.*")}
+    if draw(st.booleans()):
+        del cfg["grid"]
+    z_max = cfg["run"]["z_max"]
+    assume(z_max <= 2.0 or command == "predict")
+    assume(cfg["epsilon"] * z_max <= 10.0)
+    return cfg
+
+
+@pytest.mark.parametrize("command", ["predict", "compare"])
+@settings(derandomize=True, deadline=None)
+@given(data=st.data())
+def test_config_property(command, data, tmp_path_factory):
+    # Any config ends in exit 0, 1, 2 or 3 with no uncaught exception or RuntimeWarning; exit 2 comes before any
+    # cascade or PDE step, and exit 1 from a FAIL row of the report.
+    cfg = data.draw(_drawn_configs(command))
+    ran = []
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            ran.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(asymptotics, "evolve_core_parameters",
+                                              counted("cascade", asymptotics.evolve_core_parameters)))
+        stack.enter_context(mock.patch.object(simulator, "run", counted("pde", simulator.run)))
+        for name, bound in _WORK.items() if command == "compare" else ():
+            stack.enter_context(mock.patch.object(simulator, name, bound))
+        out = pathlib.Path(stack.enter_context(tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp())))
+        (out / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
+        code = cli.main(["--config", str(out / "cfg.json"), "--out-dir", str(out), command])
+        event(f"exit {code}")
+        assert code in (0, 1, 2, 3)
+        assert code != 2 or ran == []
+        if code == 1:
+            report = json.loads((out / "compare_report.json").read_text(encoding="utf-8"))
+            assert any(not row["pass"] for row in report["rows"])
 
 
 class TestPredict:
@@ -745,7 +850,7 @@ _PDE_FILES = ("emit_z0.csv", "emit_z1.csv", "emit_profile.csv", "emit_contour.cs
 _TINY_EPS = dict(epsilon=1e-308, delta_phi0=2.5, grid=(40.0, 512), z_max=12.0)
 
 # One row per console case: config, commands, exit code, text stderr holds, files written non-empty.
-# Exit 2 must come before any cascade or PDE step.
+# Exit 2 must come before any cascade or PDE step; exit 1 leaves a report with a FAIL row and a note.
 CONSOLE_CASES = [
     *(pytest.param(_console_cfg(pert, math.pi if label == "dispersive_damping" else 4 * math.pi / 5),
                    ["emit --kinds snapshots", "emit --kinds profile contour layer trajectory"], 0, "", _PDE_FILES,
@@ -795,6 +900,30 @@ CONSOLE_CASES = [
     *(pytest.param(_console_cfg({"label": label, key: 1e308}, 0.5), ["predict", "compare"], 2,
                    f"validation error: perturbation.{key}: the shelf plateau |eps*q1_plus| = inf is not a normal float",
                    [], id=f"{label}_1e308") for label, key in (("linear_damping", "Gamma"), ("two_photon", "gamma3"))),
+    # eps = 50 and gamma3 = 650 blow the PDE up within z = 0.5 (nls_rate's square overflows): a runtime error.
+    pytest.param(_console_cfg({"label": "two_photon", "gamma3": 650.0}, grid=(40.0, 512), z_max=2.0, epsilon=50.0,
+                              soliton={"u_inf": 0.5, "delta_phi0": 3.12}), ["compare", "emit --kinds profile"], 3,
+                 "simulation error: norm grew to nan at z=0.500", [], id="pde_blow_up"),
+    # |eps*q1+| = 3.3e-308 is a normal float, but the core-tail margin log(40 B^2/(u_inf |eps*q1|)) overflows.
+    *(pytest.param(_console_cfg({"label": "dispersive_damping", "gamma": 0.5}, epsilon=1e-307, observables=["shelf"]),
+                   [command], 2, f"validation error: perturbation.gamma: the shelf plateau |eps*q1_plus| = {plateau} "
+                   "is too small for a finite core-tail margin", [], id=f"eps_1e-307_margin_{command.split()[0]}")
+      for command, plateau in (("compare", "3.33e-308"), ("sweep --delta-phi0 3.0", "3.56e-308"))),
+    # The run divides the boundary values by a subnormal u_inf.
+    *(pytest.param(_console_cfg(None, epsilon=0.0, observables=["fidelity"],
+                                soliton={"u_inf": u_inf, "delta_phi0": math.pi}),
+                   ["compare"], 2, f"validation error: soliton.u_inf: {u_inf} is subnormal", [],
+                   id=f"u_inf_{u_inf}") for u_inf in (5e-324, 1e-310)),
+    # A measurement that overflows fails its rows with a note: np.std of the shelf deviation at Gamma = 1e300, and
+    # np.gradient over the one step dz = 5e-324.
+    pytest.param({"perturbation": {"label": "linear_damping", "Gamma": 1e300}, "epsilon": 1e-285,
+                  "soliton": {"u_inf": 1.0, "delta_phi0": 2.0}, "grid": {"half_width": 25.0, "n_points": 1024},
+                  "run": {"z_max": 1e-39}, "observables": ["shelf"]}, ["compare"], 1, "", ["compare_report.json"],
+                 id="shelf_overflow"),
+    pytest.param({"perturbation": None, "epsilon": 0.0,
+                  "soliton": {"u_inf": 1.5, "delta_phi0": 3.09, "t0": 0.17, "sigma0": 1.0},
+                  "grid": {"half_width": 40.0, "n_points": 256}, "run": {"z_max": 5e-324}, "observables": ["fidelity"]},
+                 ["compare"], 1, "", ["compare_report.json"], id="fidelity_overflow"),
 ]
 
 
@@ -814,6 +943,9 @@ class TestCli:
             assert err in capsys.readouterr().err
         for name in files:
             assert (tmp_path / name).stat().st_size > 0
+        if code == 1:  # a measurement that could not be taken: FAIL rows and a note
+            report = json.loads((tmp_path / "compare_report.json").read_text(encoding="utf-8"))
+            assert any(not row["pass"] for row in report["rows"]) and report["notes"]
 
     def test_seedless_rejected(self):
         # Unknown flags are argparse usage errors: exit code 2.
