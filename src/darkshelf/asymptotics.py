@@ -369,9 +369,11 @@ def evolve_core_parameters(pert: Perturbation, params0: CoreParams, epsilon: flo
                                                    edge_phase_flux(p, sh)))
 
     def segment(y0, Z0, H):
-        """The background column converges first, since it depends on nothing else; then all four."""
+        """The background column converges first, since it depends on nothing else; then all four, from A at
+        A0 u_inf/u_inf0 on its nodes (exact under linear damping, which keeps A/u_inf fixed)."""
         u, _ = _collocate(background, y0[:1], Z0, H, np.full((_NODES.size, 1), y0[0]))
-        return _collocate(rates, y0, Z0, H, np.column_stack((u, np.tile(y0[1:], (_NODES.size, 1)))), newton=True)
+        start = np.column_stack((u, u * (y0[1] / y0[0]), np.tile(y0[2:], (_NODES.size, 1))))
+        return _collocate(rates, y0, Z0, H, start, newton=True)
 
     state = np.array([params0.u_inf, params0.A, params0.sigma0, 0.0])
     u_inf, samples = np.empty(steps + 1), np.empty((SAMPLES, 4))
@@ -394,7 +396,6 @@ def evolve_core_parameters(pert: Perturbation, params0: CoreParams, epsilon: flo
         k = np.arange(n // stride + 1, (n + length) // stride + 1)  # the samples among them
         samples[k] = state + _chebyshev(D, tau[k * stride - n - 1])
         state, n, length = Y[-1], n + length, 2 * length
-    samples[:, 0] = u_inf[::stride]
     z = np.arange(0, steps + 1, stride) * h / epsilon
     p = _states(samples, params0.t0, epsilon * z)
     sh = replace(grey_parameter_rhs(pert, p), delta_phi1=samples[:, 3] / epsilon)

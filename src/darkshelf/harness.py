@@ -5,10 +5,10 @@ defaults, are the rows of ``CONFIG_FIELDS``.  ``predict`` integrates the slow
 parameter cascade only; ``simulate`` also runs the PDE and returns the
 Artifacts that observables and plot writers read; ``compare`` grades the
 observables of ``simulate``'s Artifacts against the asymptotic predictions.
-``validate`` parses; the limits belong to the layers (``simulator.SimConfig.check``
-for a PDE run, ``asymptotics.slow_steps`` for the cascade), and it turns their
-ValueError into a ConfigError naming the field.  The observables, and where
-and when each row is measured, are ``observe``'s.
+``validate`` parses; the limits belong to the layers (``simulator.SimConfig.fit_grid``,
+which also sizes an absent grid, for a PDE run, ``asymptotics.slow_steps`` for the
+cascade), and it turns their ValueError into a ConfigError naming the field.  The
+observables, and where and when each row is measured, are ``observe``'s.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -119,7 +119,7 @@ CONFIG_FIELDS: dict[str, tuple[Any, Any]] = {
     "soliton.delta_phi0": ("number", REQUIRED),
     "soliton.t0": ("number", 0.0),
     "soliton.sigma0": ("number", 0.0),
-    "grid.half_width": ("number", REQUIRED),  # an absent grid: auto_grid's
+    "grid.half_width": ("number", REQUIRED),  # an absent grid: simulator.auto_grid's
     "grid.n_points": ("integer", REQUIRED),
     "run.z_max": ("number", REQUIRED),
     "run.snapshot_dz": ("number", 0.5),
@@ -229,20 +229,17 @@ def validate(cfg: dict) -> Experiment:
         asymptotics.slow_steps(eps * z_max)
     except ValueError as exc:
         raise ConfigError(f"run.z_max: {exc}") from exc
-    sim = simulator.SimConfig(eps, pert, snapshot_dz)
+    grid = None
+    if _section(cfg, "grid"):  # else simulator.auto_grid's
+        half_width, n_points = _field(cfg, "grid.half_width"), _field(cfg, "grid.n_points")
+        try:
+            grid = simulator.Grid(half_width, n_points)
+        except ValueError as exc:
+            raise ConfigError(f"grid: {exc}") from exc
     try:
-        grid = _checked_grid(cfg, sim, params, z_max, strength)
-    except (ConfigError, OverflowError) as exc:  # OverflowError: auto_grid for a reach past the floats
-        if _section(cfg, "grid"):
-            raise
-        detail = str(exc) if isinstance(exc, ConfigError) else "the reach is past the floats"
-        try:  # auto_grid holds |t0|: as check names the reach, the offset is at fault if the run fits from t0 = 0
-            _checked_grid(cfg, sim, replace(params, t0=0.0), z_max, strength)
-        except (ConfigError, OverflowError):
-            if isinstance(exc, ConfigError):
-                raise exc
-            raise ConfigError(f"run.z_max: no automatic grid holds u_inf*z_max ({detail})") from exc
-        raise ConfigError(f"soliton.t0: no automatic grid holds the reach from t0 = {t0} ({detail})") from exc
+        grid = simulator.SimConfig(eps, pert, snapshot_dz).fit_grid(params, z_max, grid)
+    except ValueError as exc:  # it names the field; "perturbation", also inside a soliton.t0 refusal, is the strength
+        raise ConfigError(str(exc).replace("perturbation: ", f"{strength}: ")) from exc
     core = "black" if params.is_black else "grey"
     if (observables := _field(cfg, "observables")) is None:
         observables = tuple(dict.fromkeys(o.name for o in observe.OBSERVABLES if core in o.default_for))
@@ -267,31 +264,6 @@ def validate(cfg: dict) -> Experiment:
     return Experiment(params=params, perturbation=pert, epsilon=eps, grid=grid, z_max=z_max,
                       snapshot_dz=snapshot_dz, outputs=tuple(k for k in outputs if k != "report"),
                       observables=observables)
-
-
-def _checked_grid(cfg: dict, sim: simulator.SimConfig, params: CoreParams, z_max: float, strength) -> simulator.Grid:
-    """The config's grid, else auto_grid's, if sim.check admits it; else a ConfigError naming the field."""
-    grid_cfg = {"grid": _section(cfg, "grid") or auto_grid(params, z_max)}
-    half_width, n_points = _field(grid_cfg, "grid.half_width"), _field(grid_cfg, "grid.n_points")
-    try:
-        grid = simulator.Grid(half_width, n_points)
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
-    try:
-        sim.check(grid, params, z_max)
-    except ValueError as exc:  # it names the field, or "perturbation" for the forcing's strength
-        name, _, text = str(exc).partition(": ")
-        raise ConfigError(f"{strength if name == 'perturbation' else name}: {text}") from exc
-    return grid
-
-
-def auto_grid(params: CoreParams, z_max: float) -> dict:
-    """The narrowest whole half_width SimConfig.check admits at dt <= min(0.1, 1/u_inf), N a multiple of 512:
-    simulator.min_half_width of the shelf edges' reach |t0| + dt/2 + u_inf z_max."""
-    dt = min(0.1, 1.0 / params.u_inf)
-    half = math.ceil(simulator.min_half_width(abs(params.t0) + 0.5 * dt + params.u_inf * z_max))
-    n = 512 * math.ceil(2.0 * half / dt / 512)
-    return {"half_width": float(half), "n_points": int(max(n, 512))}
 
 
 # -- Pipelines ---------------------------------------------------------------
@@ -455,7 +427,7 @@ def sweep_configs(base_cfg: dict, delta_phi0_values) -> list[tuple[str, dict]]:
             observe.measurement_distance(params, eps, sh.q1_minus, -1),
         )
         cfg["run"]["z_max"] = z_max
-        cfg["grid"] = auto_grid(params, z_max)
+        cfg["grid"] = asdict(simulator.auto_grid(params, z_max))
         cfg["observables"] = ["shelf", "a_constancy"]
         try:
             validate(cfg)

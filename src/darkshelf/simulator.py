@@ -5,8 +5,10 @@ at the edges), classical RK4 in z at 0.9 of its stability limit on the spectrum
 linearized about the background, snapshots on the exact grid k z_max / n_snap,
 and Dirichlet boundary values pinned to the adiabatically evolving background;
 SimConfig.check holds every limit of a run and refuses one before its first
-step.  The field carries the soliton phase jump, so it is not periodic.  The
-grid is cell-centered and symmetric about t = 0, so the discrete odd symmetry
+step; SimConfig.fit_grid applies it to a given grid or to auto_grid's, the
+narrowest the domain rule admits, and names the field a refusal blames.  The
+field carries the soliton phase jump, so it is not periodic.  The grid is
+cell-centered and symmetric about t = 0, so the discrete odd symmetry
 of a black soliton is exact.  A run is measured in ``observe``; this module
 keeps the conserved quantities and the CSV writers of its snapshots.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -144,6 +146,29 @@ class SimConfig:
                                  f"{u_inf * dt:.4g} makes the PDE step unstable (growth {growth:.4g} per step)")
         return resolved
 
+    def fit_grid(self, params: CoreParams, z_max: float, grid: Grid | None = None) -> Grid:
+        """``grid``, else auto_grid(params, z_max), once check admits it; else check's ValueError, except that an
+        automatic grid's refusal names soliton.t0 when the run fits from t0 = 0 (auto_grid holds |t0|, as check
+        names the reach), else run.z_max for a reach past the floats."""
+        if grid is not None:
+            self.check(grid, params, z_max)
+            return grid
+        try:
+            grid = auto_grid(params, z_max)
+            self.check(grid, params, z_max)
+            return grid
+        except (ValueError, OverflowError) as exc:  # OverflowError: auto_grid for a reach past the floats
+            refusal = exc
+        detail = str(refusal) if isinstance(refusal, ValueError) else "the reach is past the floats"
+        at_zero = replace(params, t0=0.0)
+        try:
+            self.check(auto_grid(at_zero, z_max), at_zero, z_max)
+        except (ValueError, OverflowError):
+            if isinstance(refusal, ValueError):
+                raise refusal from None
+            raise ValueError(f"run.z_max: no automatic grid holds u_inf*z_max ({detail})") from None
+        raise ValueError(f"soliton.t0: no automatic grid holds the reach from t0 = {params.t0} ({detail})")
+
 
 @dataclass(frozen=True)
 class SimBackground:
@@ -192,6 +217,14 @@ def min_half_width(reach: float) -> float:
     """The narrowest half_width for shelf edges reaching |t| = reach: a short run needs a gap past the reach
     in absolute terms, a long one in proportion, before the pinned edges leave |u| as it is on a wide domain."""
     return reach / REACH_FRACTION + CORE_ALLOWANCE
+
+
+def auto_grid(params: CoreParams, z_max: float) -> Grid:
+    """The narrowest whole half_width SimConfig.check admits at dt <= min(0.1, 1/u_inf), N a multiple of 512:
+    min_half_width of the shelf edges' reach |t0| + dt/2 + u_inf z_max.  OverflowError for a reach past the floats."""
+    dt = min(0.1, 1.0 / params.u_inf)
+    half = math.ceil(min_half_width(abs(params.t0) + 0.5 * dt + params.u_inf * z_max))
+    return Grid(float(half), max(512 * math.ceil(2.0 * half / dt / 512), 512))
 
 
 def dz_per_dt2(uinf_dt: float) -> float:

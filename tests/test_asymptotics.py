@@ -373,6 +373,14 @@ class TestEvolveCoreParameters:
             asymptotics._collocate(rates, y0, 0.0, H, np.tile(y0, (J.size, 1)), newton=True)
         assert len(calls) == 3  # two sweeps, then the probe
 
+    def test_segments_start_a_on_the_background(self, monkeypatch):
+        # Linear damping keeps A/u_inf fixed, so A started at A0 u_inf/u_inf0 on each segment's nodes is the solution,
+        # even for a shallow soliton whose A would pass the decaying u_inf if started at A0 on every node.
+        collocate, calls = asymptotics._collocate, []
+        monkeypatch.setattr(asymptotics, "_collocate", lambda *args, **kw: calls.append(args) or collocate(*args, **kw))
+        evolve_core_parameters(linear_damping(1.13), CoreParams.from_background(0.55, 0.2), 0.05, 50.0)
+        assert len(calls) <= 20
+
     def test_background_collapse_in_the_cascade(self):
         # Two-photon absorption this strong takes the background's iterate through zero on a segment one
         # table interval long (h * 3 gamma3 = 12.5), where the cascade stops halving.

@@ -262,13 +262,14 @@ class TestConfigs:
         cfg["perturbation"] = None
         assert harness.validate(cfg).params.delta_phi0 == 1e-10
 
-    def test_cascade_breakdown_is_runtime_error(self, tmp_path):
+    def test_cascade_breakdown_is_runtime_error(self, tmp_path, capsys):
         # Inside the limit at z = 0, but linear damping shrinks u_inf - A below it.
         cfg = harness.load_config("grey_linear_damping")
         cfg["soliton"]["delta_phi0"] = 1e-4
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg), encoding="utf-8")
         assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), "predict"]) == 3
+        assert "shallow-soliton breakdown" in capsys.readouterr().err
 
     def test_background_collapse_is_runtime_error(self, tmp_path):
         # Two-photon absorption at gamma3 = 1e4 passes validation.  The exact background (1 + 2 gamma3 Z)^(-1/2)
@@ -301,10 +302,18 @@ class TestConfigs:
 
     def test_auto_grid_respects_domain_rule(self):
         params = CoreParams.from_background(1.0, 2 * math.pi / 5)
-        g = harness.auto_grid(params, 75.0)
+        g = simulator.auto_grid(params, 75.0)
         least = simulator.min_half_width(75.0 + 0.05)  # the reach at dt = 0.1
-        assert least <= g["half_width"] < least + 1.0
-        assert g["n_points"] % 512 == 0
+        assert least <= g.half_width < least + 1.0
+        assert g.n_points % 512 == 0
+
+    @pytest.mark.parametrize("name, grid", [("black_dispersive", (50.0, 1024)), ("grey_dispersive", (50.0, 1024)),
+                                            ("black_unperturbed", (19.0, 512)), ("grey_linear_damping", (35.0, 1024))])
+    def test_presets_without_grid_get_the_automatic_grid(self, name, grid):
+        cfg = harness.load_config(name)
+        del cfg["grid"]
+        exp = harness.validate(cfg)
+        assert (exp.grid.half_width, exp.grid.n_points) == grid
 
     @settings(max_examples=200, deadline=None)
     @given(u_inf=st.floats(0.05, 20.0), dphi=st.floats(0.3, math.pi), t0=st.floats(-50.0, 50.0),
@@ -314,8 +323,7 @@ class TestConfigs:
         cfg = {"perturbation": None, "epsilon": 0.0, "soliton": {"u_inf": u_inf, "delta_phi0": dphi, "t0": t0},
                "run": {"z_max": z_max}, "observables": ["fidelity"]}
         exp = harness.validate(cfg)
-        g = harness.auto_grid(exp.params, z_max)
-        assert (exp.grid.half_width, exp.grid.n_points) == (g["half_width"], g["n_points"])
+        assert exp.grid == simulator.auto_grid(exp.params, z_max)
         reach = abs(t0) + 0.5 * exp.grid.dt + u_inf * z_max
         assert simulator.min_half_width(reach) <= exp.grid.half_width
         # Within a fixed factor of the reach past the allowance: a whole half_width, sized at the coarsest dt.
@@ -541,6 +549,18 @@ class TestPredict:
         sh = traj.shelf[0]
         assert sh.q1_plus == pytest.approx(-(2.0 / 3.0), abs=1e-10)
         assert traj.params[-1].sigma0 == pytest.approx(-2.0, abs=1e-6)
+
+    def test_shallow_linear_damping_keeps_a_over_u_inf(self, tmp_path):
+        # Linear damping keeps A/u_inf fixed.  Each cascade segment starts A on the decaying background; started at
+        # its initial value on every node, A passed u_inf at later nodes and predict stopped on a false breakdown.
+        cfg = {"perturbation": {"label": "linear_damping", "Gamma": 1.13}, "epsilon": 0.05,
+               "soliton": {"u_inf": 0.55, "delta_phi0": 0.12}, "run": {"z_max": 50.0}}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg), encoding="utf-8")
+        assert cli.main(["--config", str(p), "--out-dir", str(tmp_path), "predict"]) == 0
+        rows = np.genfromtxt(tmp_path / "predict_prediction.csv", delimiter=",", names=True)
+        ratio = rows["A"] / rows["u_inf"]
+        assert np.max(np.abs(ratio - ratio[0])) <= 1e-14
 
     @pytest.mark.parametrize("label, epsilon, params", [
         (None, 0.0, CoreParams.from_background(1.0, math.pi)),
@@ -861,6 +881,11 @@ CONSOLE_CASES = [
     # At gamma3 = 2000 the background falls to 0.07 by z_max = 1; the cascade shortens its segments there.
     pytest.param(_console_cfg({"label": "two_photon", "gamma3": 2000.0}, 2.5), ["predict"], 0, "",
                  ["predict_prediction.csv"], id="strong_two_photon"),
+    # Two-photon absorption drains a shallow soliton's background, and A with it: the cascade starts each segment's A
+    # on the background, where A at its segment-start value on every node passed u_inf at later nodes (exit 3).
+    pytest.param(_console_cfg({"label": "two_photon", "gamma3": 5.0}, grid=(50.0, 1024), z_max=50.0,
+                              soliton={"u_inf": 0.55, "delta_phi0": 0.12}), ["predict"], 0, "",
+                 ["predict_prediction.csv"], id="shallow_two_photon"),
     # eps gamma = 0.5 and 0.3 at u_inf dt = 0.098 and 1.0: past what RK4 at dz = dz_per_dt2 dt^2 holds, so the
     # PDE's norm would blow up mid-run.
     pytest.param(harness.load_config("grey_dispersive") | {"perturbation": {"label": "dispersive_damping",
