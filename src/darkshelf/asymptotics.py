@@ -293,6 +293,12 @@ class _Records:
         return type(self._batch)(*(getattr(self._batch, f)[i].item() for f in self._fields))
 
 
+def _long_tail(D: np.ndarray, *values: np.ndarray) -> bool:
+    """Whether the last two Chebyshev coefficients D exceed _TOL of max(1, |values|): the segment is too long
+    for 16 nodes to resolve."""
+    return np.max(np.abs(D[-2:])) > _TOL * max(1.0, *(np.max(np.abs(v)) for v in values))
+
+
 def _collocate(rates, y0: np.ndarray, Z0: float, H: float, Y: np.ndarray, newton=False) -> tuple[np.ndarray, ...]:
     """The collocation solution on [Z0, Z0 + H] from y0, by Picard iteration from the node values Y:
     D <- (H/2) _ANTIDERIVATIVE rates(Y, Z), Y <- y0 + _AT_NODES D.  Returns (Y, D); y0 + sum_k D_k T_k
@@ -343,10 +349,12 @@ def evolve_core_parameters(pert: Perturbation, params0: CoreParams, epsilon: flo
     16 Lobatto nodes (_collocate) and read off its interpolant at the table nodes it covers.  The first
     segment is the whole span; a segment halves when its iteration stops contracting, a state leaves
     the valid region (see _states, grey_parameter_rhs and soliton_integrals) or the last two
-    Chebyshev coefficients exceed the tolerance, and the next one doubles.  A one-interval segment
-    needs no interior read-off and takes no tail test; a failure there raises, and the samples'
-    rates come from one batched evaluation at the end.  eps = 0 is a constant path.  Raises ValueError
-    from check_forcing on the initial profile.
+    Chebyshev coefficients exceed the tolerance (_long_tail), and the next one doubles.  The tail is
+    tested twice: on the background column, solved first, against max(1, |u_inf|, |segment's initial
+    state|), so that a segment too long for the background is halved before its four-column solve;
+    then on all four columns.  A one-interval segment needs no interior read-off and takes no tail
+    test; a failure there raises, and the samples' rates come from one batched evaluation at the end.
+    eps = 0 is a constant path.  Raises ValueError from check_forcing on the initial profile.
     """
     if epsilon == 0.0:
         z = np.linspace(0.0, z_span, SAMPLES)
@@ -368,12 +376,16 @@ def evolve_core_parameters(pert: Perturbation, params0: CoreParams, epsilon: flo
         return np.column_stack(np.broadcast_arrays(sh.u_inf_rate, sh.A_rate, sh.sigma0_rate,
                                                    edge_phase_flux(p, sh)))
 
-    def segment(y0, Z0, H):
-        """The background column converges first, since it depends on nothing else; then all four, from A at
+    def segment(y0, Z0, H, tail_test):
+        """(Y, D) on [Z0, Z0 + H], or None where ``tail_test`` finds a long tail.  The background column
+        converges first, since it depends on nothing else, and has its tail tested; then all four, from A at
         A0 u_inf/u_inf0 on its nodes (exact under linear damping, which keeps A/u_inf fixed)."""
-        u, _ = _collocate(background, y0[:1], Z0, H, np.full((_NODES.size, 1), y0[0]))
+        u, D = _collocate(background, y0[:1], Z0, H, np.full((_NODES.size, 1), y0[0]))
+        if tail_test and _long_tail(D, u, y0):
+            return None
         start = np.column_stack((u, u * (y0[1] / y0[0]), np.tile(y0[2:], (_NODES.size, 1))))
-        return _collocate(rates, y0, Z0, H, start, newton=True)
+        Y, D = _collocate(rates, y0, Z0, H, start, newton=True)
+        return None if tail_test and _long_tail(D, Y) else (Y, D)
 
     state = np.array([params0.u_inf, params0.A, params0.sigma0, 0.0])
     u_inf, samples = np.empty(steps + 1), np.empty((SAMPLES, 4))
@@ -382,15 +394,15 @@ def evolve_core_parameters(pert: Perturbation, params0: CoreParams, epsilon: flo
     while n < steps:
         length = min(length, steps - n)
         try:
-            Y, D = segment(state, n * h, length * h)
+            solved = segment(state, n * h, length * h, tail_test=length > 1)
         except (BackgroundCollapseError, ShallowSolitonError, QuadratureError):
             if length == 1:
                 raise
+            solved = None
+        if solved is None:
             length //= 2
             continue
-        if length > 1 and np.max(np.abs(D[-2:])) > _TOL * max(1.0, np.max(np.abs(Y))):
-            length //= 2
-            continue
+        Y, D = solved
         tau = np.arange(1, length + 1) * (2.0 / length) - 1.0  # table nodes n + 1 .. n + length
         u_inf[n + 1:n + length + 1] = state[0] + _chebyshev(D[:, 0], tau)
         k = np.arange(n // stride + 1, (n + length) // stride + 1)  # the samples among them

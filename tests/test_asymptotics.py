@@ -208,7 +208,25 @@ class TestEvolveCoreParameters:
         monkeypatch.setattr(asymptotics, "grey_parameter_rhs", lambda pert, p: rhs_calls.append(p) or rhs(pert, p))
         evolve_core_parameters(two_photon(1.0), GREY, 0.05, 30.0)
         assert profiles == [GREY]
-        assert len(rhs_calls) <= 40  # 37 with simplified Newton on A; plain Picard iteration takes 51
+        assert len(rhs_calls) <= 24  # 22 with simplified Newton on A and segments halved on the background's tail
+
+    def test_no_four_column_solve_is_thrown_away(self, monkeypatch):
+        # Two-photon damping's background (1 + 2 gamma3 Z)^-1/2 has its pole at Z = -1/(2 gamma3), so 16 nodes
+        # resolve it only on short segments.  A segment too long for them is halved on its background column:
+        # each four-column solve becomes a segment of the trajectory, and together they tile the span.
+        solves, collocate = [], asymptotics._collocate
+
+        def counted(rates, y0, Z0, H, Y, newton=False):
+            if newton:
+                solves.append((Z0, H))
+            return collocate(rates, y0, Z0, H, Y, newton)
+
+        monkeypatch.setattr(asymptotics, "_collocate", counted)
+        evolve_core_parameters(two_photon(1.0), CoreParams.from_background(1.0, 2.0), 0.05, 30.0)
+        starts, ends = [Z0 for Z0, _ in solves], [Z0 + H for Z0, H in solves]
+        assert starts == pytest.approx([0.0, *ends[:-1]], abs=1e-15)
+        assert ends[-1] == pytest.approx(1.5, abs=1e-15)
+        assert len(solves) == 3
 
     def test_batched_rhs_equals_scalar_calls(self):
         # Every field of a batched evaluation (19 states: more than one chunk) is the scalar evaluation there.

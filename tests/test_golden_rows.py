@@ -4,7 +4,8 @@ Bounds, not bytes: with numpy's AVX2 and AVX-512 paths turned off, measured rows
 relative and err/tol by at most 3.9e-9, while the cascade's predictions moved under 1e-15 relative.  A
 deliberate move of a protocol constant (window_end 0.7 -> 0.71) moves a shelf row's err/tol by 0.018.
 tests/write_golden_rows.py rewrites the file.  grey_linear_damping is recorded as it is, failing
-eps_q1_plus at err/tol 1.03.
+eps_q1_plus at err/tol 1.03.  The THEORY entries hold the cascade alone, two-photon damping's included, which
+no preset runs.
 """
 
 import json
@@ -12,7 +13,7 @@ import json
 import pytest
 
 from darkshelf import harness
-from write_golden_rows import GOLDEN, preset_rows
+from write_golden_rows import GOLDEN, THEORY, last_prediction, preset_rows
 
 ERR_TOL_BOUND = 1e-6  # |delta err/tol| per row: 250x the largest move measured without numpy's SIMD paths
 PREDICTION_RTOL = 1e-12
@@ -33,6 +34,15 @@ def test_preset_matches_golden_rows(name, golden, preset_compare):
         now_predicted, _, now_err_tol = got["rows"][row]
         assert now_predicted == pytest.approx(predicted, rel=PREDICTION_RTOL, abs=PREDICTION_ATOL), row
         assert abs(now_err_tol - err_tol) <= ERR_TOL_BOUND, (row, now_err_tol, err_tol)  # a nan fails
-    assert sorted(got["predict"]) == sorted(want["predict"])
-    for column, value in want["predict"].items():
-        assert got["predict"][column] == pytest.approx(value, rel=PREDICTION_RTOL, abs=PREDICTION_ATOL), column
+    assert_same_prediction(got["predict"], want["predict"])
+
+
+@pytest.mark.parametrize("name", sorted(THEORY))
+def test_cascade_matches_golden_prediction(name, golden):
+    assert_same_prediction(last_prediction(harness.predict(harness.validate(THEORY[name]))), golden[name]["predict"])
+
+
+def assert_same_prediction(got: dict, want: dict) -> None:
+    assert sorted(got) == sorted(want)
+    for column, value in want.items():
+        assert got[column] == pytest.approx(value, rel=PREDICTION_RTOL, abs=PREDICTION_ATOL), column
